@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cointkit.critvals import LEVELS, MIN_N, SOURCE_ID, DeterministicSpec, critical_value
-from cointkit.errors import SeriesTooShort, UsageError
+from cointkit.critvals import LEVELS, MIN_N, SOURCE_ID, DeterministicSpec, critical_values_map
+from cointkit.errors import CointkitError, SeriesTooShort, UsageError
 from cointkit.formats import fmt12s, significance_stars
-from cointkit.regression import DesignMatrix, OlsFit, ols_fit
+from cointkit.regression import OlsFit, _as_fit, _lstsq, _Solution
 from cointkit.series import TimeSeries, align, has_differencing, lineage_summary, log_transform
-from cointkit.unitroot import adf_regression
+from cointkit.unitroot import _adf
 
 LOGARITHMS = "logarithms"
 UNTRANSFORMED = "untransformed"
@@ -134,25 +134,31 @@ def _series_display_name(x: TimeSeries, position: str) -> str:
     return x.name or f"{position} input"
 
 
-def _collect_warnings(
-    a: TimeSeries, b: TimeSeries, design: DesignMatrix, n_effective: int
-) -> tuple[GuardWarning, ...]:
-    warnings: list[GuardWarning] = []
+def differencing_warning(a: TimeSeries, b: TimeSeries) -> GuardWarning | None:
+    """The misuse guard: a warning when either input's lineage records differencing."""
     offenders = [
         f"{_series_display_name(s, pos)} ({lineage_summary(s)})"
         for s, pos in ((a, "first"), (b, "second"))
         if has_differencing(s)
     ]
-    if offenders:
-        warnings.append(
-            GuardWarning(
-                code=WARN_DIFFERENCED,
-                message=(
-                    "input carries differencing transforms, but this test is designed for "
-                    "levels of I(1) series: " + "; ".join(offenders)
-                ),
-            )
-        )
+    if not offenders:
+        return None
+    return GuardWarning(
+        code=WARN_DIFFERENCED,
+        message=(
+            "input carries differencing transforms, but this test is designed for "
+            "levels of I(1) series: " + "; ".join(offenders)
+        ),
+    )
+
+
+def _collect_warnings(
+    a: TimeSeries, b: TimeSeries, design: np.ndarray, n_effective: int
+) -> tuple[GuardWarning, ...]:
+    warnings: list[GuardWarning] = []
+    guard = differencing_warning(a, b)
+    if guard is not None:
+        warnings.append(guard)
     if n_effective < SHORT_SAMPLE_THRESHOLD:
         warnings.append(
             GuardWarning(
@@ -163,7 +169,7 @@ def _collect_warnings(
                 ),
             )
         )
-    scaled = design.data / np.sqrt((design.data * design.data).sum(axis=0))
+    scaled = design / np.sqrt((design * design).sum(axis=0))
     cond = float(np.linalg.cond(scaled))
     if cond > COLLINEARITY_CONDITION_LIMIT:
         warnings.append(
@@ -173,6 +179,48 @@ def _collect_warnings(
             )
         )
     return tuple(warnings)
+
+
+def _eg_regressions(
+    dep: np.ndarray, other: np.ndarray, spec: EgSpec
+) -> tuple[_Solution, _Solution, int]:
+    """Both Engle-Granger stages on each row of (..., n) stacks of aligned levels.
+
+    Regresses ``dep`` on ``other`` (plus trend, plus intercept), then runs
+    the no-deterministics ADF on the residuals. Returns the stage-one and
+    stage-two solutions and the effective sample size; the statistic is
+    the stage-two ``t_stats[..., 0]``. ``spec.transform`` and
+    ``spec.normalize_on`` have already been applied by the caller.
+    """
+    n = dep.shape[-1]
+    n_effective = n - 1 - spec.lags
+    if n_effective < 10:
+        raise SeriesTooShort(
+            f"effective sample {n_effective} with {spec.lags} lags; need >= 10"
+        )
+
+    names = ["x"]
+    columns = [other]
+    if spec.trend_in_stage_one:
+        names.append("trend")
+        columns.append(np.arange(1, n + 1, dtype=float))
+    names.append("intercept")
+    columns.append(np.ones(n))
+    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    stage_one = _lstsq(design, dep, tuple(names))
+
+    stage_two, n_eff = _adf(stage_one.resid, spec.lags, DeterministicSpec.none())
+    return stage_one, stage_two, n_eff
+
+
+def eg_critical_values(n_eff: int, trend_in_stage_one: bool) -> dict[int, float]:
+    """Two-variable critical values for the stage-one deterministic terms."""
+    det = (
+        DeterministicSpec.constant_trend()
+        if trend_in_stage_one
+        else DeterministicSpec.constant_only()
+    )
+    return critical_values_map(2, max(n_eff, MIN_N), det)
 
 
 def engle_granger_test(a: TimeSeries, b: TimeSeries, spec: EgSpec) -> CointegrationReport:
@@ -199,39 +247,19 @@ def engle_granger_test(a: TimeSeries, b: TimeSeries, spec: EgSpec) -> Cointegrat
     else:
         dep, other = b_t, a_t
 
-    n = len(dep)
-    n_effective = n - 1 - spec.lags
-    if n_effective < 10:
-        raise SeriesTooShort(
-            f"effective sample {n_effective} with {spec.lags} lags; need >= 10"
-        )
-
-    columns = [("x", other.values)]
-    if spec.trend_in_stage_one:
-        columns.append(("trend", np.arange(1, n + 1, dtype=float)))
-    columns.append(("intercept", np.ones(n)))
-    design = DesignMatrix.from_columns(columns)
-    stage_one = ols_fit(dep.values, design)
-
-    stage_two_det = DeterministicSpec.none()
-    statistic, n_eff, stage_two_fit = adf_regression(stage_one.residuals, spec.lags, stage_two_det)
-
-    cv_det = (
-        DeterministicSpec.constant_trend()
-        if spec.trend_in_stage_one
-        else DeterministicSpec.constant_only()
-    )
-    cvs = {level: critical_value(2, max(n_eff, MIN_N), level, cv_det) for level in LEVELS}
+    stage_one, stage_two, n_eff = _eg_regressions(dep.values, other.values, spec)
+    statistic = float(stage_two.t_stats[0])
+    cvs = eg_critical_values(n_eff, spec.trend_in_stage_one)
 
     return CointegrationReport(
         spec=spec,
-        stage_one=stage_one,
+        stage_one=_as_fit(stage_one),
         statistic=statistic,
         critical_values=cvs,
         reject_at={level: statistic < cvs[level] for level in LEVELS},
-        warnings=_collect_warnings(a, b, design, n_eff),
+        warnings=_collect_warnings(a, b, stage_one.design, n_eff),
         n_effective=n_eff,
-        stage_two_columns=stage_two_fit.column_names,
+        stage_two_columns=stage_two.names,
     )
 
 
@@ -351,7 +379,7 @@ def run_spec_grid(a: TimeSeries, b: TimeSeries, grid: list[EgSpec] | None = None
     for spec in specs:
         try:
             report = engle_granger_test(a, b, spec)
-        except Exception as exc:  # recorded per-cell, grid keeps going
+        except CointkitError as exc:  # recorded per-cell, grid keeps going
             cells.append(GridCell(spec=spec, report=None, error=f"{type(exc).__name__}: {exc}"))
         else:
             cells.append(GridCell(spec=spec, report=report, error=None))

@@ -4,16 +4,32 @@ This is the numerical core under the unit-root, cointegration, and
 error-correction estimators. Robust/HAC covariance is deliberately out of
 scope; the tests built on top compare t-ratios against tabulations that
 assume classical errors.
+
+One kernel, :func:`_lstsq`, solves either one ``(n, k)`` design or a
+stack ``(..., n, k)`` of them; :func:`ols_fit` is its one-design case
+and the Monte Carlo runners pass it blocks of replications. A slice's
+results are bitwise identical whatever stack it sits in, so statistics
+do not depend on the block size or on how replications are split across
+workers. That holds because every inner product and sum in the kernel is
+a ``matmul`` (``@``), which makes one BLAS call per slice, and the
+factorizations are stacked ``np.linalg.qr``/``solve``/``inv``, which
+make one LAPACK call per slice: a stacked call makes exactly the calls
+the unstacked one makes. ``einsum`` is not used: it sums in an order of
+its own, which differs from BLAS in the last bits and is not documented
+to be the same for every stack layout. ``np.vecdot`` and ``np.matvec``
+would do, but need numpy 2, and the supported floor is numpy 1.24.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from cointkit.errors import DataError, DimensionMismatch, RankDeficient
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -106,12 +122,101 @@ class OlsFit:
         return out
 
 
+class _Solution(NamedTuple):
+    """What :func:`_lstsq` computed for a design stack; arrays keep its leading dims."""
+
+    names: tuple[str, ...]
+    design: np.ndarray  # (..., n, k)
+    y: np.ndarray  # (..., n)
+    beta: np.ndarray  # (..., k)
+    resid: np.ndarray  # (..., n)
+    stderrs: np.ndarray  # (..., k)
+    t_stats: np.ndarray  # (..., k)
+    rss: np.ndarray  # (...)
+    tol: np.ndarray  # (...)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, one BLAS dot per row of the stack."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _lstsq(A: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> _Solution:
+    """Least squares of ``y[..., :]`` on ``A[..., :, :]``, one design or a stack of them.
+
+    The checks below are those of :class:`DesignMatrix` and :func:`ols_fit`,
+    in their order. On a stack they raise for the first slice that fails,
+    so a caller that needs the error of a given slice reruns it alone.
+    """
+    n, k = A.shape[-2:]
+    if n <= k:
+        raise DataError(f"need more observations ({n}) than columns ({k})")
+    if not np.isfinite(A).all():
+        raise DataError("design matrix contains non-finite entries")
+    if not np.isfinite(y).all():
+        raise DataError("dependent variable contains non-finite entries")
+
+    col_sq = np.ones(n) @ (A * A)
+    tol = n * _EPS * np.sqrt(col_sq.max(axis=-1))
+
+    Q, R = np.linalg.qr(A)
+    weak = np.abs(np.diagonal(R, axis1=-2, axis2=-1)) <= tol[..., None]
+    if weak.any():
+        raise RankDeficient(names[int(np.argwhere(weak)[0, -1])])
+
+    beta = np.linalg.solve(R, Q.swapaxes(-1, -2) @ y[..., None])
+    resid = y - (A @ beta)[..., 0]
+    beta = beta[..., 0]
+    rss = _rowdot(resid, resid)
+
+    r_inv = np.linalg.inv(R)
+    xtx_inv_diag = (r_inv * r_inv) @ np.ones(k)
+    se = np.sqrt(rss[..., None] / (n - k) * xtx_inv_diag)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tstats = np.where(se > 0.0, beta / se, np.sign(beta) * np.inf)
+    tstats = np.where((se == 0.0) & (beta == 0.0), np.nan, tstats)
+    return _Solution(names, A, y, beta, resid, se, tstats, rss, tol)
+
+
+def _as_fit(sol: _Solution) -> OlsFit:
+    """The :class:`OlsFit` of an unstacked solution (a 2-D design)."""
+    A, y = sol.design, sol.y
+    n, k = A.shape
+    rss = float(sol.rss)
+    tol = float(sol.tol)
+    # A constant non-zero column; a column sum of |A - A[0]| is zero only if every term is.
+    constant = (np.ones(n) @ np.abs(A - A[0])) == 0.0
+    has_intercept = bool((constant & (A[0] != 0.0)).any())
+    if has_intercept:
+        tss = float(((y - y.mean()) ** 2).sum())
+    else:
+        tss = float((y**2).sum())
+    if tss <= tol * tol:
+        r2 = 1.0 if rss <= tol * tol else 0.0
+    else:
+        r2 = 1.0 - rss / tss
+    r2 = float(min(1.0, max(0.0, r2)))
+
+    names = sol.names
+    return OlsFit(
+        coefficients=dict(zip(names, sol.beta.tolist())),
+        residuals=sol.resid,
+        stderrs=dict(zip(names, sol.stderrs.tolist())),
+        t_stats=dict(zip(names, sol.t_stats.tolist())),
+        r_squared=r2,
+        dof=n - k,
+        nobs=n,
+    )
+
+
 def ols_fit(y: Sequence[float], X: DesignMatrix) -> OlsFit:
     """Least squares of ``y`` on the columns of ``X``.
 
     Solved through a QR decomposition rather than the normal equations;
     rank is screened against tolerance n * eps * (largest column norm),
-    and a dependent column is reported by name.
+    and a dependent column is reported by name. This is the one-design
+    case of the stacked kernel that the Monte Carlo runners use.
 
     Raises
     ------
@@ -124,52 +229,4 @@ def ols_fit(y: Sequence[float], X: DesignMatrix) -> OlsFit:
     yv = np.asarray(y, dtype=float).ravel()
     if yv.size != X.nobs:
         raise DimensionMismatch(f"y has {yv.size} observations, design has {X.nobs}")
-    if not np.all(np.isfinite(yv)):
-        raise DataError("dependent variable contains non-finite entries")
-
-    A = X.data
-    n, k = A.shape
-    col_norms = np.sqrt((A * A).sum(axis=0))
-    tol = n * np.finfo(float).eps * float(col_norms.max())
-
-    Q, R = np.linalg.qr(A)
-    rdiag = np.abs(np.diag(R))
-    weak = np.flatnonzero(rdiag <= tol)
-    if weak.size:
-        raise RankDeficient(X.names[int(weak[0])])
-
-    beta = np.linalg.solve(R, Q.T @ yv)
-    resid = yv - A @ beta
-    rss = float(resid @ resid)
-    dof = n - k
-    sigma2 = rss / dof
-
-    r_inv = np.linalg.inv(R)
-    xtx_inv_diag = (r_inv * r_inv).sum(axis=1)
-    se = np.sqrt(sigma2 * xtx_inv_diag)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstats = np.where(se > 0.0, beta / se, np.sign(beta) * np.inf)
-    tstats = np.where((se == 0.0) & (beta == 0.0), np.nan, tstats)
-
-    has_intercept = any(np.ptp(A[:, j]) == 0.0 and A[0, j] != 0.0 for j in range(k))
-    if has_intercept:
-        tss = float(((yv - yv.mean()) ** 2).sum())
-    else:
-        tss = float((yv**2).sum())
-    if tss <= tol * tol:
-        r2 = 1.0 if rss <= tol * tol else 0.0
-    else:
-        r2 = 1.0 - rss / tss
-    r2 = float(min(1.0, max(0.0, r2)))
-
-    names = X.names
-    return OlsFit(
-        coefficients={nm: float(b) for nm, b in zip(names, beta)},
-        residuals=resid,
-        stderrs={nm: float(s) for nm, s in zip(names, se)},
-        t_stats={nm: float(t) for nm, t in zip(names, tstats)},
-        r_squared=r2,
-        dof=dof,
-        nobs=n,
-    )
+    return _as_fit(_lstsq(X.data, yv, X.names))

@@ -18,10 +18,10 @@ from cointkit.critvals import (
     MIN_N,
     SOURCE_ID,
     DeterministicSpec,
-    critical_value,
+    critical_values_map,
 )
 from cointkit.errors import DegenerateInput, SeriesTooShort, UsageError
-from cointkit.regression import DesignMatrix, OlsFit, ols_fit
+from cointkit.regression import OlsFit, _as_fit, _lstsq, _rowdot, _Solution
 from cointkit.series import TimeSeries
 
 MIN_EFFECTIVE_SAMPLE = 10
@@ -54,57 +54,77 @@ class UnitRootReport:
         }
 
 
-def _degenerate(values: np.ndarray, dx_resid: np.ndarray) -> bool:
-    scale = max(1.0, float(np.abs(values).max()))
-    return float(np.abs(dx_resid).max(initial=0.0)) <= 1e-12 * scale
+def _degenerate(values: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
+    """Per row of a stack: is the largest |residual| negligible against the series scale?"""
+    scale = np.fmax(1.0, np.abs(values).max(axis=-1))
+    return np.abs(dx_resid).max(axis=-1, initial=0.0) <= 1e-12 * scale
 
 
-def adf_regression(values: np.ndarray, lags: int, det: DeterministicSpec) -> tuple[float, int, OlsFit]:
-    """ADF statistic, effective sample size, and the underlying fit.
+def _adf(x: np.ndarray, lags: int, det: DeterministicSpec) -> tuple[_Solution, int]:
+    """The ADF regression of each row of ``x`` (..., m), and the effective sample size.
 
-    Operates on a bare value array so the cointegration stage-two test can
-    reuse it on regression residuals.
+    The statistic is ``t_stats[..., 0]``, the t-ratio on the lagged level.
+    On a stack every check covers every row, and the first failure raises.
     """
-    x = np.asarray(values, dtype=float).ravel()
     lags = int(lags)
     if lags < 0:
         raise UsageError(f"lags must be >= 0, got {lags}")
-    n_eff = x.size - 1 - lags
+    m = x.shape[-1]
+    n_eff = m - 1 - lags
     if n_eff < MIN_EFFECTIVE_SAMPLE:
         raise SeriesTooShort(
             f"effective sample {n_eff} after differencing and {lags} lags; need >= {MIN_EFFECTIVE_SAMPLE}"
         )
 
-    dx = np.diff(x)
-    y = dx[lags:]
+    dx = np.diff(x, axis=-1)
+    y = dx[..., lags:]
 
     # Zero innovation variance (e.g. an exact deterministic path) must fail
     # typed, not produce an unbounded t-ratio or a spurious rank error.
     probe = y
     if det.constant:
-        probe = probe - probe.mean()
+        probe = probe - _rowdot(probe, np.ones(n_eff))[..., None] / n_eff
     if det.trend:
-        t_probe = np.arange(probe.size, dtype=float)
-        t_probe = t_probe - t_probe.mean()
+        t_probe = np.arange(n_eff, dtype=float) - (n_eff - 1) / 2.0
         denom = float(t_probe @ t_probe)
         if denom > 0.0:
-            probe = probe - (probe @ t_probe) / denom * t_probe
-    if _degenerate(x, probe):
+            probe = probe - (_rowdot(probe, t_probe) / denom)[..., None] * t_probe
+    if _degenerate(x, probe).any():
         raise DegenerateInput()
 
-    columns = [(LEVEL_COLUMN, x[lags:-1])]
+    names = [LEVEL_COLUMN]
+    columns = [x[..., lags:-1]]
     for i in range(1, lags + 1):
-        columns.append((f"diff_lag{i}", dx[lags - i : dx.size - i]))
+        names.append(f"diff_lag{i}")
+        columns.append(dx[..., lags - i : m - 1 - i])
     if det.constant:
-        columns.append(("intercept", np.ones(n_eff)))
+        names.append("intercept")
+        columns.append(np.ones(n_eff))
     if det.trend:
         # Indexed by position in the input series; the intercept absorbs the offset.
-        columns.append(("trend", np.arange(lags + 1, x.size, dtype=float)))
+        names.append("trend")
+        columns.append(np.arange(lags + 1, m, dtype=float))
+    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
 
-    fit = ols_fit(y, DesignMatrix.from_columns(columns))
-    if _degenerate(x, fit.residuals):
+    sol = _lstsq(design, y, tuple(names))
+    if _degenerate(x, sol.resid).any():
         raise DegenerateInput()
-    return fit.t_stats[LEVEL_COLUMN], n_eff, fit
+    return sol, n_eff
+
+
+def adf_regression(values: np.ndarray, lags: int, det: DeterministicSpec) -> tuple[float, int, OlsFit]:
+    """ADF statistic, effective sample size, and the underlying fit.
+
+    Operates on a bare value array, such as a regression residual; this is
+    the one-series case of the stacked regression the Monte Carlo runners use.
+    """
+    sol, n_eff = _adf(np.asarray(values, dtype=float).ravel(), lags, det)
+    return float(sol.t_stats[0]), n_eff, _as_fit(sol)
+
+
+def adf_critical_values(n_eff: int, det: DeterministicSpec) -> dict[int, float]:
+    """One-variable critical values; below the table's minimum sample, at that minimum."""
+    return critical_values_map(1, max(n_eff, MIN_N), det)
 
 
 def adf_test(x: TimeSeries, lags: int, det: DeterministicSpec) -> UnitRootReport:
@@ -127,7 +147,7 @@ def adf_test(x: TimeSeries, lags: int, det: DeterministicSpec) -> UnitRootReport
         minimum the surface is evaluated at its smallest supported size.
     """
     stat, n_eff, _ = adf_regression(x.values, lags, det)
-    cvs = {level: critical_value(1, max(n_eff, MIN_N), level, det) for level in LEVELS}
+    cvs = adf_critical_values(n_eff, det)
     return UnitRootReport(
         statistic=stat,
         lags=int(lags),

@@ -15,7 +15,9 @@ from cointkit.cointegration import (
     engle_granger_test,
     run_spec_grid,
 )
+import cointkit.cointegration as coint
 from cointkit.errors import (
+    DataError,
     DegenerateInput,
     FrequencyMismatch,
     NoOverlap,
@@ -282,6 +284,25 @@ class TestGrid:
         specs = [spec(), spec(lags=1), spec(lags=2)]
         grid = run_spec_grid(a, b, specs)
         assert [c.spec for c in grid.cells] == specs
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(a, b, spec):
+            raise RuntimeError("a bug, not a data problem")
+
+        monkeypatch.setattr(coint, "engle_granger_test", broken)
+        a, b = random_walk_pair(np.random.default_rng(62), 100)
+        with pytest.raises(RuntimeError):
+            run_spec_grid(a, b, [spec()])
+
+    def test_typed_errors_become_error_cells(self, monkeypatch):
+        def bad_data(a, b, spec):
+            raise DataError("cell cannot be computed")
+
+        monkeypatch.setattr(coint, "engle_granger_test", bad_data)
+        a, b = random_walk_pair(np.random.default_rng(63), 100)
+        grid = run_spec_grid(a, b, [spec()])
+        assert grid.cells_errored == 1
+        assert grid.to_csv_rows()[1][9] == "error:DataError: cell cannot be computed"
 
     def test_empty_grid_rejected(self):
         rng = np.random.default_rng(60)

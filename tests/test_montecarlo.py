@@ -1,10 +1,23 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import cointkit.montecarlo as mc
+from cointkit.cli import main
+from cointkit.cointegration import (
+    NORMALIZE_FIRST,
+    UNTRANSFORMED,
+    EgSpec,
+    _eg_regressions,
+    engle_granger_test,
+)
 from cointkit.critvals import DeterministicSpec
 from cointkit.ecm import EcmSpec
-from cointkit.errors import MissingGuardWarning, UsageError
+from cointkit.errors import DataError, MissingGuardWarning, RankDeficient, UsageError
+from cointkit.series import iterated_difference
+from cointkit.unitroot import _adf, adf_test
 
 
 class TestDgp:
@@ -91,16 +104,10 @@ class TestFalsePositiveExperiment:
             mc.run_false_positive_experiment(n=50, reps=100, level=2, base_seed=7)
 
     def test_missing_guard_fails_loudly(self, monkeypatch):
-        real = mc.engle_granger_test
-
-        def strip_warnings(a, b, spec):
-            report = real(a, b, spec)
-            object.__setattr__(report, "warnings", ())
-            return report
-
-        monkeypatch.setattr(mc, "engle_granger_test", strip_warnings)
-        with pytest.raises(MissingGuardWarning):
+        monkeypatch.setattr(mc, "differencing_warning", lambda a, b: None)
+        with pytest.raises(MissingGuardWarning) as caught:
             mc.run_false_positive_experiment(n=50, reps=100, level=1, base_seed=7)
+        assert caught.value.replication == 0
 
 
 class TestSizeExperiment:
@@ -133,13 +140,33 @@ class TestSizeExperiment:
         )
         assert result.rejection_rate[5] >= 0.99
 
-    def test_worker_count_does_not_change_results(self):
-        test = mc.TestConfig(kind=mc.EG_LEVELS)
-        dgp = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 60)
-        serial = mc.run_size_experiment(test, dgp, reps=100, base_seed=14, workers=1)
-        parallel = mc.run_size_experiment(test, dgp, reps=100, base_seed=14, workers=2)
-        assert serial.rejections == parallel.rejections
-        assert serial.config_digest == parallel.config_digest
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # Every runner, at 101 replications: a partial last block, and pool
+        # chunks of unequal size. Two workers are allowed on any host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        runners = {
+            "size": lambda w: mc.run_size_experiment(
+                mc.TestConfig(kind=mc.EG_LEVELS, lags=1),
+                mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 60),
+                reps=101,
+                base_seed=14,
+                workers=w,
+            ),
+            "false_positive": lambda w: mc.run_false_positive_experiment(
+                n=50, reps=101, base_seed=14, workers=w
+            ),
+            "spurious": lambda w: mc.run_spurious_regression_experiment(
+                n=60, reps=101, base_seed=14, workers=w
+            ),
+            "ect_unit_root": lambda w: mc.run_ect_unit_root_experiment(
+                n=60, reps=101, base_seed=14, workers=w
+            ),
+            "ect_recovery": lambda w: mc.run_ect_recovery_experiment(
+                n=60, reps=101, base_seed=14, workers=w
+            ),
+        }
+        for name, run in runners.items():
+            assert run(1).to_json_dict() == run(2).to_json_dict(), name
 
     def test_rates_stable_across_base_seeds(self):
         results = [
@@ -248,3 +275,100 @@ class TestResultShapes:
         assert rows[0] == ["level", "rate", "wilson_lo", "wilson_hi"]
         assert len(rows) == 4
         assert [r[0] for r in rows[1:]] == ["1", "5", "10"]
+
+
+def _two_cpus_and_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", refuse)
+
+
+class TestWorkerBound:
+    @pytest.mark.parametrize("workers", [0, 3])
+    def test_out_of_range_rejected_before_any_process(self, monkeypatch, workers):
+        _two_cpus_and_no_pool(monkeypatch)
+        with pytest.raises(UsageError, match="workers must be in 1..2"):
+            mc.run_false_positive_experiment(n=50, reps=100, workers=workers)
+
+    @pytest.mark.parametrize("workers", ["0", "3"])
+    def test_cli_reports_usage_error(self, monkeypatch, capsys, workers):
+        _two_cpus_and_no_pool(monkeypatch)
+        code = main(["mc-size", "--n", "50", "--reps", "100", "--workers", workers])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cointkit-error: ")
+        assert '"UsageError"' in err
+
+
+def _pairs(test, dgp, base_seed, reps):
+    pairs = [mc.generate(replace(dgp, seed=mc.replication_seed(base_seed, r))) for r in range(reps)]
+    if test.kind == mc.EG_DIFFERENCES:
+        pairs = [(iterated_difference(a, 1), iterated_difference(b, 1)) for a, b in pairs]
+    return pairs
+
+
+class TestStackedEqualsScalar:
+    """The block path must reproduce the one-replication path bit for bit."""
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    @pytest.mark.parametrize("kind", [mc.EG_LEVELS, mc.EG_DIFFERENCES, mc.ADF])
+    @pytest.mark.parametrize(
+        "dgp_kind", [mc.INDEPENDENT_RANDOM_WALKS, mc.COINTEGRATED_PAIR, mc.WHITE_NOISE_PAIR]
+    )
+    def test_statistics_and_outcomes(self, dgp_kind, kind, deterministic):
+        det = (
+            DeterministicSpec.constant_trend() if deterministic else DeterministicSpec.constant_only()
+        )
+        test = mc.TestConfig(kind=kind, lags=2, trend=deterministic, det=det)
+        dgp = mc.DgpSpec(dgp_kind, 80)
+        pairs = _pairs(test, dgp, 5, 40)
+
+        if kind == mc.ADF:
+            scalar = [adf_test(a, test.lags, det).statistic for a, _ in pairs]
+
+            def stacked(rows):
+                solution, _ = _adf(np.stack([a.values for a, _ in rows]), test.lags, det)
+                return solution.t_stats[:, 0]
+
+        else:
+            spec = EgSpec(UNTRANSFORMED, NORMALIZE_FIRST, test.lags, deterministic)
+            scalar = [engle_granger_test(a, b, spec).statistic for a, b in pairs]
+
+            def stacked(rows):
+                first = np.stack([a.values for a, _ in rows])
+                second = np.stack([b.values for _, b in rows])
+                return _eg_regressions(first, second, spec)[1].t_stats[:, 0]
+
+        for size in (40, 17, 1):
+            pieces = [stacked(pairs[i : i + size]) for i in range(0, len(pairs), size)]
+            assert np.concatenate(pieces).tolist() == scalar
+
+        cvs = mc._size_critical_values(test, dgp)
+        blocked = mc._run_replications("size", (test, dgp, cvs), 5, 100, 1)
+        assert blocked == [mc._size_outcome(test, dgp, 5, r) for r in range(100)]
+
+    def test_failing_block_raises_the_scalar_error(self, monkeypatch):
+        # In the second block, replication 33 is rank deficient in stage one
+        # and generating replication 35 fails; one at a time, 33 fails first.
+        real = mc.generate
+        zero_seed = mc.replication_seed(9, 33)
+        bad_seed = mc.replication_seed(9, 35)
+
+        def generate(dgp):
+            if dgp.seed == bad_seed:
+                raise DataError("replication 35 cannot be drawn")
+            if dgp.seed == zero_seed:
+                return real(replace(dgp, innovation_sd=0.0))
+            return real(dgp)
+
+        monkeypatch.setattr(mc, "generate", generate)
+        test = mc.TestConfig(kind=mc.EG_LEVELS)
+        dgp = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 60)
+        with pytest.raises(RankDeficient) as scalar:
+            for r in range(100):
+                mc._size_outcome(test, dgp, 9, r)
+        with pytest.raises(RankDeficient) as blocked:
+            mc.run_size_experiment(test, dgp, reps=100, base_seed=9)
+        assert str(blocked.value) == str(scalar.value)
