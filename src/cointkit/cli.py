@@ -7,8 +7,10 @@ are rejected. Machine reports carry 12 significant digits; the human
 tables printed to stdout use 3 decimals and significance stars
 (*** 1%, ** 5%, * 10%).
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-error. Every failure also emits one machine-parsable line on stderr.
+Exit codes: 0 success, 1 usage/config error (an unwritable --output
+included), 2 data error, 3 numerical error or a broken experiment contract
+(MissingGuardWarning). Every failure also emits one machine-parsable line
+on stderr.
 
 The only environment variable consulted is COINTKIT_OUTPUT_DIR, which
 redirects relative output paths.
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 from cointkit import montecarlo
 from cointkit.cointegration import (
-    GRID_CSV_COLUMNS,
     EgSpec,
     engle_granger_test,
     run_spec_grid,
@@ -37,7 +38,6 @@ from cointkit.errors import (
     CointkitError,
     ConfigError,
     DataError,
-    NumericalError,
     UsageError,
 )
 from cointkit.formats import fmt12s, json_dumps, significance_stars
@@ -251,23 +251,23 @@ def _write_outputs(config: RunConfig, json_dict: dict, csv_rows: list[list[str]]
     outdir = os.environ.get(OUTPUT_DIR_ENV)
     if outdir and not os.path.isabs(stem):
         stem = os.path.join(outdir, stem)
-    parent = os.path.dirname(stem)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
     fmt = config.values.get("format", "json")
-    written = []
+    outputs = []
     if fmt in ("json", "both"):
-        path = stem + ".json"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json_dumps(json_dict))
-        written.append(path)
+        outputs.append((stem + ".json", json_dumps(json_dict)))
     if fmt in ("csv", "both"):
-        path = stem + ".csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_csv_text(csv_rows))
-        written.append(path)
-    return written
+        outputs.append((stem + ".csv", _csv_text(csv_rows)))
+
+    path = os.path.dirname(stem)  # then each file in turn; an error names the one that failed
+    try:
+        if path:
+            os.makedirs(path, exist_ok=True)
+        for path, text in outputs:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+    return [path for path, _ in outputs]
 
 
 def _stars_line(statistic: float, cvs: dict[int, float]) -> str:
@@ -350,22 +350,6 @@ def _cmd_adf(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
     return report.to_json_dict(), rows, human
 
 
-def _eg_csv_row(report) -> list[str]:
-    spec = report.spec
-    return [
-        spec.transform,
-        spec.normalize_on,
-        str(spec.lags),
-        "true" if spec.trend_in_stage_one else "false",
-        fmt12s(report.statistic),
-        report.stars,
-        fmt12s(report.critical_values[1]),
-        fmt12s(report.critical_values[5]),
-        fmt12s(report.critical_values[10]),
-        ";".join(w.code for w in report.warnings),
-    ]
-
-
 def _cmd_eg(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
     a = ingest_csv(config.values["input"])
     b = ingest_csv(config.values["input2"])
@@ -376,7 +360,6 @@ def _cmd_eg(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
         trend_in_stage_one=config.values["trend"],
     )
     report = engle_granger_test(a, b, spec)
-    rows = [list(GRID_CSV_COLUMNS), _eg_csv_row(report)]
     slope = report.stage_one.coefficients["x"]
     human = [
         f"Engle-Granger ({spec.transform}, normalized on {spec.normalize_on}, "
@@ -387,7 +370,7 @@ def _cmd_eg(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
         + ", ".join(f"{l}%: {report.critical_values[l]:.3f}" for l in LEVELS),
     ]
     human += _warning_lines(report.warnings)
-    return report.to_json_dict(), rows, human
+    return report.to_json_dict(), report.to_csv_rows(), human
 
 
 def _cmd_grid(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
@@ -543,12 +526,11 @@ _HANDLERS = {
 
 
 def _exit_code(exc: CointkitError) -> int:
+    """UsageError 1, DataError 2, anything else (NumericalError, MissingGuardWarning) 3."""
     if isinstance(exc, UsageError):
         return 1
     if isinstance(exc, DataError):
         return 2
-    if isinstance(exc, NumericalError):
-        return 3
     return 3
 
 

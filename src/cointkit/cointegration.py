@@ -115,6 +115,10 @@ class CointegrationReport:
     def stars(self) -> str:
         return significance_stars(self.statistic, self.critical_values)
 
+    def to_csv_rows(self) -> list[list[str]]:
+        """The GRID_CSV_COLUMNS header and this report's one row."""
+        return [list(GRID_CSV_COLUMNS), _csv_row(self.spec, self, None)]
+
     def to_json_dict(self) -> dict:
         return {
             "type": "cointegration_report",
@@ -128,6 +132,19 @@ class CointegrationReport:
             "warnings": [w.to_json_dict() for w in self.warnings],
             "cv_source": self.cv_source,
         }
+
+
+def _csv_row(spec: EgSpec, report: CointegrationReport | None, error: str | None) -> list[str]:
+    """One GRID_CSV_COLUMNS row; an error row leaves the numbers empty and names the error."""
+    row = [spec.transform, spec.normalize_on, str(spec.lags), str(spec.trend_in_stage_one).lower()]
+    if report is None:
+        return row + [""] * 5 + [f"error:{error}"]
+    return row + [
+        fmt12s(report.statistic),
+        report.stars,
+        *(fmt12s(report.critical_values[level]) for level in LEVELS),
+        ";".join(w.code for w in report.warnings),
+    ]
 
 
 def _series_display_name(x: TimeSeries, position: str) -> str:
@@ -315,41 +332,9 @@ class GridReport:
 
     def to_csv_rows(self) -> list[list[str]]:
         """Fixed-order machine rows; see GRID_CSV_COLUMNS for the contract."""
-        rows = [list(GRID_CSV_COLUMNS)]
-        for cell in self.cells:
-            spec = cell.spec
-            if cell.report is not None:
-                rep = cell.report
-                rows.append(
-                    [
-                        spec.transform,
-                        spec.normalize_on,
-                        str(spec.lags),
-                        "true" if spec.trend_in_stage_one else "false",
-                        fmt12s(rep.statistic),
-                        rep.stars,
-                        fmt12s(rep.critical_values[1]),
-                        fmt12s(rep.critical_values[5]),
-                        fmt12s(rep.critical_values[10]),
-                        ";".join(w.code for w in rep.warnings),
-                    ]
-                )
-            else:
-                rows.append(
-                    [
-                        spec.transform,
-                        spec.normalize_on,
-                        str(spec.lags),
-                        "true" if spec.trend_in_stage_one else "false",
-                        "",
-                        "",
-                        "",
-                        "",
-                        "",
-                        f"error:{cell.error}",
-                    ]
-                )
-        return rows
+        return [list(GRID_CSV_COLUMNS)] + [
+            _csv_row(cell.spec, cell.report, cell.error) for cell in self.cells
+        ]
 
 
 def default_grid() -> list[EgSpec]:

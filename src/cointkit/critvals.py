@@ -159,9 +159,6 @@ class CriticalValueTable:
             )
         return self.coefficients[key]
 
-    def supports(self, k: int, level: int, det: DeterministicSpec) -> bool:
-        return (det.key, int(k), int(level)) in self.coefficients
-
     def asymptotic(self, k: int, level: int, det: DeterministicSpec) -> float:
         """The encoded asymptotic critical value, exactly as published."""
         return self._lookup(k, level, det)[0]

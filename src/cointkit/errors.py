@@ -1,7 +1,8 @@
 """Typed errors shared across the toolkit.
 
 The three error families map onto CLI exit codes: UsageError -> 1,
-DataError -> 2, NumericalError -> 3.
+DataError -> 2, NumericalError -> 3. Every other CointkitError also exits
+3; the one today is MissingGuardWarning, a broken experiment contract.
 """
 
 
@@ -31,8 +32,7 @@ class NonPositiveValue(DataError):
 
 
 class SeriesTooShort(DataError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """Too few observations for the requested operation."""
 
 
 class NoOverlap(DataError):
@@ -47,8 +47,7 @@ class FrequencyMismatch(DataError):
 
 
 class DimensionMismatch(DataError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """Arrays or names whose lengths do not match."""
 
 
 class ParseError(DataError):
@@ -91,13 +90,11 @@ class DegenerateInput(NumericalError):
 
 
 class UnsupportedCombination(UsageError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A request outside the tabulated critical-value surfaces."""
 
 
 class ConfigError(UsageError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A malformed command line or config file."""
 
 
 class MissingGuardWarning(CointkitError):

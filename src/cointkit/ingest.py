@@ -14,7 +14,14 @@ import os
 import re
 
 from cointkit.errors import DataError, EmptyFile, GapInDates, ParseError
-from cointkit.series import MONTHLY, QUARTERLY, TimeSeries, period_label
+from cointkit.series import (
+    MONTHLY,
+    QUARTERLY,
+    TimeSeries,
+    _abs_index,
+    _from_abs_index,
+    period_label,
+)
 
 _MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _QUARTERLY_RE = re.compile(r"^(\d{4})[Qq]([1-4])$")
@@ -78,13 +85,10 @@ def ingest_csv(path: str) -> TimeSeries:
             elif freq != frequency:
                 raise ParseError(line, f"date {date_text!r} switches frequency mid-file")
 
-            if frequency == MONTHLY:
-                index = period[0] * 12 + period[1] - 1
-            else:
-                index = period[0] * 4 + (period[1] - 1) // 3
+            index = _abs_index(period, frequency)
             if prev_index is not None and index != prev_index + 1:
-                expected = _label_for_index(prev_index + 1, frequency)
-                raise GapInDates(expected, period_label(period, frequency))
+                expected = _from_abs_index(prev_index + 1, frequency)
+                raise GapInDates(period_label(expected, frequency), period_label(period, frequency))
             prev_index = index
 
             try:
@@ -99,9 +103,3 @@ def ingest_csv(path: str) -> TimeSeries:
         raise EmptyFile(path)
     name = os.path.splitext(os.path.basename(path))[0]
     return TimeSeries(start=start, frequency=frequency, values=values, lineage=(), name=name)
-
-
-def _label_for_index(index: int, frequency: int) -> str:
-    if frequency == MONTHLY:
-        return period_label((index // 12, index % 12 + 1), MONTHLY)
-    return period_label((index // 4, (index % 4) * 3 + 1), QUARTERLY)

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -86,8 +88,10 @@ class DgpSpec:
             raise UsageError(f"unknown DGP kind {self.kind!r}")
         if int(self.n) < 30:
             raise UsageError(f"n must be >= 30, got {self.n}")
-        if not self.innovation_sd >= 0.0:
-            raise UsageError("innovation_sd must be non-negative")
+        if not 0.0 <= self.innovation_sd < math.inf:
+            raise UsageError(f"innovation_sd must be finite and >= 0, got {self.innovation_sd}")
+        if not math.isfinite(self.beta):
+            raise UsageError(f"beta must be finite, got {self.beta}")
         if not 0.0 < self.adjust <= 1.0:
             raise UsageError(f"adjust must be in (0, 1], got {self.adjust}")
         if not 0 <= int(self.seed) < 2**64:
@@ -95,7 +99,8 @@ class DgpSpec:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "seed", int(self.seed))
 
-    def to_json_dict(self, include_seed: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
+        """The process without its seed, which each replication replaces."""
         out = {
             "kind": self.kind,
             "n": self.n,
@@ -104,8 +109,6 @@ class DgpSpec:
         if self.kind == COINTEGRATED_PAIR:
             out["beta"] = self.beta
             out["adjust"] = self.adjust
-        if include_seed:
-            out["seed"] = self.seed
         return out
 
 
@@ -167,13 +170,45 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _config_digest(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+def _config(experiment: str, **settings) -> tuple[dict, str]:
+    """An experiment's configuration record, keys in the given order, and its digest."""
+    config = {"experiment": experiment, "prng": PRNG_ID, "burn_in": BURN_IN, **settings}
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+    return config, digest
+
+
+def _json_value(value):
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_value(v) for k, v in value.items()}
+    return value
+
+
+class _Result:
+    """The serializer shared by the experiment results.
+
+    ``to_json_dict`` gives the type tag, then each field in declaration
+    order; tuples become lists, integer keys strings, and ``None`` fields
+    are omitted.
+    """
+
+    _JSON_TYPE: ClassVar[str]
+
+    def to_json_dict(self) -> dict:
+        out = {"type": self._JSON_TYPE}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                out[f.name] = _json_value(value)
+        return out
 
 
 @dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(_Result):
     """Rejection counts and rates per level, with reproducibility metadata."""
+
+    _JSON_TYPE = "experiment_result"
 
     experiment: str
     replications: int
@@ -184,24 +219,6 @@ class ExperimentResult:
     config: dict
     config_digest: str
     guard_warning_count: int | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "type": "experiment_result",
-            "experiment": self.experiment,
-            "replications": self.replications,
-            "rejections": {str(l): self.rejections[l] for l in LEVELS},
-            "rejection_rate": {str(l): self.rejection_rate[l] for l in LEVELS},
-            "wilson_interval_95": {
-                str(l): list(self.wilson_interval_95[l]) for l in LEVELS
-            },
-            "seed": self.seed,
-            "config": self.config,
-            "config_digest": self.config_digest,
-        }
-        if self.guard_warning_count is not None:
-            out["guard_warning_count"] = self.guard_warning_count
-        return out
 
     def to_csv_rows(self) -> list[list[str]]:
         from cointkit.formats import fmt12s
@@ -383,24 +400,20 @@ def _run_replications(
 
 
 def _rejection_result(
-    experiment: str,
-    outcomes: list[dict],
-    base_seed: int,
-    config: dict,
-    with_guard: bool = False,
+    outcomes: list[dict], config: dict, digest: str, with_guard: bool = False
 ) -> ExperimentResult:
     reps = len(outcomes)
     rejections = {level: sum(1 for o in outcomes if o["rejects"][level]) for level in LEVELS}
     guard_count = sum(1 for o in outcomes if o.get("guard")) if with_guard else None
     return ExperimentResult(
-        experiment=experiment,
+        experiment=config["experiment"],
         replications=reps,
         rejections=rejections,
         rejection_rate={level: rejections[level] / reps for level in LEVELS},
         wilson_interval_95={level: wilson_interval(rejections[level], reps) for level in LEVELS},
-        seed=base_seed,
+        seed=config["base_seed"],
         config=config,
-        config_digest=_config_digest(config),
+        config_digest=digest,
         guard_warning_count=guard_count,
     )
 
@@ -417,20 +430,18 @@ def run_size_experiment(
     ``dgp.seed`` is ignored; replication ``r`` runs on
     ``replication_seed(base_seed, r)``. At least 100 replications.
     """
-    config = {
-        "experiment": "size",
-        "prng": PRNG_ID,
-        "burn_in": BURN_IN,
-        "test": test.to_json_dict(),
-        "dgp": dgp.to_json_dict(include_seed=False),
-        "reps": int(reps),
-        "levels": list(LEVELS),
-        "base_seed": int(base_seed),
-    }
+    config, digest = _config(
+        "size",
+        test=test.to_json_dict(),
+        dgp=dgp.to_json_dict(),
+        reps=int(reps),
+        levels=list(LEVELS),
+        base_seed=int(base_seed),
+    )
     outcomes = _run_replications(
         "size", (test, dgp, _size_critical_values(test, dgp)), base_seed, int(reps), workers
     )
-    return _rejection_result("size", outcomes, int(base_seed), config, with_guard=True)
+    return _rejection_result(outcomes, config, digest, with_guard=True)
 
 
 def run_false_positive_experiment(
@@ -454,29 +465,29 @@ def run_false_positive_experiment(
         raise UsageError(f"level must be one of {LEVELS}, got {level}")
     test = TestConfig(kind=EG_DIFFERENCES)
     dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd, 0)
-    config = {
-        "experiment": "false_positive",
-        "prng": PRNG_ID,
-        "burn_in": BURN_IN,
-        "test": test.to_json_dict(),
-        "dgp": dgp.to_json_dict(include_seed=False),
-        "reps": int(reps),
-        "level": int(level),
-        "levels": list(LEVELS),
-        "base_seed": int(base_seed),
-    }
+    config, digest = _config(
+        "false_positive",
+        test=test.to_json_dict(),
+        dgp=dgp.to_json_dict(),
+        reps=int(reps),
+        level=int(level),
+        levels=list(LEVELS),
+        base_seed=int(base_seed),
+    )
     outcomes = _run_replications(
         "size", (test, dgp, _size_critical_values(test, dgp)), base_seed, int(reps), workers
     )
-    result = _rejection_result("false_positive", outcomes, int(base_seed), config, with_guard=True)
+    result = _rejection_result(outcomes, config, digest, with_guard=True)
     if result.guard_warning_count != result.replications:
         raise MissingGuardWarning(-1)
     return result
 
 
 @dataclass(frozen=True)
-class SpuriousSlopeResult:
+class SpuriousSlopeResult(_Result):
     """How often a levels regression of independent walks looks significant."""
+
+    _JSON_TYPE = "spurious_slope_result"
 
     replications: int
     exceed_count: int
@@ -486,19 +497,6 @@ class SpuriousSlopeResult:
     seed: int
     config: dict
     config_digest: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "spurious_slope_result",
-            "replications": self.replications,
-            "exceed_count": self.exceed_count,
-            "exceed_rate": self.exceed_rate,
-            "wilson_interval_95": list(self.wilson_interval_95),
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "config": self.config,
-            "config_digest": self.config_digest,
-        }
 
 
 def run_spurious_regression_experiment(
@@ -512,17 +510,15 @@ def run_spurious_regression_experiment(
 ) -> SpuriousSlopeResult:
     """Rate of |slope t-ratio| > threshold in levels regressions of
     independent random walks: the classic spurious-regression effect."""
-    config = {
-        "experiment": "spurious_regression",
-        "prng": PRNG_ID,
-        "burn_in": BURN_IN,
-        "n": int(n),
-        "innovation_sd": innovation_sd,
-        "threshold": threshold,
-        "include_trend": bool(include_trend),
-        "reps": int(reps),
-        "base_seed": int(base_seed),
-    }
+    config, digest = _config(
+        "spurious_regression",
+        n=int(n),
+        innovation_sd=innovation_sd,
+        threshold=threshold,
+        include_trend=bool(include_trend),
+        reps=int(reps),
+        base_seed=int(base_seed),
+    )
     outcomes = _run_replications(
         "spurious", (int(n), innovation_sd, threshold, bool(include_trend)), base_seed, int(reps), workers
     )
@@ -535,7 +531,7 @@ def run_spurious_regression_experiment(
         threshold=threshold,
         seed=int(base_seed),
         config=config,
-        config_digest=_config_digest(config),
+        config_digest=digest,
     )
 
 
@@ -559,28 +555,28 @@ def run_ect_unit_root_experiment(
     near the nominal level.
     """
     spec = ecm_spec or EcmSpec(seasonal_gap=MONTHLY)
-    config = {
-        "experiment": "ect_unit_root",
-        "prng": PRNG_ID,
-        "burn_in": BURN_IN,
-        "n": int(n),
-        "innovation_sd": innovation_sd,
-        "ecm_spec": spec.to_json_dict(),
-        "adf_lags": int(lags),
-        "cv_variables": 2,
-        "reps": int(reps),
-        "levels": list(LEVELS),
-        "base_seed": int(base_seed),
-    }
+    config, digest = _config(
+        "ect_unit_root",
+        n=int(n),
+        innovation_sd=innovation_sd,
+        ecm_spec=spec.to_json_dict(),
+        adf_lags=int(lags),
+        cv_variables=2,
+        reps=int(reps),
+        levels=list(LEVELS),
+        base_seed=int(base_seed),
+    )
     outcomes = _run_replications(
         "ect_unit_root", (spec, int(n), innovation_sd, int(lags)), base_seed, int(reps), workers
     )
-    return _rejection_result("ect_unit_root", outcomes, int(base_seed), config)
+    return _rejection_result(outcomes, config, digest)
 
 
 @dataclass(frozen=True)
-class EctRecoveryResult:
+class EctRecoveryResult(_Result):
     """Distribution of estimated adjustment speed under a cointegrated DGP."""
+
+    _JSON_TYPE = "ect_recovery_result"
 
     replications: int
     band: tuple[float, float]
@@ -595,24 +591,6 @@ class EctRecoveryResult:
     seed: int
     config: dict
     config_digest: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "ect_recovery_result",
-            "replications": self.replications,
-            "band": list(self.band),
-            "t_threshold": self.t_threshold,
-            "in_band_count": self.in_band_count,
-            "t_ok_count": self.t_ok_count,
-            "joint_count": self.joint_count,
-            "joint_rate": self.joint_rate,
-            "wilson_interval_95": list(self.wilson_interval_95),
-            "median_coefficient": self.median_coefficient,
-            "median_t_stat": self.median_t_stat,
-            "seed": self.seed,
-            "config": self.config,
-            "config_digest": self.config_digest,
-        }
 
 
 def run_ect_recovery_experiment(
@@ -636,20 +614,18 @@ def run_ect_recovery_experiment(
     coefficient converges to zero regardless of the true adjustment speed.
     """
     spec = ecm_spec or EcmSpec(seasonal_gap=1)
-    config = {
-        "experiment": "ect_recovery",
-        "prng": PRNG_ID,
-        "burn_in": BURN_IN,
-        "n": int(n),
-        "innovation_sd": innovation_sd,
-        "beta": beta,
-        "adjust": adjust,
-        "ecm_spec": spec.to_json_dict(),
-        "band": list(band),
-        "t_threshold": t_threshold,
-        "reps": int(reps),
-        "base_seed": int(base_seed),
-    }
+    config, digest = _config(
+        "ect_recovery",
+        n=int(n),
+        innovation_sd=innovation_sd,
+        beta=beta,
+        adjust=adjust,
+        ecm_spec=spec.to_json_dict(),
+        band=list(band),
+        t_threshold=t_threshold,
+        reps=int(reps),
+        base_seed=int(base_seed),
+    )
     outcomes = _run_replications(
         "recovery", (spec, int(n), innovation_sd, beta, adjust), base_seed, int(reps), workers
     )
@@ -671,5 +647,5 @@ def run_ect_recovery_experiment(
         median_t_stat=float(np.median([o["t"] for o in outcomes])),
         seed=int(base_seed),
         config=config,
-        config_digest=_config_digest(config),
+        config_digest=digest,
     )

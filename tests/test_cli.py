@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import cointkit.montecarlo as mc
 from cointkit.cli import RunConfig, main, parse_config_text, resolve_config
 from cointkit.errors import ConfigError, EmptyFile, GapInDates, ParseError
 from cointkit.ingest import ingest_csv
@@ -158,6 +159,12 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.split("cointkit-error: ", 1)[1])
         assert record["error"] == "DegenerateInput"
 
+    def test_missing_guard_is_exit_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(mc, "differencing_warning", lambda a, b: None)
+        assert main(["mc-falsepos", "--n", "60", "--reps", "100"]) == 3
+        record = json.loads(capsys.readouterr().err.split("cointkit-error: ", 1)[1])
+        assert record["error"] == "MissingGuardWarning"
+
     def test_bad_flag_choice_is_exit_one(self, tmp_path, capsys):
         pa, _ = write_walk_pair(tmp_path)
         code = main(["adf", "--input", str(pa), "--det", "quadratic"])
@@ -297,6 +304,15 @@ class TestOutputs:
         monkeypatch.chdir(tmp_path)
         assert main(["adf", "--input", str(pa), "--output", "adf_report"]) == 0
         assert (outdir / "adf_report.json").exists()
+
+    def test_unwritable_output_is_exit_one(self, tmp_path, capsys):
+        pa, _ = write_walk_pair(tmp_path)
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        out = tmp_path / "afile" / "out"
+        assert main(["adf", "--input", str(pa), "--output", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err.split("cointkit-error: ", 1)[1])
+        assert record["error"] == "UsageError"
+        assert record["message"].startswith(f"cannot write {tmp_path / 'afile'}: ")
 
     def test_known_extension_is_stripped_from_stem(self, tmp_path):
         pa, _ = write_walk_pair(tmp_path)

@@ -48,7 +48,9 @@ CLI_CASES = {
     # walk_a and walk_b cross zero, so the six logarithms cells are error rows
     "grid": ["grid", "--input", "{in}/walk_a.csv", "--input2", "{in}/walk_b.csv"],
     "ecm": ["ecm", "--input", "{in}/coint_y.csv", "--input2", "{in}/coint_x.csv"],
-    "ecm_caveat": ["ecm", "--input", "{in}/walk_a.csv", "--input2", "{in}/walk_b.csv", "--gap", "1"],
+    "ecm_caveat": [
+        "ecm", "--input", "{in}/walk_a.csv", "--input2", "{in}/walk_b.csv", "--gap", "1",
+    ],
     "mc_falsepos": ["mc-falsepos", "--n", "60", "--reps", "100", "--seed", "7", "--level", "5"],
     "mc_size": ["mc-size", "--n", "60", "--reps", "100", "--seed", "3", "--lags", "1"],
     "mc_size_adf_cointegrated": [
@@ -58,7 +60,9 @@ CLI_CASES = {
 }
 
 ERROR_CASES = {
-    "error_usage": ["eg", "--input", "{in}/walk_a.csv", "--input2", "{in}/walk_b.csv", "--lags", "-1"],
+    "error_usage": [
+        "eg", "--input", "{in}/walk_a.csv", "--input2", "{in}/walk_b.csv", "--lags", "-1",
+    ],
     "error_data": ["adf", "--input", "{in}/gap.csv"],
     "error_numerical": ["adf", "--input", "{in}/constant.csv"],
 }
@@ -171,7 +175,8 @@ def _write_inputs() -> None:
     _write_series(INPUTS / "coint_x.csv", (1995, 6), x[burn:])
     _write_series(INPUTS / "coint_y.csv", (1995, 6), y[burn:])
 
-    _write_series(INPUTS / "quarterly.csv", (1998, 7), 100.0 + np.cumsum(rng.standard_normal(30)), True)
+    quarterly = 100.0 + np.cumsum(rng.standard_normal(30))
+    _write_series(INPUTS / "quarterly.csv", (1998, 7), quarterly, quarterly=True)
     _write_series(INPUTS / "constant.csv", (2010, 1), [5.0] * 40)
     (INPUTS / "gap.csv").write_text("date,value\n2020-01,1\n2020-03,2\n", encoding="utf-8")
 

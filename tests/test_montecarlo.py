@@ -33,6 +33,10 @@ class TestDgp:
         with pytest.raises(UsageError):
             mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 100, innovation_sd=-1.0)
         with pytest.raises(UsageError):
+            mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 100, innovation_sd=float("inf"))
+        with pytest.raises(UsageError):
+            mc.DgpSpec(mc.COINTEGRATED_PAIR, 100, beta=float("inf"))
+        with pytest.raises(UsageError):
             mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 100, seed=2**64)
 
     def test_same_seed_is_bitwise_identical(self):
