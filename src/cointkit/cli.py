@@ -10,7 +10,7 @@ tables printed to stdout use 3 decimals and significance stars
 Exit codes: 0 success, 1 usage/config error (an unwritable --output
 included), 2 data error, 3 numerical error or a broken experiment contract
 (MissingGuardWarning). Every failure also emits one machine-parsable line
-on stderr.
+on stderr; an error from a Monte Carlo replication adds its index and seed.
 
 The only environment variable consulted is COINTKIT_OUTPUT_DIR, which
 redirects relative output paths.
@@ -258,14 +258,26 @@ def _write_outputs(config: RunConfig, json_dict: dict, csv_rows: list[list[str]]
     if fmt in ("csv", "both"):
         outputs.append((stem + ".csv", _csv_text(csv_rows)))
 
+    # Each output goes to a temporary file beside it, and only when every one
+    # is written are they renamed into place; a failure removes what this run
+    # wrote, so no output is left without its companion or half written.
     path = os.path.dirname(stem)  # then each file in turn; an error names the one that failed
+    temps: list[str] = []
+    placed: list[str] = []
     try:
         if path:
             os.makedirs(path, exist_ok=True)
         for path, text in outputs:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            with open(temps[-1], "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
+        for (path, _), temp in zip(outputs, temps):
+            os.replace(temp, path)
+            placed.append(path)
     except OSError as exc:
+        for leftover in temps + placed:
+            if os.path.isfile(leftover):
+                os.remove(leftover)
         raise UsageError(f"cannot write {path}: {exc}") from None
     return [path for path, _ in outputs]
 
@@ -560,6 +572,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except CointkitError as exc:
         record = {"error": type(exc).__name__, "message": str(exc).replace("\n", "; ")}
+        for key in ("replication", "seed"):  # set on an error from a Monte Carlo replication
+            if hasattr(exc, key):
+                record[key] = getattr(exc, key)
         print("cointkit-error: " + json.dumps(record), file=sys.stderr)
         return _exit_code(exc)
 

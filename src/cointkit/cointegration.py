@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from cointkit.critvals import LEVELS, MIN_N, SOURCE_ID, DeterministicSpec, critical_values_map
+from cointkit.ecm import _levels_regression
 from cointkit.errors import CointkitError, SeriesTooShort, UsageError
 from cointkit.formats import fmt12s, significance_stars
-from cointkit.regression import OlsFit, _as_fit, _lstsq, _Solution
+from cointkit.regression import OlsFit, _as_fit, _Solution
 from cointkit.series import TimeSeries, align, has_differencing, lineage_summary, log_transform
 from cointkit.unitroot import _adf
 
@@ -216,16 +217,7 @@ def _eg_regressions(
             f"effective sample {n_effective} with {spec.lags} lags; need >= 10"
         )
 
-    names = ["x"]
-    columns = [other]
-    if spec.trend_in_stage_one:
-        names.append("trend")
-        columns.append(np.arange(1, n + 1, dtype=float))
-    names.append("intercept")
-    columns.append(np.ones(n))
-    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
-    stage_one = _lstsq(design, dep, tuple(names))
-
+    stage_one = _levels_regression(dep, other, spec.trend_in_stage_one)
     stage_two, n_eff = _adf(stage_one.resid, spec.lags, DeterministicSpec.none())
     return stage_one, stage_two, n_eff
 

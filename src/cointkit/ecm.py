@@ -17,12 +17,12 @@ caveat when a companion cointegration test cannot reject.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from cointkit.errors import SeriesTooShort, UnsupportedCombination, UsageError
-from cointkit.regression import DesignMatrix, OlsFit, ols_fit
+from cointkit.regression import OlsFit, _as_fit, _lstsq, _Solution
 from cointkit.series import TimeSeries, align
 
 
@@ -106,6 +106,25 @@ class AuditReport:
         }
 
 
+def _levels_regression(y: np.ndarray, x: np.ndarray, include_trend: bool) -> _Solution:
+    """The levels regression of each row of ``y`` on the same row of ``x``, (..., n) stacks.
+
+    The design is x, the optional trend 1..n, and the intercept, in that order.
+    """
+    n = y.shape[-1]
+    if n < 10:
+        raise SeriesTooShort(f"levels regression needs >= 10 overlapping observations, have {n}")
+    names = ["x"]
+    columns = [x]
+    if include_trend:
+        names.append("trend")
+        columns.append(np.arange(1, n + 1, dtype=float))
+    names.append("intercept")
+    columns.append(np.ones(n))
+    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    return _lstsq(design, y, tuple(names))
+
+
 def estimate_levels(y: TimeSeries, x: TimeSeries, include_trend: bool = False) -> OlsFit:
     """Long-run levels regression of y on x (plus intercept, optional trend).
 
@@ -113,18 +132,7 @@ def estimate_levels(y: TimeSeries, x: TimeSeries, include_trend: bool = False) -
     control set contains nothing else by construction.
     """
     y_al, x_al = align(y, x)
-    n = len(y_al)
-    if n < 10:
-        raise SeriesTooShort(f"levels regression needs >= 10 overlapping observations, have {n}")
-    columns = [("x", x_al.values)]
-    if include_trend:
-        columns.append(("trend", np.arange(1, n + 1, dtype=float)))
-    columns.append(("intercept", np.ones(n)))
-    return ols_fit(y_al.values, DesignMatrix.from_columns(columns))
-
-
-def _sdiff(values: np.ndarray, gap: int) -> np.ndarray:
-    return values[gap:] - values[:-gap]
+    return _as_fit(_levels_regression(y_al.values, x_al.values, include_trend))
 
 
 def manifest_for(spec: EcmSpec, extra_names: tuple[str, ...] = ()) -> tuple[str, ...]:
@@ -142,6 +150,58 @@ def manifest_for(spec: EcmSpec, extra_names: tuple[str, ...] = ()) -> tuple[str,
     return tuple(names)
 
 
+def _ecm_regressions(
+    y: np.ndarray,
+    x: np.ndarray,
+    spec: EcmSpec,
+    frequency: int,
+    extra_columns: Callable[[np.ndarray], list[tuple[str, np.ndarray]]] | None = None,
+) -> tuple[_Solution, _Solution]:
+    """Both error-correction stages on each row of (..., n) stacks of aligned levels.
+
+    Returns the levels solution, whose residuals are the error-correction
+    term, and the ARDL solution. ``extra_columns`` maps the ARDL sample rows
+    (positions in the input) to more named regressors, placed after the
+    error-correction term; it is called after both sample-size checks.
+    """
+    gap = spec.seasonal_gap
+    if gap != 1 and gap != frequency:
+        raise UnsupportedCombination(
+            f"seasonal_gap {gap} matches neither the series frequency ({frequency}) "
+            "nor the conventional one-period form (1)"
+        )
+    levels = _levels_regression(y, x, spec.include_trend)
+
+    n = y.shape[-1]
+    t0 = max(gap + spec.ardl_control_lags, spec.ect_lag)
+    rows = np.arange(t0, n)
+    if rows.size < 10:
+        raise SeriesTooShort(
+            f"ARDL stage has {rows.size} effective observations after trimming; need >= 10"
+        )
+
+    sy = y[..., gap:] - y[..., :-gap]
+    sx = x[..., gap:] - x[..., :-gap]
+
+    def back(values: np.ndarray, offset: int) -> np.ndarray:
+        # values[..., rows - offset], as a slice. sy[..., i] holds the span-gap
+        # change ending at period i + gap, so its lag j sits at offset j + gap.
+        return values[..., t0 - offset : n - offset]
+
+    extras = extra_columns(rows) if extra_columns else []
+    columns = [back(sx, gap)]  # in the order of manifest_for
+    for j in range(1, spec.ardl_control_lags + 1):
+        columns += [back(sy, j + gap), back(sx, j + gap)]
+    columns.append(back(levels.resid, spec.ect_lag))
+    columns += [column for _, column in extras]
+    if spec.include_trend:
+        columns.append((rows + 1).astype(float))
+    columns.append(np.ones(rows.size))
+    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    names = manifest_for(spec, tuple(name for name, _ in extras))
+    return levels, _lstsq(design, back(sy, gap), names)
+
+
 def estimate_ecm(
     y: TimeSeries,
     x: TimeSeries,
@@ -156,79 +216,49 @@ def estimate_ecm(
     of x, lagged differences of both up to ``spec.ardl_control_lags``, the
     error-correction term, any caller-supplied extra controls, and the
     deterministic terms. Every regressor actually included is listed in the
-    returned ``control_manifest``.
+    returned ``control_manifest``. This is the one-pair case of the stacked
+    estimation the Monte Carlo runners use.
 
     ``extra_controls`` maps column names to series of the same frequency
     covering the regression sample.
     """
     y_al, x_al = align(y, x)
-    gap = spec.seasonal_gap
-    if gap != 1 and gap != y_al.frequency:
-        raise UnsupportedCombination(
-            f"seasonal_gap {gap} matches neither the series frequency ({y_al.frequency}) "
-            "nor the conventional one-period form (1)"
-        )
+    extras = dict(extra_controls or {})
 
-    levels_fit = estimate_levels(y_al, x_al, include_trend=spec.include_trend)
-    resid = levels_fit.residuals
-    n = len(y_al)
+    def extra_columns(rows: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        builtin = set(manifest_for(spec))
+        for name in extras:
+            if name in builtin:
+                raise UsageError(f"extra control name {name!r} collides with a built-in regressor")
+        columns = []
+        for name, series in extras.items():
+            if series.frequency != y_al.frequency:
+                raise UnsupportedCombination(
+                    f"extra control {name!r} has frequency {series.frequency}, need {y_al.frequency}"
+                )
+            offsets = y_al.start_index + rows - series.start_index
+            if offsets.min() < 0 or offsets.max() >= len(series):
+                raise SeriesTooShort(
+                    f"extra control {name!r} does not cover the regression sample"
+                )
+            columns.append((name, series.values[offsets]))
+        return columns
 
+    levels, ardl = _ecm_regressions(
+        y_al.values, x_al.values, spec, y_al.frequency, extra_columns
+    )
     ect_series = TimeSeries(
         start=y_al.shifted_start(spec.ect_lag),
         frequency=y_al.frequency,
-        values=resid[: n - spec.ect_lag],
+        values=levels.resid[: len(y_al) - spec.ect_lag],
         lineage=(),
         name="ect",
     )
-
-    t0 = max(gap + spec.ardl_control_lags, spec.ect_lag)
-    rows = np.arange(t0, n)
-    if rows.size < 10:
-        raise SeriesTooShort(
-            f"ARDL stage has {rows.size} effective observations after trimming; need >= 10"
-        )
-
-    sy = _sdiff(y_al.values, gap)
-    sx = _sdiff(x_al.values, gap)
-
-    def sdiff_at(diffed: np.ndarray, lag: int) -> np.ndarray:
-        # diffed[i] holds the span-gap change ending at period i + gap.
-        return diffed[rows - lag - gap]
-
-    extras = dict(extra_controls or {})
-    builtin = set(manifest_for(spec))
-    for name in extras:
-        if name in builtin:
-            raise UsageError(f"extra control name {name!r} collides with a built-in regressor")
-
-    columns: list[tuple[str, np.ndarray]] = [(f"s{gap}_x", sdiff_at(sx, 0))]
-    for j in range(1, spec.ardl_control_lags + 1):
-        columns.append((f"s{gap}_y_l{j}", sdiff_at(sy, j)))
-        columns.append((f"s{gap}_x_l{j}", sdiff_at(sx, j)))
-    columns.append((f"ect_l{spec.ect_lag}", resid[rows - spec.ect_lag]))
-
-    base_index = y_al.start_index
-    for name, series in extras.items():
-        if series.frequency != y_al.frequency:
-            raise UnsupportedCombination(
-                f"extra control {name!r} has frequency {series.frequency}, need {y_al.frequency}"
-            )
-        offsets = base_index + rows - series.start_index
-        if offsets.min() < 0 or offsets.max() >= len(series):
-            raise SeriesTooShort(
-                f"extra control {name!r} does not cover the regression sample"
-            )
-        columns.append((name, series.values[offsets]))
-
-    if spec.include_trend:
-        columns.append(("trend", (rows + 1).astype(float)))
-    columns.append(("intercept", np.ones(rows.size)))
-
-    ardl_fit = ols_fit(sdiff_at(sy, 0), DesignMatrix.from_columns(columns))
+    ardl_fit = _as_fit(ardl)
     ect_name = f"ect_l{spec.ect_lag}"
     return EcmFit(
         spec=spec,
-        levels_fit=levels_fit,
+        levels_fit=_as_fit(levels),
         ect_series=ect_series,
         ardl_fit=ardl_fit,
         ect_coefficient=ardl_fit.coefficients[ect_name],

@@ -7,7 +7,24 @@ DataError -> 2, NumericalError -> 3. Every other CointkitError also exits
 
 
 class CointkitError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    An error raised from a Monte Carlo replication also carries
+    ``replication`` (its index) and ``seed`` (its 64-bit seed), so that
+    replication can be generated and run again alone.
+    """
+
+    def __reduce__(self):
+        # Pickled (say, back from a worker process) as its message and
+        # attributes: a subclass __init__ takes other arguments than ``args``.
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls: type, args: tuple, attributes: dict) -> CointkitError:
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(attributes)
+    return exc
 
 
 class UsageError(CointkitError):

@@ -19,7 +19,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -27,18 +26,16 @@ import numpy as np
 from cointkit.cointegration import (
     NORMALIZE_FIRST,
     UNTRANSFORMED,
-    WARN_DIFFERENCED,
     EgSpec,
     _eg_regressions,
     differencing_warning,
     eg_critical_values,
-    engle_granger_test,
 )
 from cointkit.critvals import LEVELS, DeterministicSpec
-from cointkit.ecm import EcmSpec, estimate_ecm, estimate_levels
+from cointkit.ecm import EcmSpec, _ecm_regressions, _levels_regression
 from cointkit.errors import CointkitError, MissingGuardWarning, UsageError
 from cointkit.series import MONTHLY, TimeSeries, iterated_difference
-from cointkit.unitroot import _adf, adf_critical_values, adf_regression, adf_test
+from cointkit.unitroot import _adf, adf_critical_values
 
 PRNG_ID = "numpy-pcg64/standard-normal"
 BURN_IN = 100
@@ -132,15 +129,18 @@ def generate(dgp: DgpSpec) -> tuple[TimeSeries, TimeSeries]:
         second = innov[1][BURN_IN:].copy()
         names = ("noise_a", "noise_b")
     else:
-        u, e = innov[0], innov[1]
-        x = np.cumsum(u)
-        y = np.empty(total)
-        y[0] = e[0]
+        x = np.cumsum(innov[0])
         keep = 1.0 - dgp.adjust
         pull = dgp.adjust * dgp.beta
-        for t in range(1, total):
-            y[t] = keep * y[t - 1] + pull * x[t - 1] + e[t]
-        first, second = x[BURN_IN:], y[BURN_IN:]
+        # On Python floats: the same IEEE operations, in the same order, as
+        # on numpy scalars, at a fraction of the cost per step.
+        e = innov[1].tolist()
+        y_t = e[0]
+        y = [y_t]
+        for x_prev, e_t in zip(x.tolist(), e[1:]):
+            y_t = keep * y_t + pull * x_prev + e_t
+            y.append(y_t)
+        first, second = x[BURN_IN:], np.array(y[BURN_IN:])
         names = ("sim_x", "sim_y")
 
     make = lambda vals, name: TimeSeries(
@@ -262,23 +262,6 @@ def _eg_spec(test: TestConfig) -> EgSpec:
     )
 
 
-def _size_outcome(test: TestConfig, dgp: DgpSpec, base_seed: int, r: int) -> dict:
-    a, b = generate(replace(dgp, seed=replication_seed(base_seed, r)))
-    guard_fired = None
-    if test.kind == EG_DIFFERENCES:
-        a, b = iterated_difference(a, 1), iterated_difference(b, 1)
-    if test.kind in (EG_LEVELS, EG_DIFFERENCES):
-        report = engle_granger_test(a, b, _eg_spec(test))
-        if test.kind == EG_DIFFERENCES:
-            guard_fired = any(w.code == WARN_DIFFERENCED for w in report.warnings)
-            if not guard_fired:
-                raise MissingGuardWarning(r)
-        rejects = dict(report.reject_at)
-    else:
-        rejects = dict(adf_test(a, test.lags, test.det).reject_at)
-    return {"rejects": rejects, "guard": guard_fired}
-
-
 def _size_critical_values(test: TestConfig, dgp: DgpSpec) -> dict[int, float]:
     """The critical values every replication of a size experiment compares against.
 
@@ -291,27 +274,32 @@ def _size_critical_values(test: TestConfig, dgp: DgpSpec) -> dict[int, float]:
     return eg_critical_values(n_eff, test.trend)
 
 
+def _generated(dgp: DgpSpec, base_seed: int, r0: int, r1: int) -> list[tuple[TimeSeries, TimeSeries]]:
+    """The pairs of replications ``r0``..``r1 - 1`` of ``dgp``."""
+    return [generate(replace(dgp, seed=replication_seed(base_seed, r))) for r in range(r0, r1)]
+
+
+def _stacked(pairs: list[tuple[TimeSeries, TimeSeries]]) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second series of each pair, as two (replications, n) stacks."""
+    return np.stack([a.values for a, _ in pairs]), np.stack([b.values for _, b in pairs])
+
+
+# Each block function gives the outcomes of replications r0..r1 - 1, solved
+# as one stack, bitwise equal to running the public estimator on each
+# replication alone. Run on one replication, it is that scalar path.
+
+
 def _size_block(
     test: TestConfig, dgp: DgpSpec, cvs: dict[int, float], base_seed: int, r0: int, r1: int
 ) -> list[dict]:
-    """Outcomes of replications ``r0``..``r1 - 1``, their statistics solved as one stack.
-
-    Each statistic is bitwise the one :func:`_size_outcome` computes. If any
-    replication fails, the block is rerun one replication at a time, so the
-    error raised is the one, from the replication, that the scalar path raises.
-    """
-    try:
-        pairs = [generate(replace(dgp, seed=replication_seed(base_seed, r))) for r in range(r0, r1)]
-        if test.kind == EG_DIFFERENCES:
-            pairs = [(iterated_difference(a, 1), iterated_difference(b, 1)) for a, b in pairs]
-        first = np.stack([a.values for a, _ in pairs])
-        if test.kind == ADF:
-            solution, _ = _adf(first, test.lags, test.det)
-        else:
-            second = np.stack([b.values for _, b in pairs])
-            _, solution, _ = _eg_regressions(first, second, _eg_spec(test))
-    except CointkitError:
-        return [_size_outcome(test, dgp, base_seed, r) for r in range(r0, r1)]
+    pairs = _generated(dgp, base_seed, r0, r1)
+    if test.kind == EG_DIFFERENCES:
+        pairs = [(iterated_difference(a, 1), iterated_difference(b, 1)) for a, b in pairs]
+    first, second = _stacked(pairs)
+    if test.kind == ADF:
+        solution, _ = _adf(first, test.lags, test.det)
+    else:
+        _, solution, _ = _eg_regressions(first, second, _eg_spec(test))
 
     outcomes = []
     for r, (a, b), stat in zip(range(r0, r1), pairs, solution.t_stats[:, 0].tolist()):
@@ -325,44 +313,44 @@ def _size_block(
     return outcomes
 
 
-def _ect_unit_root_outcome(spec: EcmSpec, n: int, sd: float, lags: int, base_seed: int, r: int) -> dict:
-    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, n, sd, replication_seed(base_seed, r))
-    a, b = generate(dgp)
-    fit = estimate_ecm(a, b, spec)
-    stat, n_eff, _ = adf_regression(fit.ect_series.values, lags, DeterministicSpec.none())
-    cvs = eg_critical_values(n_eff, spec.include_trend)
-    return {"rejects": {level: stat < cvs[level] for level in LEVELS}, "guard": None}
+def _spurious_block(
+    dgp: DgpSpec, threshold: float, trend: bool, base_seed: int, r0: int, r1: int
+) -> list[dict]:
+    """``estimate_levels`` of the first walk on the second: is |t| of the slope above ``threshold``?"""
+    first, second = _stacked(_generated(dgp, base_seed, r0, r1))
+    slope_t = _levels_regression(first, second, trend).t_stats[:, 0]
+    return [{"exceed": abs(t) > threshold} for t in slope_t.tolist()]
 
 
-def _spurious_outcome(n: int, sd: float, threshold: float, trend: bool, base_seed: int, r: int) -> dict:
-    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, n, sd, replication_seed(base_seed, r))
-    a, b = generate(dgp)
-    fit = estimate_levels(a, b, include_trend=trend)
-    return {"exceed": abs(fit.t_stats["x"]) > threshold}
+def _ect_unit_root_block(
+    dgp: DgpSpec, spec: EcmSpec, lags: int, cvs: dict[int, float], base_seed: int, r0: int, r1: int
+) -> list[dict]:
+    """``estimate_ecm`` of the first walk on the second, then the ADF of its ECT series."""
+    first, second = _stacked(_generated(dgp, base_seed, r0, r1))
+    levels, _ = _ecm_regressions(first, second, spec, MONTHLY)
+    solution, _ = _adf(levels.resid[:, : dgp.n - spec.ect_lag], lags, DeterministicSpec.none())
+    return [
+        {"rejects": {level: stat < cvs[level] for level in LEVELS}, "guard": None}
+        for stat in solution.t_stats[:, 0].tolist()
+    ]
 
 
-def _recovery_outcome(
-    spec: EcmSpec, n: int, sd: float, beta: float, adjust: float, base_seed: int, r: int
-) -> dict:
-    dgp = DgpSpec(
-        COINTEGRATED_PAIR, n, sd, replication_seed(base_seed, r), beta=beta, adjust=adjust
-    )
-    x, y = generate(dgp)
-    fit = estimate_ecm(y, x, spec)
-    return {"coef": fit.ect_coefficient, "t": fit.ect_t_stat}
-
-
-def _each_replication(fn, *args) -> list[dict]:
-    """The block runner of an experiment that solves one replication at a time."""
-    *params, base_seed, r0, r1 = args
-    return [fn(*params, base_seed, r) for r in range(r0, r1)]
+def _recovery_block(dgp: DgpSpec, spec: EcmSpec, base_seed: int, r0: int, r1: int) -> list[dict]:
+    """``estimate_ecm`` of y on x: the ECT coefficient and its t-ratio."""
+    x, y = _stacked(_generated(dgp, base_seed, r0, r1))
+    _, ardl = _ecm_regressions(y, x, spec, MONTHLY)
+    col = ardl.names.index(f"ect_l{spec.ect_lag}")
+    return [
+        {"coef": coef, "t": t}
+        for coef, t in zip(ardl.beta[:, col].tolist(), ardl.t_stats[:, col].tolist())
+    ]
 
 
 _BLOCK_FNS = {
     "size": _size_block,
-    "ect_unit_root": partial(_each_replication, _ect_unit_root_outcome),
-    "spurious": partial(_each_replication, _spurious_outcome),
-    "recovery": partial(_each_replication, _recovery_outcome),
+    "spurious": _spurious_block,
+    "ect_unit_root": _ect_unit_root_block,
+    "recovery": _recovery_block,
 }
 
 
@@ -372,7 +360,18 @@ def _outcome_chunk(
     fn = _BLOCK_FNS[fn_name]
     outcomes: list[dict] = []
     for r0, r1 in blocks:
-        outcomes.extend(fn(*params, base_seed, r0, r1))
+        try:
+            outcomes.extend(fn(*params, base_seed, r0, r1))
+        except CointkitError:
+            # One replication at a time, the error raised is the one, from the
+            # first failing replication, that the scalar path raises.
+            for r in range(r0, r1):
+                try:
+                    outcomes.extend(fn(*params, base_seed, r, r + 1))
+                except CointkitError as exc:
+                    exc.replication = r
+                    exc.seed = replication_seed(base_seed, r)
+                    raise
     return outcomes
 
 
@@ -519,8 +518,9 @@ def run_spurious_regression_experiment(
         reps=int(reps),
         base_seed=int(base_seed),
     )
+    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
     outcomes = _run_replications(
-        "spurious", (int(n), innovation_sd, threshold, bool(include_trend)), base_seed, int(reps), workers
+        "spurious", (dgp, threshold, bool(include_trend)), base_seed, int(reps), workers
     )
     count = sum(1 for o in outcomes if o["exceed"])
     return SpuriousSlopeResult(
@@ -566,8 +566,11 @@ def run_ect_unit_root_experiment(
         levels=list(LEVELS),
         base_seed=int(base_seed),
     )
+    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
+    # The ECT series has n - ect_lag observations; its ADF loses 1 + lags more.
+    cvs = eg_critical_values(dgp.n - spec.ect_lag - 1 - int(lags), spec.include_trend)
     outcomes = _run_replications(
-        "ect_unit_root", (spec, int(n), innovation_sd, int(lags)), base_seed, int(reps), workers
+        "ect_unit_root", (dgp, spec, int(lags), cvs), base_seed, int(reps), workers
     )
     return _rejection_result(outcomes, config, digest)
 
@@ -626,9 +629,8 @@ def run_ect_recovery_experiment(
         reps=int(reps),
         base_seed=int(base_seed),
     )
-    outcomes = _run_replications(
-        "recovery", (spec, int(n), innovation_sd, beta, adjust), base_seed, int(reps), workers
-    )
+    dgp = DgpSpec(COINTEGRATED_PAIR, int(n), innovation_sd, beta=beta, adjust=adjust)
+    outcomes = _run_replications("recovery", (dgp, spec), base_seed, int(reps), workers)
     lo, hi = band
     in_band = sum(1 for o in outcomes if lo < o["coef"] < hi)
     t_ok = sum(1 for o in outcomes if o["t"] < t_threshold)

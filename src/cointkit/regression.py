@@ -18,6 +18,12 @@ the unstacked one makes. ``einsum`` is not used: it sums in an order of
 its own, which differs from BLAS in the last bits and is not documented
 to be the same for every stack layout. ``np.vecdot`` and ``np.matvec``
 would do, but need numpy 2, and the supported floor is numpy 1.24.
+
+``matmul`` takes a different loop for a slice that is not C-contiguous
+(a transposed design, or columns gathered with fancy indexing), and that
+loop rounds differently. So the kernel copies the design and the
+dependent variable to C order first, and a solution depends on the
+values it is given, never on their memory layout.
 """
 
 from __future__ import annotations
@@ -133,7 +139,6 @@ class _Solution(NamedTuple):
     stderrs: np.ndarray  # (..., k)
     t_stats: np.ndarray  # (..., k)
     rss: np.ndarray  # (...)
-    tol: np.ndarray  # (...)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,6 +153,8 @@ def _lstsq(A: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> _Solution:
     in their order. On a stack they raise for the first slice that fails,
     so a caller that needs the error of a given slice reruns it alone.
     """
+    A = np.ascontiguousarray(A)
+    y = np.ascontiguousarray(y)
     n, k = A.shape[-2:]
     if n <= k:
         raise DataError(f"need more observations ({n}) than columns ({k})")
@@ -176,7 +183,7 @@ def _lstsq(A: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> _Solution:
     with np.errstate(divide="ignore", invalid="ignore"):
         tstats = np.where(se > 0.0, beta / se, np.sign(beta) * np.inf)
     tstats = np.where((se == 0.0) & (beta == 0.0), np.nan, tstats)
-    return _Solution(names, A, y, beta, resid, se, tstats, rss, tol)
+    return _Solution(names, A, y, beta, resid, se, tstats, rss)
 
 
 def _as_fit(sol: _Solution) -> OlsFit:
@@ -184,7 +191,6 @@ def _as_fit(sol: _Solution) -> OlsFit:
     A, y = sol.design, sol.y
     n, k = A.shape
     rss = float(sol.rss)
-    tol = float(sol.tol)
     # A constant non-zero column; a column sum of |A - A[0]| is zero only if every term is.
     constant = (np.ones(n) @ np.abs(A - A[0])) == 0.0
     has_intercept = bool((constant & (A[0] != 0.0)).any())
@@ -192,8 +198,11 @@ def _as_fit(sol: _Solution) -> OlsFit:
         tss = float(((y - y.mean()) ** 2).sum())
     else:
         tss = float((y**2).sum())
-    if tss <= tol * tol:
-        r2 = 1.0 if rss <= tol * tol else 0.0
+    # TSS and RSS are in squared y units, so "negligible" is judged on the
+    # scale of y, whatever the scale of the regressors.
+    y_tol = n * _EPS * float(np.abs(y).max())
+    if tss <= y_tol * y_tol:
+        r2 = 1.0 if rss <= y_tol * y_tol else 0.0
     else:
         r2 = 1.0 - rss / tss
     r2 = float(min(1.0, max(0.0, r2)))

@@ -165,6 +165,14 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.split("cointkit-error: ", 1)[1])
         assert record["error"] == "MissingGuardWarning"
 
+    def test_replication_error_names_replication_and_seed(self, monkeypatch, capsys):
+        monkeypatch.setattr(mc, "differencing_warning", lambda a, b: None)
+        assert main(["mc-falsepos", "--n", "60", "--reps", "100", "--seed", "4"]) == 3
+        record = json.loads(capsys.readouterr().err.split("cointkit-error: ", 1)[1])
+        assert list(record) == ["error", "message", "replication", "seed"]
+        assert record["error"] == "MissingGuardWarning"
+        assert (record["replication"], record["seed"]) == (0, mc.replication_seed(4, 0))
+
     def test_bad_flag_choice_is_exit_one(self, tmp_path, capsys):
         pa, _ = write_walk_pair(tmp_path)
         code = main(["adf", "--input", str(pa), "--det", "quadratic"])
@@ -313,6 +321,21 @@ class TestOutputs:
         record = json.loads(capsys.readouterr().err.split("cointkit-error: ", 1)[1])
         assert record["error"] == "UsageError"
         assert record["message"].startswith(f"cannot write {tmp_path / 'afile'}: ")
+
+    @pytest.mark.parametrize("blocked", ["rename", "write"])
+    def test_failing_csv_write_leaves_no_output(self, tmp_path, capsys, blocked):
+        # A directory where the CSV (or its temporary file) must go: the JSON
+        # is written first, and must not be left without its CSV.
+        pa, _ = write_walk_pair(tmp_path)
+        blocker = tmp_path / ("out.csv" if blocked == "rename" else f"out.csv.{os.getpid()}.tmp")
+        blocker.mkdir()
+        out = tmp_path / "out"
+        code = main(["adf", "--input", str(pa), "--format", "both", "--output", str(out)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.split("cointkit-error: ", 1)[1])
+        assert record["error"] == "UsageError"
+        assert record["message"].startswith(f"cannot write {tmp_path / 'out.csv'}: ")
+        assert sorted(os.listdir(tmp_path)) == sorted(["a.csv", "b.csv", blocker.name])
 
     def test_known_extension_is_stripped_from_stem(self, tmp_path):
         pa, _ = write_walk_pair(tmp_path)

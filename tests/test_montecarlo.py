@@ -9,15 +9,17 @@ from cointkit.cli import main
 from cointkit.cointegration import (
     NORMALIZE_FIRST,
     UNTRANSFORMED,
+    WARN_DIFFERENCED,
     EgSpec,
     _eg_regressions,
+    eg_critical_values,
     engle_granger_test,
 )
-from cointkit.critvals import DeterministicSpec
-from cointkit.ecm import EcmSpec
+from cointkit.critvals import LEVELS, DeterministicSpec
+from cointkit.ecm import EcmSpec, _ecm_regressions, _levels_regression, estimate_ecm, estimate_levels
 from cointkit.errors import DataError, MissingGuardWarning, RankDeficient, UsageError
-from cointkit.series import iterated_difference
-from cointkit.unitroot import _adf, adf_test
+from cointkit.series import MONTHLY, iterated_difference
+from cointkit.unitroot import _adf, adf_regression, adf_test
 
 
 class TestDgp:
@@ -306,6 +308,24 @@ class TestWorkerBound:
         assert '"UsageError"' in err
 
 
+def _size_outcome(test, dgp, base_seed, r):
+    """One size replication through the public tests: the scalar reference."""
+    a, b = mc.generate(replace(dgp, seed=mc.replication_seed(base_seed, r)))
+    guard_fired = None
+    if test.kind == mc.EG_DIFFERENCES:
+        a, b = iterated_difference(a, 1), iterated_difference(b, 1)
+    if test.kind in (mc.EG_LEVELS, mc.EG_DIFFERENCES):
+        report = engle_granger_test(a, b, mc._eg_spec(test))
+        if test.kind == mc.EG_DIFFERENCES:
+            guard_fired = any(w.code == WARN_DIFFERENCED for w in report.warnings)
+            if not guard_fired:
+                raise MissingGuardWarning(r)
+        rejects = dict(report.reject_at)
+    else:
+        rejects = dict(adf_test(a, test.lags, test.det).reject_at)
+    return {"rejects": rejects, "guard": guard_fired}
+
+
 def _pairs(test, dgp, base_seed, reps):
     pairs = [mc.generate(replace(dgp, seed=mc.replication_seed(base_seed, r))) for r in range(reps)]
     if test.kind == mc.EG_DIFFERENCES:
@@ -351,7 +371,7 @@ class TestStackedEqualsScalar:
 
         cvs = mc._size_critical_values(test, dgp)
         blocked = mc._run_replications("size", (test, dgp, cvs), 5, 100, 1)
-        assert blocked == [mc._size_outcome(test, dgp, 5, r) for r in range(100)]
+        assert blocked == [_size_outcome(test, dgp, 5, r) for r in range(100)]
 
     def test_failing_block_raises_the_scalar_error(self, monkeypatch):
         # In the second block, replication 33 is rank deficient in stage one
@@ -372,7 +392,143 @@ class TestStackedEqualsScalar:
         dgp = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 60)
         with pytest.raises(RankDeficient) as scalar:
             for r in range(100):
-                mc._size_outcome(test, dgp, 9, r)
+                _size_outcome(test, dgp, 9, r)
         with pytest.raises(RankDeficient) as blocked:
             mc.run_size_experiment(test, dgp, reps=100, base_seed=9)
         assert str(blocked.value) == str(scalar.value)
+        assert (blocked.value.replication, blocked.value.seed) == (33, zero_seed)
+
+
+_ECM_SPECS = [
+    EcmSpec(seasonal_gap=gap, ect_lag=ect_lag, ardl_control_lags=lags, include_trend=trend)
+    for gap in (1, 12)
+    for trend in (False, True)
+    for lags in (1, 2)
+    for ect_lag in (1, 2)
+]
+_ECM_REPS = 40
+
+
+def _in_blocks(block, size):
+    """Outcomes of replications 0.._ECM_REPS - 1, solved ``size`` at a time."""
+    outcomes = []
+    for r0 in range(0, _ECM_REPS, size):
+        outcomes.extend(block(r0, min(r0 + size, _ECM_REPS)))
+    return outcomes
+
+
+def _replication(dgp, r):
+    return mc.generate(replace(dgp, seed=mc.replication_seed(5, r)))
+
+
+class TestEcmBlocksEqualScalar:
+    """The ECM block functions must reproduce the public estimators bit for bit."""
+
+    @pytest.mark.parametrize("spec", _ECM_SPECS, ids=str)
+    def test_kernel_solutions(self, spec):
+        dgp = mc.DgpSpec(mc.COINTEGRATED_PAIR, 80, adjust=0.3)
+        pairs = [_replication(dgp, r) for r in range(_ECM_REPS)]
+        fits = [estimate_ecm(y, x, spec) for x, y in pairs]
+        for size in (40, 17, 1):
+            for r0 in range(0, _ECM_REPS, size):
+                chunk = pairs[r0 : r0 + size]
+                x = np.stack([a.values for a, _ in chunk])
+                y = np.stack([b.values for _, b in chunk])
+                levels, ardl = _ecm_regressions(y, x, spec, MONTHLY)
+                for i, fit in enumerate(fits[r0 : r0 + size]):
+                    for solution, one in ((levels, fit.levels_fit), (ardl, fit.ardl_fit)):
+                        assert solution.names == one.column_names
+                        assert solution.beta[i].tolist() == list(one.coefficients.values())
+                        assert solution.t_stats[i].tolist() == list(one.t_stats.values())
+                        assert solution.resid[i].tolist() == one.residuals.tolist()
+
+    @pytest.mark.parametrize("spec", _ECM_SPECS, ids=str)
+    def test_recovery_block(self, spec):
+        dgp = mc.DgpSpec(mc.COINTEGRATED_PAIR, 80, adjust=0.3)
+        scalar = []
+        for r in range(_ECM_REPS):
+            x, y = _replication(dgp, r)
+            fit = estimate_ecm(y, x, spec)
+            scalar.append({"coef": fit.ect_coefficient, "t": fit.ect_t_stat})
+        for size in (40, 17, 1):
+            assert _in_blocks(lambda r0, r1: mc._recovery_block(dgp, spec, 5, r0, r1), size) == scalar
+
+    @pytest.mark.parametrize("spec", _ECM_SPECS, ids=str)
+    def test_ect_unit_root_block(self, spec):
+        dgp = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 80)
+        lags, none = 1, DeterministicSpec.none()
+        stats, scalar = [], []
+        for r in range(_ECM_REPS):
+            a, b = _replication(dgp, r)
+            stat, n_eff, _ = adf_regression(estimate_ecm(a, b, spec).ect_series.values, lags, none)
+            cvs = eg_critical_values(n_eff, spec.include_trend)
+            stats.append(stat)
+            scalar.append({"rejects": {level: stat < cvs[level] for level in LEVELS}, "guard": None})
+        cvs = eg_critical_values(80 - spec.ect_lag - 1 - lags, spec.include_trend)
+        for size in (40, 17, 1):
+            block = lambda r0, r1: mc._ect_unit_root_block(dgp, spec, lags, cvs, 5, r0, r1)
+            assert _in_blocks(block, size) == scalar
+
+            def statistics(r0, r1):
+                first, second = mc._stacked(mc._generated(dgp, 5, r0, r1))
+                levels, _ = _ecm_regressions(first, second, spec, MONTHLY)
+                ect = levels.resid[:, : 80 - spec.ect_lag]
+                return _adf(ect, lags, none)[0].t_stats[:, 0].tolist()
+
+            assert _in_blocks(statistics, size) == stats
+
+    @pytest.mark.parametrize("trend", [False, True])
+    def test_spurious_block(self, trend):
+        dgp = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 80)
+        slopes = [estimate_levels(*_replication(dgp, r), include_trend=trend).t_stats["x"] for r in range(_ECM_REPS)]
+        scalar = [{"exceed": abs(t) > 1.96} for t in slopes]
+        for size in (40, 17, 1):
+            block = lambda r0, r1: mc._spurious_block(dgp, 1.96, trend, 5, r0, r1)
+            assert _in_blocks(block, size) == scalar
+
+            def statistics(r0, r1):
+                first, second = mc._stacked(mc._generated(dgp, 5, r0, r1))
+                return _levels_regression(first, second, trend).t_stats[:, 0].tolist()
+
+            assert _in_blocks(statistics, size) == slopes
+
+
+class TestReplicationContext:
+    """A failing replication's error is the scalar path's, plus its index and seed."""
+
+    RUNNERS = {
+        "spurious": (
+            lambda **kw: mc.run_spurious_regression_experiment(n=60, reps=100, base_seed=8, **kw),
+            lambda a, b: estimate_levels(a, b),
+        ),
+        "ect_unit_root": (
+            lambda **kw: mc.run_ect_unit_root_experiment(n=60, reps=100, base_seed=8, **kw),
+            lambda a, b: estimate_ecm(a, b, EcmSpec(seasonal_gap=MONTHLY)),
+        ),
+        "ect_recovery": (
+            lambda **kw: mc.run_ect_recovery_experiment(n=60, reps=100, base_seed=8, **kw),
+            lambda x, y: estimate_ecm(y, x, EcmSpec(seasonal_gap=1)),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    def test_zero_innovations_raise_the_scalar_error(self, name):
+        run, scalar = self.RUNNERS[name]
+        kind = mc.COINTEGRATED_PAIR if name == "ect_recovery" else mc.INDEPENDENT_RANDOM_WALKS
+        seed = mc.replication_seed(8, 0)
+        with pytest.raises(RankDeficient) as expected:
+            scalar(*mc.generate(mc.DgpSpec(kind, 60, 0.0, seed, adjust=0.3)))
+        with pytest.raises(RankDeficient) as caught:
+            run(innovation_sd=0.0)
+        assert str(caught.value) == str(expected.value)
+        assert (caught.value.replication, caught.value.seed) == (0, seed)
+
+    def test_context_survives_a_worker_process(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(RankDeficient) as caught:
+            mc.run_spurious_regression_experiment(
+                n=60, reps=100, base_seed=8, innovation_sd=0.0, workers=2
+            )
+        assert str(caught.value) == "column 'x' is linearly dependent on earlier columns"
+        assert caught.value.column == "x"
+        assert (caught.value.replication, caught.value.seed) == (0, mc.replication_seed(8, 0))

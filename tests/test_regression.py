@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cointkit.errors import DataError, DimensionMismatch, RankDeficient
-from cointkit.regression import DesignMatrix, ols_fit
+from cointkit.regression import DesignMatrix, _lstsq, ols_fit
 from helpers import exact_ols
 
 
@@ -135,3 +137,51 @@ class TestProperties:
         x = np.array([1.0, 2.0, 3.0])
         fit = ols_fit(x, design(x=x))
         assert fit.r_squared == 1.0
+
+
+def _scale_pair():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(200)
+    return x, 0.5 * x + rng.standard_normal(200)
+
+
+class TestRSquaredScale:
+    def test_tiny_y_against_large_x(self):
+        # TSS (y units) was once compared with a tolerance built from the
+        # x column norms, which called this fit perfect.
+        x, y = _scale_pair()
+        base = ols_fit(y, design(x=x, intercept=np.ones(200)))
+        fit = ols_fit(1e-9 * y, design(x=1e6 * x, intercept=np.ones(200)))
+        assert base.r_squared == pytest.approx(0.23636148355804, rel=1e-12)
+        assert fit.r_squared == pytest.approx(base.r_squared, rel=1e-12)
+        assert fit.t_stats["x"] == pytest.approx(base.t_stats["x"], rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=st.integers(-12, 12), b=st.integers(-12, 12), intercept=st.booleans())
+    def test_invariant_to_scaling_y_and_x(self, a, b, intercept):
+        x, y = _scale_pair()
+        columns = dict(x=x, intercept=np.ones(200)) if intercept else dict(x=x)
+        base = ols_fit(y, design(**columns))
+        columns["x"] = 10.0**b * x
+        fit = ols_fit(10.0**a * y, design(**columns))
+        assert fit.r_squared == pytest.approx(base.r_squared, rel=1e-12)
+
+
+class TestMemoryLayout:
+    def test_transposed_design_solves_bitwise_equal(self):
+        # The same values, stored column-major per slice and with a strided
+        # dependent variable, give the same bits as C-ordered copies.
+        rng = np.random.default_rng(17)
+        A = rng.standard_normal((6, 90, 5))
+        A[..., -1] = 1.0
+        y = rng.standard_normal((6, 90))
+        names = ("a", "b", "c", "d", "intercept")
+        A_t = np.ascontiguousarray(A.swapaxes(-1, -2)).swapaxes(-1, -2)
+        y_strided = np.repeat(y, 2, axis=-1)[..., ::2]
+        assert not A_t.flags.c_contiguous and not y_strided.flags.c_contiguous
+        for a, b in (
+            (_lstsq(A, y, names), _lstsq(A_t, y_strided, names)),
+            (_lstsq(A[2], y[2], names), _lstsq(A_t[2], y_strided[2], names)),
+        ):
+            for field in ("beta", "resid", "stderrs", "t_stats", "rss"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
