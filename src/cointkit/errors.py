@@ -119,6 +119,11 @@ class MissingGuardWarning(CointkitError):
 
     def __init__(self, replication: int):
         self.replication = replication
-        super().__init__(
-            f"replication {replication}: differenced-input guard did not fire on differenced data"
+        super().__init__()
+
+    def __str__(self) -> str:
+        # From the attribute, which a Monte Carlo runner sets to the replication's index.
+        return (
+            f"replication {self.replication}: "
+            "differenced-input guard did not fire on differenced data"
         )

@@ -9,6 +9,12 @@ across worker processes without changing any count.
 
 Every generated series discards a 100-observation burn-in, so results
 speak about the processes rather than their initial conditions.
+
+The runners draw replications in stacks of ``GENERATE_SIZE`` (64), one
+generator per replication filling its row, and run the cointegrated-pair
+recursion one time step at a time across every row of the stack. Each
+series is bitwise equal to the one ``generate`` gives for that
+replication's seed alone, whatever the stack, block or worker split.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -33,7 +39,7 @@ from cointkit.cointegration import (
 )
 from cointkit.critvals import LEVELS, DeterministicSpec
 from cointkit.ecm import EcmSpec, _ecm_regressions, _levels_regression
-from cointkit.errors import CointkitError, MissingGuardWarning, UsageError
+from cointkit.errors import CointkitError, DataError, MissingGuardWarning, UsageError
 from cointkit.series import MONTHLY, TimeSeries, iterated_difference
 from cointkit.unitroot import _adf, adf_critical_values
 
@@ -59,6 +65,24 @@ MIN_REPLICATIONS = 100
 # were no faster on the Engle-Granger size experiment (n=300, 12 lags), and
 # each replication in a block holds about 0.1 MiB of working memory there.
 BLOCK_SIZE = 16
+
+# Replications drawn as one stack, then solved BLOCK_SIZE rows at a time.
+# Series are bitwise the same for any draw size. A step of the
+# cointegrated-pair recursion is mostly fixed ufunc overhead, so it costs
+# less per row the more rows it covers, and the draw is larger than a
+# kernel block. Per pair at n=600 (2-vCPU host,
+# best of 15) the recursion took 0.074 ms for 16 rows, 0.048 ms for 32,
+# 0.029 ms for 64 and 0.022 ms for 128, against 0.096 ms for a loop on
+# Python floats. Kernel blocks of 64 instead of 16 were slower on the ECM
+# recovery experiment and raised its peak RSS from 89 to 98 MiB.
+GENERATE_SIZE = 64
+
+
+def _seed(value) -> int:
+    """``value`` as an int, which must fit in 64 unsigned bits."""
+    if not 0 <= int(value) < 2**64:
+        raise UsageError("seed must be a 64-bit unsigned integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -91,10 +115,8 @@ class DgpSpec:
             raise UsageError(f"beta must be finite, got {self.beta}")
         if not 0.0 < self.adjust <= 1.0:
             raise UsageError(f"adjust must be in (0, 1], got {self.adjust}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise UsageError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     def to_json_dict(self) -> dict:
         """The process without its seed, which each replication replaces."""
@@ -109,44 +131,82 @@ class DgpSpec:
         return out
 
 
+_SERIES_NAMES = {
+    INDEPENDENT_RANDOM_WALKS: ("walk_a", "walk_b"),
+    COINTEGRATED_PAIR: ("sim_x", "sim_y"),
+    WHITE_NOISE_PAIR: ("noise_a", "noise_b"),
+}
+
+
+def _series(values: np.ndarray, name: str) -> TimeSeries:
+    return TimeSeries(start=(2000, 1), frequency=MONTHLY, values=values, lineage=(), name=name)
+
+
+def _generate_stack(dgp: DgpSpec, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of ``dgp`` drawn with each of ``seeds`` (``dgp.seed`` is ignored).
+
+    Returns the first and the second series of each pair as two C-contiguous
+    (len(seeds), n) stacks. Every row is bitwise equal to what a stack of
+    that one seed gives: the draw, the cumulative sums and the recursion
+    perform the same IEEE operations, in the same order, on every row.
+    """
+    total = dgp.n + BURN_IN
+    innov = np.empty((len(seeds), 2, total))
+    for row, seed in zip(innov, seeds):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng.standard_normal(out=row)
+    # A huge innovation_sd overflows; the finiteness check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        innov *= dgp.innovation_sd
+        if dgp.kind == WHITE_NOISE_PAIR:
+            a, b = innov[:, 0], innov[:, 1]
+        elif dgp.kind == INDEPENDENT_RANDOM_WALKS:
+            walks = np.cumsum(innov, axis=2)
+            a, b = walks[:, 0], walks[:, 1]
+        else:
+            a = np.cumsum(innov[:, 0], axis=1)
+            b = _adjusting_series(a, innov[:, 1], dgp)
+    first = np.ascontiguousarray(a[:, BURN_IN:])
+    second = np.ascontiguousarray(b[:, BURN_IN:])
+    for values in (first, second):
+        finite = np.isfinite(values)
+        if not finite.all():
+            _, position = np.argwhere(~finite)[0]
+            raise DataError(f"non-finite value at position {position}")
+    return first, second
+
+
+def _adjusting_series(x: np.ndarray, e: np.ndarray, dgp: DgpSpec) -> np.ndarray:
+    """y_t = keep * y_{t-1} + pull * x_{t-1} + e_t with y_0 = e_0, for each row.
+
+    The recursion runs time-major, one step for every row at once, as three
+    ufunc calls in the order of the scalar expression, so each row is bitwise
+    the scalar recursion.
+    """
+    e = np.ascontiguousarray(e.T)
+    keep = np.full(e.shape[1], 1.0 - dgp.adjust)
+    pull_x = np.ascontiguousarray((dgp.adjust * dgp.beta * x).T)
+    y = np.empty_like(e)
+    y[0] = e[0]
+    steps = list(y)
+    for prev, y_t, pull_x_prev, e_t in zip(steps, steps[1:], list(pull_x), list(e[1:])):
+        np.multiply(keep, prev, y_t)
+        np.add(y_t, pull_x_prev, y_t)
+        np.add(y_t, e_t, y_t)
+    return y.T
+
+
 def generate(dgp: DgpSpec) -> tuple[TimeSeries, TimeSeries]:
     """Deterministically generate the pair of series described by ``dgp``.
 
     For the cointegrated pair the first returned series is the random
     walk x and the second the adjusting series y. Output is monthly with
-    an arbitrary fixed calendar start and empty lineage.
+    an arbitrary fixed calendar start and empty lineage. This is the
+    one-seed case of the stacked draw the runners use.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(dgp.seed)))
-    total = dgp.n + BURN_IN
-    innov = rng.standard_normal((2, total)) * dgp.innovation_sd
-
-    if dgp.kind == INDEPENDENT_RANDOM_WALKS:
-        first = np.cumsum(innov[0])[BURN_IN:]
-        second = np.cumsum(innov[1])[BURN_IN:]
-        names = ("walk_a", "walk_b")
-    elif dgp.kind == WHITE_NOISE_PAIR:
-        first = innov[0][BURN_IN:].copy()
-        second = innov[1][BURN_IN:].copy()
-        names = ("noise_a", "noise_b")
-    else:
-        x = np.cumsum(innov[0])
-        keep = 1.0 - dgp.adjust
-        pull = dgp.adjust * dgp.beta
-        # On Python floats: the same IEEE operations, in the same order, as
-        # on numpy scalars, at a fraction of the cost per step.
-        e = innov[1].tolist()
-        y_t = e[0]
-        y = [y_t]
-        for x_prev, e_t in zip(x.tolist(), e[1:]):
-            y_t = keep * y_t + pull * x_prev + e_t
-            y.append(y_t)
-        first, second = x[BURN_IN:], np.array(y[BURN_IN:])
-        names = ("sim_x", "sim_y")
-
-    make = lambda vals, name: TimeSeries(
-        start=(2000, 1), frequency=MONTHLY, values=vals, lineage=(), name=name
-    )
-    return make(first, names[0]), make(second, names[1])
+    first, second = _generate_stack(dgp, [dgp.seed])
+    names = _SERIES_NAMES[dgp.kind]
+    return _series(first[0], names[0]), _series(second[0], names[1])
 
 
 def replication_seed(base_seed: int, r: int) -> int:
@@ -171,7 +231,11 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
 
 
 def _config(experiment: str, **settings) -> tuple[dict, str]:
-    """An experiment's configuration record, keys in the given order, and its digest."""
+    """An experiment's configuration record, keys in the given order, and its digest.
+
+    The base seed is checked here, before any replication runs.
+    """
+    settings["base_seed"] = _seed(settings["base_seed"])
     config = {"experiment": experiment, "prng": PRNG_ID, "burn_in": BURN_IN, **settings}
     digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
     return config, digest
@@ -274,70 +338,65 @@ def _size_critical_values(test: TestConfig, dgp: DgpSpec) -> dict[int, float]:
     return eg_critical_values(n_eff, test.trend)
 
 
-def _generated(dgp: DgpSpec, base_seed: int, r0: int, r1: int) -> list[tuple[TimeSeries, TimeSeries]]:
-    """The pairs of replications ``r0``..``r1 - 1`` of ``dgp``."""
-    return [generate(replace(dgp, seed=replication_seed(base_seed, r))) for r in range(r0, r1)]
-
-
-def _stacked(pairs: list[tuple[TimeSeries, TimeSeries]]) -> tuple[np.ndarray, np.ndarray]:
-    """The first and the second series of each pair, as two (replications, n) stacks."""
-    return np.stack([a.values for a, _ in pairs]), np.stack([b.values for _, b in pairs])
-
-
-# Each block function gives the outcomes of replications r0..r1 - 1, solved
-# as one stack, bitwise equal to running the public estimator on each
-# replication alone. Run on one replication, it is that scalar path.
+# Each block function gives the outcomes of the replications whose series
+# are the rows of ``first`` and ``second``, solved as one stack, bitwise equal
+# to running the public estimator on each replication alone. Run on a stack
+# of one, it is that scalar path.
 
 
 def _size_block(
-    test: TestConfig, dgp: DgpSpec, cvs: dict[int, float], base_seed: int, r0: int, r1: int
+    test: TestConfig, dgp: DgpSpec, cvs: dict[int, float], first: np.ndarray, second: np.ndarray
 ) -> list[dict]:
-    pairs = _generated(dgp, base_seed, r0, r1)
+    pairs = None
     if test.kind == EG_DIFFERENCES:
-        pairs = [(iterated_difference(a, 1), iterated_difference(b, 1)) for a, b in pairs]
-    first, second = _stacked(pairs)
+        # As series, so the guard sees each replication's differencing lineage.
+        name_a, name_b = _SERIES_NAMES[dgp.kind]
+        pairs = [
+            (iterated_difference(_series(a, name_a), 1), iterated_difference(_series(b, name_b), 1))
+            for a, b in zip(first, second)
+        ]
+        first = np.stack([a.values for a, _ in pairs])
+        second = np.stack([b.values for _, b in pairs])
     if test.kind == ADF:
         solution, _ = _adf(first, test.lags, test.det)
     else:
         _, solution, _ = _eg_regressions(first, second, _eg_spec(test))
 
     outcomes = []
-    for r, (a, b), stat in zip(range(r0, r1), pairs, solution.t_stats[:, 0].tolist()):
+    for i, stat in enumerate(solution.t_stats[:, 0].tolist()):
         guard_fired = None
-        if test.kind == EG_DIFFERENCES:
-            guard_fired = differencing_warning(a, b) is not None
+        if pairs is not None:
+            guard_fired = differencing_warning(*pairs[i]) is not None
             if not guard_fired:
-                raise MissingGuardWarning(r)
+                raise MissingGuardWarning(i)  # _outcome_chunk sets the replication's index
         rejects = {level: stat < cvs[level] for level in LEVELS}
         outcomes.append({"rejects": rejects, "guard": guard_fired})
     return outcomes
 
 
 def _spurious_block(
-    dgp: DgpSpec, threshold: float, trend: bool, base_seed: int, r0: int, r1: int
+    threshold: float, trend: bool, first: np.ndarray, second: np.ndarray
 ) -> list[dict]:
     """``estimate_levels`` of the first walk on the second: is |t| of the slope above ``threshold``?"""
-    first, second = _stacked(_generated(dgp, base_seed, r0, r1))
     slope_t = _levels_regression(first, second, trend).t_stats[:, 0]
     return [{"exceed": abs(t) > threshold} for t in slope_t.tolist()]
 
 
 def _ect_unit_root_block(
-    dgp: DgpSpec, spec: EcmSpec, lags: int, cvs: dict[int, float], base_seed: int, r0: int, r1: int
+    spec: EcmSpec, lags: int, cvs: dict[int, float], first: np.ndarray, second: np.ndarray
 ) -> list[dict]:
     """``estimate_ecm`` of the first walk on the second, then the ADF of its ECT series."""
-    first, second = _stacked(_generated(dgp, base_seed, r0, r1))
     levels, _ = _ecm_regressions(first, second, spec, MONTHLY)
-    solution, _ = _adf(levels.resid[:, : dgp.n - spec.ect_lag], lags, DeterministicSpec.none())
+    ect = levels.resid[:, : first.shape[1] - spec.ect_lag]
+    solution, _ = _adf(ect, lags, DeterministicSpec.none())
     return [
         {"rejects": {level: stat < cvs[level] for level in LEVELS}, "guard": None}
         for stat in solution.t_stats[:, 0].tolist()
     ]
 
 
-def _recovery_block(dgp: DgpSpec, spec: EcmSpec, base_seed: int, r0: int, r1: int) -> list[dict]:
+def _recovery_block(spec: EcmSpec, x: np.ndarray, y: np.ndarray) -> list[dict]:
     """``estimate_ecm`` of y on x: the ECT coefficient and its t-ratio."""
-    x, y = _stacked(_generated(dgp, base_seed, r0, r1))
     _, ardl = _ecm_regressions(y, x, spec, MONTHLY)
     col = ardl.names.index(f"ect_l{spec.ect_lag}")
     return [
@@ -355,42 +414,55 @@ _BLOCK_FNS = {
 
 
 def _outcome_chunk(
-    fn_name: str, params: tuple, base_seed: int, blocks: list[tuple[int, int]]
+    fn_name: str, dgp: DgpSpec, params: tuple, base_seed: int, r0: int, r1: int
 ) -> list[dict]:
+    """The outcomes of replications ``r0``..``r1 - 1``, drawn ``GENERATE_SIZE``
+    and solved ``BLOCK_SIZE`` at a time."""
     fn = _BLOCK_FNS[fn_name]
     outcomes: list[dict] = []
-    for r0, r1 in blocks:
+    for d0 in range(r0, r1, GENERATE_SIZE):
+        seeds = [replication_seed(base_seed, r) for r in range(d0, min(d0 + GENERATE_SIZE, r1))]
         try:
-            outcomes.extend(fn(*params, base_seed, r0, r1))
+            first, second = _generate_stack(dgp, seeds)
+            drawn = []
+            for b0 in range(0, len(seeds), BLOCK_SIZE):
+                b1 = b0 + BLOCK_SIZE
+                drawn.extend(fn(*params, first[b0:b1], second[b0:b1]))
         except CointkitError:
             # One replication at a time, the error raised is the one, from the
             # first failing replication, that the scalar path raises.
-            for r in range(r0, r1):
+            drawn = []
+            for r, seed in enumerate(seeds, start=d0):
                 try:
-                    outcomes.extend(fn(*params, base_seed, r, r + 1))
+                    drawn.extend(fn(*params, *_generate_stack(dgp, [seed])))
                 except CointkitError as exc:
                     exc.replication = r
-                    exc.seed = replication_seed(base_seed, r)
+                    exc.seed = seed
                     raise
+        outcomes.extend(drawn)
     return outcomes
 
 
 def _run_replications(
-    fn_name: str, params: tuple, base_seed: int, reps: int, workers: int
+    fn_name: str, dgp: DgpSpec, params: tuple, config: dict, workers: int
 ) -> list[dict]:
+    """The outcomes of the ``config["reps"]`` replications of ``config["base_seed"]``."""
+    reps, base_seed = config["reps"], config["base_seed"]
     if reps < MIN_REPLICATIONS:
         raise UsageError(f"replications must be >= {MIN_REPLICATIONS}, got {reps}")
     max_workers = os.cpu_count() or 1
     if not 1 <= workers <= max_workers:
         raise UsageError(f"workers must be in 1..{max_workers} (the CPU count), got {workers}")
-    blocks = [(r0, min(r0 + BLOCK_SIZE, reps)) for r0 in range(0, reps, BLOCK_SIZE)]
     if workers == 1:
-        return _outcome_chunk(fn_name, params, base_seed, blocks)
-    bounds = np.linspace(0, len(blocks), workers + 1).astype(int)
-    chunks = [blocks[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+        return _outcome_chunk(fn_name, dgp, params, base_seed, 0, reps)
+    # Whole kernel blocks per worker, split as evenly as the block count allows.
+    n_blocks = -(-reps // BLOCK_SIZE)
+    bounds = [min(n_blocks * w // workers * BLOCK_SIZE, reps) for w in range(workers + 1)]
+    chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [
-            pool.submit(_outcome_chunk, fn_name, params, base_seed, chunk) for chunk in chunks
+            pool.submit(_outcome_chunk, fn_name, dgp, params, base_seed, lo, hi)
+            for lo, hi in chunks
         ]
         outcomes: list[dict] = []
         for fut in futures:  # chunk order preserved: counts and medians are worker-invariant
@@ -435,10 +507,10 @@ def run_size_experiment(
         dgp=dgp.to_json_dict(),
         reps=int(reps),
         levels=list(LEVELS),
-        base_seed=int(base_seed),
+        base_seed=base_seed,
     )
     outcomes = _run_replications(
-        "size", (test, dgp, _size_critical_values(test, dgp)), base_seed, int(reps), workers
+        "size", dgp, (test, dgp, _size_critical_values(test, dgp)), config, workers
     )
     return _rejection_result(outcomes, config, digest, with_guard=True)
 
@@ -471,10 +543,10 @@ def run_false_positive_experiment(
         reps=int(reps),
         level=int(level),
         levels=list(LEVELS),
-        base_seed=int(base_seed),
+        base_seed=base_seed,
     )
     outcomes = _run_replications(
-        "size", (test, dgp, _size_critical_values(test, dgp)), base_seed, int(reps), workers
+        "size", dgp, (test, dgp, _size_critical_values(test, dgp)), config, workers
     )
     result = _rejection_result(outcomes, config, digest, with_guard=True)
     if result.guard_warning_count != result.replications:
@@ -509,6 +581,8 @@ def run_spurious_regression_experiment(
 ) -> SpuriousSlopeResult:
     """Rate of |slope t-ratio| > threshold in levels regressions of
     independent random walks: the classic spurious-regression effect."""
+    if not math.isfinite(threshold):
+        raise UsageError(f"threshold must be finite, got {threshold}")
     config, digest = _config(
         "spurious_regression",
         n=int(n),
@@ -516,11 +590,11 @@ def run_spurious_regression_experiment(
         threshold=threshold,
         include_trend=bool(include_trend),
         reps=int(reps),
-        base_seed=int(base_seed),
+        base_seed=base_seed,
     )
     dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
     outcomes = _run_replications(
-        "spurious", (dgp, threshold, bool(include_trend)), base_seed, int(reps), workers
+        "spurious", dgp, (threshold, bool(include_trend)), config, workers
     )
     count = sum(1 for o in outcomes if o["exceed"])
     return SpuriousSlopeResult(
@@ -529,7 +603,7 @@ def run_spurious_regression_experiment(
         exceed_rate=count / len(outcomes),
         wilson_interval_95=wilson_interval(count, len(outcomes)),
         threshold=threshold,
-        seed=int(base_seed),
+        seed=config["base_seed"],
         config=config,
         config_digest=digest,
     )
@@ -564,14 +638,12 @@ def run_ect_unit_root_experiment(
         cv_variables=2,
         reps=int(reps),
         levels=list(LEVELS),
-        base_seed=int(base_seed),
+        base_seed=base_seed,
     )
     dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
     # The ECT series has n - ect_lag observations; its ADF loses 1 + lags more.
     cvs = eg_critical_values(dgp.n - spec.ect_lag - 1 - int(lags), spec.include_trend)
-    outcomes = _run_replications(
-        "ect_unit_root", (dgp, spec, int(lags), cvs), base_seed, int(reps), workers
-    )
+    outcomes = _run_replications("ect_unit_root", dgp, (spec, int(lags), cvs), config, workers)
     return _rejection_result(outcomes, config, digest)
 
 
@@ -616,6 +688,11 @@ def run_ect_recovery_experiment(
     term is linearly redundant given the differencing identity, and its
     coefficient converges to zero regardless of the true adjustment speed.
     """
+    if not math.isfinite(t_threshold):
+        raise UsageError(f"t_threshold must be finite, got {t_threshold}")
+    if len(band) != 2 or not all(map(math.isfinite, band)) or not band[0] < band[1]:
+        raise UsageError(f"band must be two finite bounds with lo < hi, got {tuple(band)}")
+    lo, hi = band
     spec = ecm_spec or EcmSpec(seasonal_gap=1)
     config, digest = _config(
         "ect_recovery",
@@ -627,11 +704,10 @@ def run_ect_recovery_experiment(
         band=list(band),
         t_threshold=t_threshold,
         reps=int(reps),
-        base_seed=int(base_seed),
+        base_seed=base_seed,
     )
     dgp = DgpSpec(COINTEGRATED_PAIR, int(n), innovation_sd, beta=beta, adjust=adjust)
-    outcomes = _run_replications("recovery", (dgp, spec), base_seed, int(reps), workers)
-    lo, hi = band
+    outcomes = _run_replications("recovery", dgp, (spec,), config, workers)
     in_band = sum(1 for o in outcomes if lo < o["coef"] < hi)
     t_ok = sum(1 for o in outcomes if o["t"] < t_threshold)
     joint = sum(1 for o in outcomes if lo < o["coef"] < hi and o["t"] < t_threshold)
@@ -647,7 +723,7 @@ def run_ect_recovery_experiment(
         wilson_interval_95=wilson_interval(joint, reps_done),
         median_coefficient=float(np.median([o["coef"] for o in outcomes])),
         median_t_stat=float(np.median([o["t"] for o in outcomes])),
-        seed=int(base_seed),
+        seed=config["base_seed"],
         config=config,
         config_digest=digest,
     )

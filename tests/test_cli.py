@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +174,24 @@ class TestExitCodes:
         assert list(record) == ["error", "message", "replication", "seed"]
         assert record["error"] == "MissingGuardWarning"
         assert (record["replication"], record["seed"]) == (0, mc.replication_seed(4, 0))
+
+    def test_overflowing_draw_prints_only_the_error_line(self, tmp_path):
+        # numpy's overflow warnings would go to stderr ahead of the line.
+        src = os.path.dirname(os.path.dirname(mc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["mc-size", "--sd", "1e308", "--reps", "100", "--n", "60"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cointkit.cli", *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("cointkit-error: ")
+        record = json.loads(lines[0].split("cointkit-error: ", 1)[1])
+        assert record["error"] == "DataError"
+        assert record["message"].startswith("non-finite value at position ")
+        assert (record["replication"], record["seed"]) == (0, mc.replication_seed(0, 0))
 
     def test_bad_flag_choice_is_exit_one(self, tmp_path, capsys):
         pa, _ = write_walk_pair(tmp_path)

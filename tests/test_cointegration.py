@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cointkit.cointegration import (
     GRID_CSV_COLUMNS,
@@ -47,6 +49,9 @@ def cointegrated_pair(rng, n, beta=2.0, adjust=0.5, sd=1.0):
     for t in range(1, n + 100):
         y[t] = y[t - 1] + adjust * (beta * x[t - 1] - y[t - 1]) + e[t]
     return monthly_series(x[100:], name="x"), monthly_series(y[100:], name="y")
+
+
+_SCALE_PAIR = random_walk_pair(np.random.default_rng(47), 200)
 
 
 class TestSpecValidation:
@@ -140,6 +145,26 @@ class TestEngleGranger:
                 spec(lags=2),
             ).statistic
             assert abs(scaled - base) <= 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_ca=st.floats(-4.0, 4.0),
+        log_cb=st.floats(-4.0, 4.0),
+        lags=st.integers(0, 3),
+        trend=st.booleans(),
+        normalize=st.sampled_from([NORMALIZE_FIRST, NORMALIZE_SECOND]),
+    )
+    def test_positive_rescaling_property(self, log_ca, log_cb, lags, trend, normalize):
+        # Rescaling either series by a factor in [1e-4, 1e4] rescales the
+        # stage-one residual and leaves its ADF t-ratio unchanged, to 1e-12
+        # relative.
+        a, b = _SCALE_PAIR
+        eg = spec(normalize=normalize, lags=lags, trend=trend)
+        base = engle_granger_test(a, b, eg).statistic
+        scaled = engle_granger_test(
+            monthly_series(10.0**log_ca * a.values), monthly_series(10.0**log_cb * b.values), eg
+        ).statistic
+        assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_log_spec_equals_untransformed_on_exponentiated_data(self):
         rng = np.random.default_rng(46)

@@ -1,4 +1,6 @@
+import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +73,67 @@ class TestDgp:
         x, y = mc.generate(mc.DgpSpec(mc.COINTEGRATED_PAIR, 1000, seed=5, beta=2.0, adjust=0.5))
         z = 2.0 * x.values - y.values
         assert abs(z.mean()) <= 3 * 0.142
+
+
+_KINDS = [mc.INDEPENDENT_RANDOM_WALKS, mc.COINTEGRATED_PAIR, mc.WHITE_NOISE_PAIR]
+
+
+def _scalar_pair(dgp):
+    """``dgp``'s pair drawn one replication at a time, the recursion on Python floats."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(dgp.seed)))
+    innov = rng.standard_normal((2, dgp.n + mc.BURN_IN)) * dgp.innovation_sd
+    if dgp.kind == mc.WHITE_NOISE_PAIR:
+        return innov[0][mc.BURN_IN :], innov[1][mc.BURN_IN :]
+    x = np.cumsum(innov[0])
+    if dgp.kind == mc.INDEPENDENT_RANDOM_WALKS:
+        return x[mc.BURN_IN :], np.cumsum(innov[1])[mc.BURN_IN :]
+    keep, pull = 1.0 - dgp.adjust, dgp.adjust * dgp.beta
+    y = [innov[1][0]]
+    for x_prev, e_t in zip(x.tolist(), innov[1][1:].tolist()):
+        y.append(keep * y[-1] + pull * x_prev + e_t)
+    return x[mc.BURN_IN :], np.array(y[mc.BURN_IN :])
+
+
+class TestGenerateStack:
+    """Each row of a stacked draw is bitwise the one-seed ``generate``."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_generate_equals_scalar_reference(self, kind):
+        for sd, beta, adjust in ((1.0, 1.0, 0.5), (2.5, -0.7, 0.3), (0.37, 2.0, 1.0)):
+            dgp = mc.DgpSpec(kind, 60, sd, seed=mc.replication_seed(6, 1), beta=beta, adjust=adjust)
+            a, b = mc.generate(dgp)
+            first, second = _scalar_pair(dgp)
+            assert a.values.tobytes() == first.tobytes()
+            assert b.values.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("sd", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("n", [30, 300])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_rows_equal_generate(self, kind, n, sd):
+        dgp = mc.DgpSpec(kind, n, sd, beta=1.7, adjust=0.3)
+        for size in (64, 17, 1):
+            seeds = [mc.replication_seed(6, r) for r in range(size)]
+            first, second = mc._generate_stack(dgp, seeds)
+            assert first.shape == second.shape == (size, n)
+            assert first.flags.c_contiguous and second.flags.c_contiguous
+            for i, seed in enumerate(seeds):
+                a, b = mc.generate(replace(dgp, seed=seed))
+                assert first[i].tobytes() == a.values.tobytes()
+                assert second[i].tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_overflow_raises_the_same_error_without_warnings(self, kind):
+        dgp = mc.DgpSpec(kind, 60, 1e308, seed=mc.replication_seed(6, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as scalar:
+                mc.generate(dgp)
+            with pytest.raises(DataError) as stacked:
+                mc._generate_stack(dgp, [dgp.seed])
+            with pytest.raises(DataError):
+                mc._generate_stack(dgp, [mc.replication_seed(6, r) for r in range(64)])
+        assert str(scalar.value).startswith("non-finite value at position ")
+        assert str(stacked.value) == str(scalar.value)
 
 
 class TestSeeds:
@@ -146,29 +209,32 @@ class TestSizeExperiment:
         )
         assert result.rejection_rate[5] >= 0.99
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        # Every runner, at 101 replications: a partial last block, and pool
-        # chunks of unequal size. Two workers are allowed on any host.
+    @pytest.mark.parametrize("reps", [101, 161])
+    def test_worker_count_does_not_change_results(self, monkeypatch, reps):
+        # Every runner, with a partial last block and pool chunks of unequal
+        # size. At 161 replications the second worker's chunk (80..160) spans
+        # a full 64-replication draw and a partial one. Two workers are
+        # allowed on any host.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         runners = {
             "size": lambda w: mc.run_size_experiment(
                 mc.TestConfig(kind=mc.EG_LEVELS, lags=1),
                 mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 60),
-                reps=101,
+                reps=reps,
                 base_seed=14,
                 workers=w,
             ),
             "false_positive": lambda w: mc.run_false_positive_experiment(
-                n=50, reps=101, base_seed=14, workers=w
+                n=50, reps=reps, base_seed=14, workers=w
             ),
             "spurious": lambda w: mc.run_spurious_regression_experiment(
-                n=60, reps=101, base_seed=14, workers=w
+                n=60, reps=reps, base_seed=14, workers=w
             ),
             "ect_unit_root": lambda w: mc.run_ect_unit_root_experiment(
-                n=60, reps=101, base_seed=14, workers=w
+                n=60, reps=reps, base_seed=14, workers=w
             ),
             "ect_recovery": lambda w: mc.run_ect_recovery_experiment(
-                n=60, reps=101, base_seed=14, workers=w
+                n=60, reps=reps, base_seed=14, workers=w
             ),
         }
         for name, run in runners.items():
@@ -291,6 +357,59 @@ def _two_cpus_and_no_pool(monkeypatch):
     monkeypatch.setattr(mc, "ProcessPoolExecutor", refuse)
 
 
+_RUNNERS = {
+    "size": lambda **kw: mc.run_size_experiment(
+        mc.TestConfig(kind=mc.EG_LEVELS), mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 60), reps=100, **kw
+    ),
+    "false_positive": lambda **kw: mc.run_false_positive_experiment(n=60, reps=100, **kw),
+    "spurious": lambda **kw: mc.run_spurious_regression_experiment(n=60, reps=100, **kw),
+    "ect_unit_root": lambda **kw: mc.run_ect_unit_root_experiment(n=60, reps=100, **kw),
+    "ect_recovery": lambda **kw: mc.run_ect_recovery_experiment(n=60, reps=100, **kw),
+}
+
+
+@pytest.fixture
+def no_replications(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(mc, "_outcome_chunk", refuse)
+
+
+class TestRunnerValidation:
+    """Bad runner parameters fail typed, at configuration, before any replication."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("name", sorted(_RUNNERS))
+    def test_base_seed_outside_64_bits(self, no_replications, name, seed):
+        with pytest.raises(UsageError, match="^seed must be a 64-bit unsigned integer$"):
+            _RUNNERS[name](base_seed=seed)
+
+    @pytest.mark.parametrize("command", ["mc-size", "mc-falsepos"])
+    def test_cli_negative_seed_is_exit_one(self, no_replications, capsys, command):
+        assert main([command, "--seed", "-1", "--reps", "100", "--n", "60"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cointkit-error: ") and err.count("\n") == 1
+        assert '"UsageError"' in err and "64-bit unsigned" in err
+
+    def test_threshold_must_be_finite(self, no_replications):
+        with pytest.raises(UsageError, match="threshold must be finite"):
+            _RUNNERS["spurious"](base_seed=0, threshold=math.nan)
+
+    def test_t_threshold_must_be_finite(self, no_replications):
+        with pytest.raises(UsageError, match="t_threshold must be finite"):
+            _RUNNERS["ect_recovery"](base_seed=0, t_threshold=math.nan)
+
+    @pytest.mark.parametrize(
+        "band",
+        [(0.1, -0.5), (-0.2, -0.2), (math.nan, -0.15), (-0.45, math.inf), (-0.45, -0.3, -0.15)],
+        ids=str,
+    )
+    def test_band_must_be_finite_and_increasing(self, no_replications, band):
+        with pytest.raises(UsageError, match="band must be two finite bounds with lo < hi"):
+            _RUNNERS["ect_recovery"](base_seed=0, band=band)
+
+
 class TestWorkerBound:
     @pytest.mark.parametrize("workers", [0, 3])
     def test_out_of_range_rejected_before_any_process(self, monkeypatch, workers):
@@ -370,24 +489,27 @@ class TestStackedEqualsScalar:
             assert np.concatenate(pieces).tolist() == scalar
 
         cvs = mc._size_critical_values(test, dgp)
-        blocked = mc._run_replications("size", (test, dgp, cvs), 5, 100, 1)
+        config = {"reps": 100, "base_seed": 5}
+        blocked = mc._run_replications("size", dgp, (test, dgp, cvs), config, 1)
         assert blocked == [_size_outcome(test, dgp, 5, r) for r in range(100)]
 
     def test_failing_block_raises_the_scalar_error(self, monkeypatch):
-        # In the second block, replication 33 is rank deficient in stage one
-        # and generating replication 35 fails; one at a time, 33 fails first.
-        real = mc.generate
+        # In the first draw, replication 33 is rank deficient in stage one
+        # and drawing replication 35 fails; one at a time, 33 fails first.
+        real = mc._generate_stack
         zero_seed = mc.replication_seed(9, 33)
         bad_seed = mc.replication_seed(9, 35)
 
-        def generate(dgp):
-            if dgp.seed == bad_seed:
+        def generate_stack(dgp, seeds):
+            if bad_seed in seeds:
                 raise DataError("replication 35 cannot be drawn")
-            if dgp.seed == zero_seed:
-                return real(replace(dgp, innovation_sd=0.0))
-            return real(dgp)
+            first, second = real(dgp, seeds)
+            if zero_seed in seeds:
+                first[seeds.index(zero_seed)] = 0.0
+                second[seeds.index(zero_seed)] = 0.0
+            return first, second
 
-        monkeypatch.setattr(mc, "generate", generate)
+        monkeypatch.setattr(mc, "_generate_stack", generate_stack)
         test = mc.TestConfig(kind=mc.EG_LEVELS)
         dgp = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 60)
         with pytest.raises(RankDeficient) as scalar:
@@ -421,6 +543,11 @@ def _replication(dgp, r):
     return mc.generate(replace(dgp, seed=mc.replication_seed(5, r)))
 
 
+def _drawn(dgp, r0, r1):
+    """Replications r0..r1 - 1 as the runners draw them: two stacks."""
+    return mc._generate_stack(dgp, [mc.replication_seed(5, r) for r in range(r0, r1)])
+
+
 class TestEcmBlocksEqualScalar:
     """The ECM block functions must reproduce the public estimators bit for bit."""
 
@@ -451,7 +578,7 @@ class TestEcmBlocksEqualScalar:
             fit = estimate_ecm(y, x, spec)
             scalar.append({"coef": fit.ect_coefficient, "t": fit.ect_t_stat})
         for size in (40, 17, 1):
-            assert _in_blocks(lambda r0, r1: mc._recovery_block(dgp, spec, 5, r0, r1), size) == scalar
+            assert _in_blocks(lambda r0, r1: mc._recovery_block(spec, *_drawn(dgp, r0, r1)), size) == scalar
 
     @pytest.mark.parametrize("spec", _ECM_SPECS, ids=str)
     def test_ect_unit_root_block(self, spec):
@@ -466,11 +593,11 @@ class TestEcmBlocksEqualScalar:
             scalar.append({"rejects": {level: stat < cvs[level] for level in LEVELS}, "guard": None})
         cvs = eg_critical_values(80 - spec.ect_lag - 1 - lags, spec.include_trend)
         for size in (40, 17, 1):
-            block = lambda r0, r1: mc._ect_unit_root_block(dgp, spec, lags, cvs, 5, r0, r1)
+            block = lambda r0, r1: mc._ect_unit_root_block(spec, lags, cvs, *_drawn(dgp, r0, r1))
             assert _in_blocks(block, size) == scalar
 
             def statistics(r0, r1):
-                first, second = mc._stacked(mc._generated(dgp, 5, r0, r1))
+                first, second = _drawn(dgp, r0, r1)
                 levels, _ = _ecm_regressions(first, second, spec, MONTHLY)
                 ect = levels.resid[:, : 80 - spec.ect_lag]
                 return _adf(ect, lags, none)[0].t_stats[:, 0].tolist()
@@ -483,11 +610,11 @@ class TestEcmBlocksEqualScalar:
         slopes = [estimate_levels(*_replication(dgp, r), include_trend=trend).t_stats["x"] for r in range(_ECM_REPS)]
         scalar = [{"exceed": abs(t) > 1.96} for t in slopes]
         for size in (40, 17, 1):
-            block = lambda r0, r1: mc._spurious_block(dgp, 1.96, trend, 5, r0, r1)
+            block = lambda r0, r1: mc._spurious_block(1.96, trend, *_drawn(dgp, r0, r1))
             assert _in_blocks(block, size) == scalar
 
             def statistics(r0, r1):
-                first, second = mc._stacked(mc._generated(dgp, 5, r0, r1))
+                first, second = _drawn(dgp, r0, r1)
                 return _levels_regression(first, second, trend).t_stats[:, 0].tolist()
 
             assert _in_blocks(statistics, size) == slopes

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cointkit.critvals import SOURCE_ID, DeterministicSpec, critical_value
 from cointkit.errors import DegenerateInput, SeriesTooShort, UsageError
@@ -48,6 +50,9 @@ class TestMonteCarloBehaviour:
         assert 0.03 <= rejections / reps <= 0.07
 
 
+_WALK = monthly_series(np.cumsum(np.random.default_rng(26).standard_normal(150)))
+
+
 class TestInvariances:
     def test_affine_invariance_with_constant(self):
         rng = np.random.default_rng(23)
@@ -62,6 +67,22 @@ class TestInvariances:
         base = adf_test(x, 1, CT).statistic
         shifted = monthly_series(0.002 * x.values + 9.0)
         assert abs(adf_test(shifted, 1, CT).statistic - base) <= 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_a=st.floats(-3.0, 3.0),
+        negative=st.booleans(),
+        b=st.floats(-1e3, 1e3),
+        lags=st.integers(0, 3),
+    )
+    def test_affine_invariance_with_constant_property(self, log_a, negative, b, lags):
+        # y -> a*y + b with 1e-3 <= |a| <= 1e3 and |b| <= 1e3: the shift is
+        # absorbed by the constant and the scale cancels in the t-ratio. A
+        # large b on a small a*y costs digits (5e-11 seen), hence 1e-9 relative.
+        a = -(10.0**log_a) if negative else 10.0**log_a
+        base = adf_test(_WALK, lags, C).statistic
+        moved = adf_test(monthly_series(a * _WALK.values + b), lags, C).statistic
+        assert moved == pytest.approx(base, rel=1e-9)
 
     def test_bitwise_reproducibility(self):
         rng = np.random.default_rng(25)
