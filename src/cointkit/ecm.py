@@ -150,6 +150,15 @@ def manifest_for(spec: EcmSpec, extra_names: tuple[str, ...] = ()) -> tuple[str,
     return tuple(names)
 
 
+def _check_gap(gap: int, frequency: int) -> None:
+    """A differencing span must be the series frequency or one period."""
+    if gap != 1 and gap != frequency:
+        raise UnsupportedCombination(
+            f"seasonal_gap {gap} matches neither the series frequency ({frequency}) "
+            "nor the conventional one-period form (1)"
+        )
+
+
 def _ecm_regressions(
     y: np.ndarray,
     x: np.ndarray,
@@ -165,11 +174,7 @@ def _ecm_regressions(
     error-correction term; it is called after both sample-size checks.
     """
     gap = spec.seasonal_gap
-    if gap != 1 and gap != frequency:
-        raise UnsupportedCombination(
-            f"seasonal_gap {gap} matches neither the series frequency ({frequency}) "
-            "nor the conventional one-period form (1)"
-        )
+    _check_gap(gap, frequency)
     levels = _levels_regression(y, x, spec.include_trend)
 
     n = y.shape[-1]

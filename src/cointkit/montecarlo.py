@@ -15,6 +15,12 @@ generator per replication filling its row, and run the cointegrated-pair
 recursion one time step at a time across every row of the stack. Each
 series is bitwise equal to the one ``generate`` gives for that
 replication's seed alone, whatever the stack, block or worker split.
+
+A block of replications yields only statistics: one float per replication,
+or (ECT coefficient, t-ratio) for the recovery experiment. Each runner
+checks its settings at configuration, before any replication, then applies
+its critical values, threshold or band once, to the statistics of every
+replication.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import ClassVar
+from functools import partial
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -38,10 +45,10 @@ from cointkit.cointegration import (
     eg_critical_values,
 )
 from cointkit.critvals import LEVELS, DeterministicSpec
-from cointkit.ecm import EcmSpec, _ecm_regressions, _levels_regression
+from cointkit.ecm import EcmSpec, _check_gap, _ecm_regressions, _levels_regression
 from cointkit.errors import CointkitError, DataError, MissingGuardWarning, UsageError
 from cointkit.series import MONTHLY, TimeSeries, iterated_difference
-from cointkit.unitroot import _adf, adf_critical_values
+from cointkit.unitroot import _adf, _lag_order, adf_critical_values
 
 PRNG_ID = "numpy-pcg64/standard-normal"
 BURN_IN = 100
@@ -326,28 +333,20 @@ def _eg_spec(test: TestConfig) -> EgSpec:
     )
 
 
-def _size_critical_values(test: TestConfig, dgp: DgpSpec) -> dict[int, float]:
-    """The critical values every replication of a size experiment compares against.
-
-    They depend on the effective sample size alone, which the configuration fixes.
-    """
-    n_obs = dgp.n - 1 if test.kind == EG_DIFFERENCES else dgp.n
-    n_eff = n_obs - 1 - test.lags
-    if test.kind == ADF:
-        return adf_critical_values(n_eff, test.det)
-    return eg_critical_values(n_eff, test.trend)
-
-
-# Each block function gives the outcomes of the replications whose series
+# Each block function gives the statistics of the replications whose series
 # are the rows of ``first`` and ``second``, solved as one stack, bitwise equal
 # to running the public estimator on each replication alone. Run on a stack
-# of one, it is that scalar path.
+# of one, it is that scalar path. The runners bind a block's settings with
+# ``functools.partial`` and apply critical values and thresholds once, to the
+# statistics of every replication.
+_Block = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _size_block(
-    test: TestConfig, dgp: DgpSpec, cvs: dict[int, float], first: np.ndarray, second: np.ndarray
-) -> list[dict]:
-    pairs = None
+    test: TestConfig, spec: EgSpec | None, dgp: DgpSpec, first: np.ndarray, second: np.ndarray
+) -> np.ndarray:
+    """The test statistic of each replication; on eg-differences every one must trip the guard."""
+    pairs = []
     if test.kind == EG_DIFFERENCES:
         # As series, so the guard sees each replication's differencing lineage.
         name_a, name_b = _SERIES_NAMES[dgp.kind]
@@ -360,93 +359,68 @@ def _size_block(
     if test.kind == ADF:
         solution, _ = _adf(first, test.lags, test.det)
     else:
-        _, solution, _ = _eg_regressions(first, second, _eg_spec(test))
-
-    outcomes = []
-    for i, stat in enumerate(solution.t_stats[:, 0].tolist()):
-        guard_fired = None
-        if pairs is not None:
-            guard_fired = differencing_warning(*pairs[i]) is not None
-            if not guard_fired:
-                raise MissingGuardWarning(i)  # _outcome_chunk sets the replication's index
-        rejects = {level: stat < cvs[level] for level in LEVELS}
-        outcomes.append({"rejects": rejects, "guard": guard_fired})
-    return outcomes
+        _, solution, _ = _eg_regressions(first, second, spec)
+    for i, pair in enumerate(pairs):
+        if differencing_warning(*pair) is None:
+            raise MissingGuardWarning(i)  # _outcome_chunk sets the replication's index
+    return solution.t_stats[:, 0]
 
 
-def _spurious_block(
-    threshold: float, trend: bool, first: np.ndarray, second: np.ndarray
-) -> list[dict]:
-    """``estimate_levels`` of the first walk on the second: is |t| of the slope above ``threshold``?"""
-    slope_t = _levels_regression(first, second, trend).t_stats[:, 0]
-    return [{"exceed": abs(t) > threshold} for t in slope_t.tolist()]
+def _spurious_block(trend: bool, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``estimate_levels`` of the first walk on the second: the slope's t-ratio."""
+    return _levels_regression(first, second, trend).t_stats[:, 0]
 
 
 def _ect_unit_root_block(
-    spec: EcmSpec, lags: int, cvs: dict[int, float], first: np.ndarray, second: np.ndarray
-) -> list[dict]:
-    """``estimate_ecm`` of the first walk on the second, then the ADF of its ECT series."""
+    spec: EcmSpec, lags: int, first: np.ndarray, second: np.ndarray
+) -> np.ndarray:
+    """``estimate_ecm`` of the first walk on the second, then the ADF statistic of its ECT series."""
     levels, _ = _ecm_regressions(first, second, spec, MONTHLY)
     ect = levels.resid[:, : first.shape[1] - spec.ect_lag]
     solution, _ = _adf(ect, lags, DeterministicSpec.none())
-    return [
-        {"rejects": {level: stat < cvs[level] for level in LEVELS}, "guard": None}
-        for stat in solution.t_stats[:, 0].tolist()
-    ]
+    return solution.t_stats[:, 0]
 
 
-def _recovery_block(spec: EcmSpec, x: np.ndarray, y: np.ndarray) -> list[dict]:
-    """``estimate_ecm`` of y on x: the ECT coefficient and its t-ratio."""
+def _recovery_block(spec: EcmSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``estimate_ecm`` of y on x: (ECT coefficient, its t-ratio) per replication."""
     _, ardl = _ecm_regressions(y, x, spec, MONTHLY)
     col = ardl.names.index(f"ect_l{spec.ect_lag}")
-    return [
-        {"coef": coef, "t": t}
-        for coef, t in zip(ardl.beta[:, col].tolist(), ardl.t_stats[:, col].tolist())
-    ]
+    return np.stack([ardl.beta[:, col], ardl.t_stats[:, col]], axis=-1)
 
 
-_BLOCK_FNS = {
-    "size": _size_block,
-    "spurious": _spurious_block,
-    "ect_unit_root": _ect_unit_root_block,
-    "recovery": _recovery_block,
-}
-
-
-def _outcome_chunk(
-    fn_name: str, dgp: DgpSpec, params: tuple, base_seed: int, r0: int, r1: int
-) -> list[dict]:
-    """The outcomes of replications ``r0``..``r1 - 1``, drawn ``GENERATE_SIZE``
-    and solved ``BLOCK_SIZE`` at a time."""
-    fn = _BLOCK_FNS[fn_name]
-    outcomes: list[dict] = []
+def _outcome_chunk(block: _Block, dgp: DgpSpec, base_seed: int, r0: int, r1: int) -> np.ndarray:
+    """``block``'s statistics of replications ``r0``..``r1 - 1``, drawn
+    ``GENERATE_SIZE`` and solved ``BLOCK_SIZE`` at a time."""
+    pieces: list[np.ndarray] = []
     for d0 in range(r0, r1, GENERATE_SIZE):
         seeds = [replication_seed(base_seed, r) for r in range(d0, min(d0 + GENERATE_SIZE, r1))]
         try:
             first, second = _generate_stack(dgp, seeds)
-            drawn = []
-            for b0 in range(0, len(seeds), BLOCK_SIZE):
-                b1 = b0 + BLOCK_SIZE
-                drawn.extend(fn(*params, first[b0:b1], second[b0:b1]))
+            drawn = [
+                block(first[b0 : b0 + BLOCK_SIZE], second[b0 : b0 + BLOCK_SIZE])
+                for b0 in range(0, len(seeds), BLOCK_SIZE)
+            ]
         except CointkitError:
             # One replication at a time, the error raised is the one, from the
             # first failing replication, that the scalar path raises.
             drawn = []
             for r, seed in enumerate(seeds, start=d0):
                 try:
-                    drawn.extend(fn(*params, *_generate_stack(dgp, [seed])))
+                    drawn.append(block(*_generate_stack(dgp, [seed])))
                 except CointkitError as exc:
                     exc.replication = r
                     exc.seed = seed
                     raise
-        outcomes.extend(drawn)
-    return outcomes
+        pieces.extend(drawn)
+    return np.concatenate(pieces)
 
 
-def _run_replications(
-    fn_name: str, dgp: DgpSpec, params: tuple, config: dict, workers: int
-) -> list[dict]:
-    """The outcomes of the ``config["reps"]`` replications of ``config["base_seed"]``."""
+def _run_replications(block: _Block, dgp: DgpSpec, config: dict, workers: int) -> np.ndarray:
+    """``block``'s statistics of the ``config["reps"]`` replications of ``config["base_seed"]``.
+
+    ``block`` is pickled into each worker process: a ``functools.partial``
+    over a module-level function.
+    """
     reps, base_seed = config["reps"], config["base_seed"]
     if reps < MIN_REPLICATIONS:
         raise UsageError(f"replications must be >= {MIN_REPLICATIONS}, got {reps}")
@@ -454,28 +428,23 @@ def _run_replications(
     if not 1 <= workers <= max_workers:
         raise UsageError(f"workers must be in 1..{max_workers} (the CPU count), got {workers}")
     if workers == 1:
-        return _outcome_chunk(fn_name, dgp, params, base_seed, 0, reps)
+        return _outcome_chunk(block, dgp, base_seed, 0, reps)
     # Whole kernel blocks per worker, split as evenly as the block count allows.
     n_blocks = -(-reps // BLOCK_SIZE)
     bounds = [min(n_blocks * w // workers * BLOCK_SIZE, reps) for w in range(workers + 1)]
     chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        futures = [
-            pool.submit(_outcome_chunk, fn_name, dgp, params, base_seed, lo, hi)
-            for lo, hi in chunks
-        ]
-        outcomes: list[dict] = []
-        for fut in futures:  # chunk order preserved: counts and medians are worker-invariant
-            outcomes.extend(fut.result())
-    return outcomes
+        futures = [pool.submit(_outcome_chunk, block, dgp, base_seed, lo, hi) for lo, hi in chunks]
+        # Chunk order preserved: counts and medians are worker-invariant.
+        return np.concatenate([fut.result() for fut in futures])
 
 
 def _rejection_result(
-    outcomes: list[dict], config: dict, digest: str, with_guard: bool = False
+    stats: np.ndarray, cvs: dict[int, float], config: dict, digest: str, guard_count: int | None = None
 ) -> ExperimentResult:
-    reps = len(outcomes)
-    rejections = {level: sum(1 for o in outcomes if o["rejects"][level]) for level in LEVELS}
-    guard_count = sum(1 for o in outcomes if o.get("guard")) if with_guard else None
+    """Rejections of each statistic below its level's critical value."""
+    reps = len(stats)
+    rejections = {level: int(np.count_nonzero(stats < cvs[level])) for level in LEVELS}
     return ExperimentResult(
         experiment=config["experiment"],
         replications=reps,
@@ -487,6 +456,24 @@ def _rejection_result(
         config_digest=digest,
         guard_warning_count=guard_count,
     )
+
+
+def _size_result(
+    test: TestConfig, dgp: DgpSpec, config: dict, digest: str, workers: int
+) -> ExperimentResult:
+    """Rejections of ``test`` under ``dgp``; the guard fires on every eg-differences replication.
+
+    The critical values depend on the effective sample size alone, which the configuration fixes.
+    """
+    n_obs = dgp.n - 1 if test.kind == EG_DIFFERENCES else dgp.n
+    n_eff = n_obs - 1 - test.lags
+    if test.kind == ADF:
+        spec, cvs = None, adf_critical_values(n_eff, test.det)
+    else:
+        spec, cvs = _eg_spec(test), eg_critical_values(n_eff, test.trend)
+    stats = _run_replications(partial(_size_block, test, spec, dgp), dgp, config, workers)
+    guard_count = len(stats) if test.kind == EG_DIFFERENCES else 0
+    return _rejection_result(stats, cvs, config, digest, guard_count)
 
 
 def run_size_experiment(
@@ -509,10 +496,7 @@ def run_size_experiment(
         levels=list(LEVELS),
         base_seed=base_seed,
     )
-    outcomes = _run_replications(
-        "size", dgp, (test, dgp, _size_critical_values(test, dgp)), config, workers
-    )
-    return _rejection_result(outcomes, config, digest, with_guard=True)
+    return _size_result(test, dgp, config, digest, workers)
 
 
 def run_false_positive_experiment(
@@ -545,13 +529,7 @@ def run_false_positive_experiment(
         levels=list(LEVELS),
         base_seed=base_seed,
     )
-    outcomes = _run_replications(
-        "size", dgp, (test, dgp, _size_critical_values(test, dgp)), config, workers
-    )
-    result = _rejection_result(outcomes, config, digest, with_guard=True)
-    if result.guard_warning_count != result.replications:
-        raise MissingGuardWarning(-1)
-    return result
+    return _size_result(test, dgp, config, digest, workers)
 
 
 @dataclass(frozen=True)
@@ -593,15 +571,13 @@ def run_spurious_regression_experiment(
         base_seed=base_seed,
     )
     dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
-    outcomes = _run_replications(
-        "spurious", dgp, (threshold, bool(include_trend)), config, workers
-    )
-    count = sum(1 for o in outcomes if o["exceed"])
+    slope_t = _run_replications(partial(_spurious_block, bool(include_trend)), dgp, config, workers)
+    count = int(np.count_nonzero(np.abs(slope_t) > threshold))
     return SpuriousSlopeResult(
-        replications=len(outcomes),
+        replications=len(slope_t),
         exceed_count=count,
-        exceed_rate=count / len(outcomes),
-        wilson_interval_95=wilson_interval(count, len(outcomes)),
+        exceed_rate=count / len(slope_t),
+        wilson_interval_95=wilson_interval(count, len(slope_t)),
         threshold=threshold,
         seed=config["base_seed"],
         config=config,
@@ -629,12 +605,14 @@ def run_ect_unit_root_experiment(
     near the nominal level.
     """
     spec = ecm_spec or EcmSpec(seasonal_gap=MONTHLY)
+    _check_gap(spec.seasonal_gap, MONTHLY)
+    lags = _lag_order(lags)
     config, digest = _config(
         "ect_unit_root",
         n=int(n),
         innovation_sd=innovation_sd,
         ecm_spec=spec.to_json_dict(),
-        adf_lags=int(lags),
+        adf_lags=lags,
         cv_variables=2,
         reps=int(reps),
         levels=list(LEVELS),
@@ -642,9 +620,9 @@ def run_ect_unit_root_experiment(
     )
     dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
     # The ECT series has n - ect_lag observations; its ADF loses 1 + lags more.
-    cvs = eg_critical_values(dgp.n - spec.ect_lag - 1 - int(lags), spec.include_trend)
-    outcomes = _run_replications("ect_unit_root", dgp, (spec, int(lags), cvs), config, workers)
-    return _rejection_result(outcomes, config, digest)
+    cvs = eg_critical_values(dgp.n - spec.ect_lag - 1 - lags, spec.include_trend)
+    stats = _run_replications(partial(_ect_unit_root_block, spec, lags), dgp, config, workers)
+    return _rejection_result(stats, cvs, config, digest)
 
 
 @dataclass(frozen=True)
@@ -694,6 +672,7 @@ def run_ect_recovery_experiment(
         raise UsageError(f"band must be two finite bounds with lo < hi, got {tuple(band)}")
     lo, hi = band
     spec = ecm_spec or EcmSpec(seasonal_gap=1)
+    _check_gap(spec.seasonal_gap, MONTHLY)
     config, digest = _config(
         "ect_recovery",
         n=int(n),
@@ -707,22 +686,21 @@ def run_ect_recovery_experiment(
         base_seed=base_seed,
     )
     dgp = DgpSpec(COINTEGRATED_PAIR, int(n), innovation_sd, beta=beta, adjust=adjust)
-    outcomes = _run_replications("recovery", dgp, (spec,), config, workers)
-    in_band = sum(1 for o in outcomes if lo < o["coef"] < hi)
-    t_ok = sum(1 for o in outcomes if o["t"] < t_threshold)
-    joint = sum(1 for o in outcomes if lo < o["coef"] < hi and o["t"] < t_threshold)
-    reps_done = len(outcomes)
+    coef, t = _run_replications(partial(_recovery_block, spec), dgp, config, workers).T
+    in_band = (lo < coef) & (coef < hi)
+    t_ok = t < t_threshold
+    joint = int(np.count_nonzero(in_band & t_ok))
     return EctRecoveryResult(
-        replications=reps_done,
+        replications=len(coef),
         band=(float(lo), float(hi)),
         t_threshold=float(t_threshold),
-        in_band_count=in_band,
-        t_ok_count=t_ok,
+        in_band_count=int(np.count_nonzero(in_band)),
+        t_ok_count=int(np.count_nonzero(t_ok)),
         joint_count=joint,
-        joint_rate=joint / reps_done,
-        wilson_interval_95=wilson_interval(joint, reps_done),
-        median_coefficient=float(np.median([o["coef"] for o in outcomes])),
-        median_t_stat=float(np.median([o["t"] for o in outcomes])),
+        joint_rate=joint / len(coef),
+        wilson_interval_95=wilson_interval(joint, len(coef)),
+        median_coefficient=float(np.median(coef)),
+        median_t_stat=float(np.median(t)),
         seed=config["base_seed"],
         config=config,
         config_digest=digest,

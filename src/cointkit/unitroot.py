@@ -60,15 +60,21 @@ def _degenerate(values: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
     return np.abs(dx_resid).max(axis=-1, initial=0.0) <= 1e-12 * scale
 
 
+def _lag_order(lags) -> int:
+    """``lags`` as an int, which must be >= 0."""
+    lags = int(lags)
+    if lags < 0:
+        raise UsageError(f"lags must be >= 0, got {lags}")
+    return lags
+
+
 def _adf(x: np.ndarray, lags: int, det: DeterministicSpec) -> tuple[_Solution, int]:
     """The ADF regression of each row of ``x`` (..., m), and the effective sample size.
 
     The statistic is ``t_stats[..., 0]``, the t-ratio on the lagged level.
     On a stack every check covers every row, and the first failure raises.
     """
-    lags = int(lags)
-    if lags < 0:
-        raise UsageError(f"lags must be >= 0, got {lags}")
+    lags = _lag_order(lags)
     m = x.shape[-1]
     n_eff = m - 1 - lags
     if n_eff < MIN_EFFECTIVE_SAMPLE:

@@ -95,6 +95,40 @@ def test_levels_test_nominal_size():
         assert elapsed <= 30.0
 
 
+# Engle-Granger on levels of independent random walks: series length,
+# augmentation lags, trend in stage one. MacKinnon's surfaces are fitted to
+# the unaugmented statistic, so the 12-lag cells are expected to be undersized.
+SIZE_CELLS = [(n, lags, trend) for n in (281, 91) for lags, trend in ((0, False), (12, False), (12, True))]
+
+
+def test_finite_sample_size_by_lag_order():
+    with gate("finite-sample-size") as detail:
+        start = time.perf_counter()
+        results = {
+            (n, lags, trend): mc.run_size_experiment(
+                mc.TestConfig(kind=mc.EG_LEVELS, lags=lags, trend=trend),
+                mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, n),
+                reps=5000,
+                base_seed=11,
+            )
+            for n, lags, trend in SIZE_CELLS
+        }
+        elapsed = time.perf_counter() - start
+        detail["note"] = "(" + "; ".join(
+            f"n={n} lags={lags}{' trend' if trend else ''}: "
+            + "/".join(f"{result.rejection_rate[level]:.3f}" for level in LEVELS)
+            for (n, lags, trend), result in results.items()
+        ) + f"; {elapsed:.1f}s)"
+        for (n, lags, trend), result in results.items():
+            for level in LEVELS:
+                lo, hi = result.wilson_interval_95[level]
+                if lags == 0:
+                    assert lo <= level / 100 <= hi, (n, lags, trend, level)
+                elif level in (5, 10):
+                    assert hi < level / 100, (n, lags, trend, level)
+        assert elapsed <= 30.0
+
+
 # Reference statistics for the replication dataset, keyed by
 # (transform, normalized_on, lags, trend); input = encounters,
 # input2 = openings, so "first" normalizes on encounters.

@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,11 +16,10 @@ from cointkit.cointegration import (
     WARN_DIFFERENCED,
     EgSpec,
     _eg_regressions,
-    eg_critical_values,
     engle_granger_test,
 )
 from cointkit.critvals import LEVELS, DeterministicSpec
-from cointkit.ecm import EcmSpec, _ecm_regressions, _levels_regression, estimate_ecm, estimate_levels
+from cointkit.ecm import EcmSpec, _ecm_regressions, estimate_ecm, estimate_levels
 from cointkit.errors import DataError, MissingGuardWarning, RankDeficient, UsageError
 from cointkit.series import MONTHLY, iterated_difference
 from cointkit.unitroot import _adf, adf_regression, adf_test
@@ -348,6 +349,17 @@ class TestResultShapes:
         assert len(rows) == 4
         assert [r[0] for r in rows[1:]] == ["1", "5", "10"]
 
+    def test_counts_are_python_ints(self):
+        size, fp, spurious, ect, recovery = (
+            _RUNNERS[name](base_seed=0)
+            for name in ("size", "false_positive", "spurious", "ect_unit_root", "ect_recovery")
+        )
+        counts = [size.guard_warning_count, fp.guard_warning_count]
+        counts += [c for r in (size, fp, ect) for c in (r.replications, *r.rejections.values())]
+        counts += [spurious.replications, spurious.exceed_count, recovery.replications]
+        counts += [recovery.in_band_count, recovery.t_ok_count, recovery.joint_count]
+        assert [type(c) for c in counts] == [int] * len(counts)
+
 
 def _two_cpus_and_no_pool(monkeypatch):
     def refuse(*args, **kwargs):
@@ -401,6 +413,42 @@ class TestRunnerValidation:
             _RUNNERS["ect_recovery"](base_seed=0, t_threshold=math.nan)
 
     @pytest.mark.parametrize(
+        "run, message",
+        [
+            (
+                lambda: mc.run_size_experiment(
+                    mc.TestConfig(kind=mc.EG_LEVELS, lags=25),
+                    mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 60),
+                    reps=100,
+                    base_seed=0,
+                ),
+                "^lags must be in 0..24, got 25$",
+            ),
+            (lambda: _RUNNERS["ect_unit_root"](base_seed=0, lags=-1), "^lags must be >= 0, got -1$"),
+            (
+                lambda: _RUNNERS["ect_unit_root"](base_seed=0, ecm_spec=EcmSpec(seasonal_gap=4)),
+                "^seasonal_gap 4 matches neither",
+            ),
+            (
+                lambda: _RUNNERS["ect_recovery"](base_seed=0, ecm_spec=EcmSpec(seasonal_gap=4)),
+                "^seasonal_gap 4 matches neither",
+            ),
+        ],
+        ids=["size-lags-25", "ect-unit-root-lags-minus-1", "ect-unit-root-gap-4", "ect-recovery-gap-4"],
+    )
+    def test_setting_fails_with_no_replication_context(self, no_replications, run, message):
+        with pytest.raises(UsageError, match=message) as caught:
+            run()
+        assert not hasattr(caught.value, "replication")
+
+    def test_cli_configuration_error_names_no_replication(self, no_replications, capsys):
+        assert main(["mc-size", "--n", "60", "--reps", "100", "--lags", "25"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cointkit-error: ") and err.count("\n") == 1
+        record = json.loads(err[len("cointkit-error: ") :])
+        assert record == {"error": "UsageError", "message": "lags must be in 0..24, got 25"}
+
+    @pytest.mark.parametrize(
         "band",
         [(0.1, -0.5), (-0.2, -0.2), (math.nan, -0.15), (-0.45, math.inf), (-0.45, -0.3, -0.15)],
         ids=str,
@@ -428,21 +476,16 @@ class TestWorkerBound:
 
 
 def _size_outcome(test, dgp, base_seed, r):
-    """One size replication through the public tests: the scalar reference."""
+    """One size replication's report through the public tests: the scalar reference."""
     a, b = mc.generate(replace(dgp, seed=mc.replication_seed(base_seed, r)))
-    guard_fired = None
     if test.kind == mc.EG_DIFFERENCES:
         a, b = iterated_difference(a, 1), iterated_difference(b, 1)
-    if test.kind in (mc.EG_LEVELS, mc.EG_DIFFERENCES):
-        report = engle_granger_test(a, b, mc._eg_spec(test))
-        if test.kind == mc.EG_DIFFERENCES:
-            guard_fired = any(w.code == WARN_DIFFERENCED for w in report.warnings)
-            if not guard_fired:
-                raise MissingGuardWarning(r)
-        rejects = dict(report.reject_at)
-    else:
-        rejects = dict(adf_test(a, test.lags, test.det).reject_at)
-    return {"rejects": rejects, "guard": guard_fired}
+    if test.kind == mc.ADF:
+        return adf_test(a, test.lags, test.det)
+    report = engle_granger_test(a, b, mc._eg_spec(test))
+    if test.kind == mc.EG_DIFFERENCES and not any(w.code == WARN_DIFFERENCED for w in report.warnings):
+        raise MissingGuardWarning(r)
+    return report
 
 
 def _pairs(test, dgp, base_seed, reps):
@@ -488,10 +531,15 @@ class TestStackedEqualsScalar:
             pieces = [stacked(pairs[i : i + size]) for i in range(0, len(pairs), size)]
             assert np.concatenate(pieces).tolist() == scalar
 
-        cvs = mc._size_critical_values(test, dgp)
-        config = {"reps": 100, "base_seed": 5}
-        blocked = mc._run_replications("size", dgp, (test, dgp, cvs), config, 1)
-        assert blocked == [_size_outcome(test, dgp, 5, r) for r in range(100)]
+        reports = [_size_outcome(test, dgp, 5, r) for r in range(100)]
+        spec = None if kind == mc.ADF else mc._eg_spec(test)
+        block = partial(mc._size_block, test, spec, dgp)
+        blocked = mc._run_replications(block, dgp, {"reps": 100, "base_seed": 5}, 1)
+        assert blocked.tolist() == [report.statistic for report in reports]
+        result = mc.run_size_experiment(test, dgp, reps=100, base_seed=5)
+        assert result.rejections == {
+            level: sum(report.reject_at[level] for report in reports) for level in LEVELS
+        }
 
     def test_failing_block_raises_the_scalar_error(self, monkeypatch):
         # In the first draw, replication 33 is rank deficient in stage one
@@ -532,7 +580,7 @@ _ECM_REPS = 40
 
 
 def _in_blocks(block, size):
-    """Outcomes of replications 0.._ECM_REPS - 1, solved ``size`` at a time."""
+    """Statistics of replications 0.._ECM_REPS - 1, solved ``size`` at a time."""
     outcomes = []
     for r0 in range(0, _ECM_REPS, size):
         outcomes.extend(block(r0, min(r0 + size, _ECM_REPS)))
@@ -576,48 +624,33 @@ class TestEcmBlocksEqualScalar:
         for r in range(_ECM_REPS):
             x, y = _replication(dgp, r)
             fit = estimate_ecm(y, x, spec)
-            scalar.append({"coef": fit.ect_coefficient, "t": fit.ect_t_stat})
+            scalar.append([fit.ect_coefficient, fit.ect_t_stat])
         for size in (40, 17, 1):
-            assert _in_blocks(lambda r0, r1: mc._recovery_block(spec, *_drawn(dgp, r0, r1)), size) == scalar
+            block = lambda r0, r1: mc._recovery_block(spec, *_drawn(dgp, r0, r1)).tolist()
+            assert _in_blocks(block, size) == scalar
 
     @pytest.mark.parametrize("spec", _ECM_SPECS, ids=str)
     def test_ect_unit_root_block(self, spec):
         dgp = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 80)
         lags, none = 1, DeterministicSpec.none()
-        stats, scalar = [], []
+        stats = []
         for r in range(_ECM_REPS):
             a, b = _replication(dgp, r)
             stat, n_eff, _ = adf_regression(estimate_ecm(a, b, spec).ect_series.values, lags, none)
-            cvs = eg_critical_values(n_eff, spec.include_trend)
+            # The runner's critical values are for this effective sample.
+            assert n_eff == 80 - spec.ect_lag - 1 - lags
             stats.append(stat)
-            scalar.append({"rejects": {level: stat < cvs[level] for level in LEVELS}, "guard": None})
-        cvs = eg_critical_values(80 - spec.ect_lag - 1 - lags, spec.include_trend)
         for size in (40, 17, 1):
-            block = lambda r0, r1: mc._ect_unit_root_block(spec, lags, cvs, *_drawn(dgp, r0, r1))
-            assert _in_blocks(block, size) == scalar
-
-            def statistics(r0, r1):
-                first, second = _drawn(dgp, r0, r1)
-                levels, _ = _ecm_regressions(first, second, spec, MONTHLY)
-                ect = levels.resid[:, : 80 - spec.ect_lag]
-                return _adf(ect, lags, none)[0].t_stats[:, 0].tolist()
-
-            assert _in_blocks(statistics, size) == stats
+            block = lambda r0, r1: mc._ect_unit_root_block(spec, lags, *_drawn(dgp, r0, r1)).tolist()
+            assert _in_blocks(block, size) == stats
 
     @pytest.mark.parametrize("trend", [False, True])
     def test_spurious_block(self, trend):
         dgp = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 80)
         slopes = [estimate_levels(*_replication(dgp, r), include_trend=trend).t_stats["x"] for r in range(_ECM_REPS)]
-        scalar = [{"exceed": abs(t) > 1.96} for t in slopes]
         for size in (40, 17, 1):
-            block = lambda r0, r1: mc._spurious_block(1.96, trend, *_drawn(dgp, r0, r1))
-            assert _in_blocks(block, size) == scalar
-
-            def statistics(r0, r1):
-                first, second = _drawn(dgp, r0, r1)
-                return _levels_regression(first, second, trend).t_stats[:, 0].tolist()
-
-            assert _in_blocks(statistics, size) == slopes
+            block = lambda r0, r1: mc._spurious_block(trend, *_drawn(dgp, r0, r1)).tolist()
+            assert _in_blocks(block, size) == slopes
 
 
 class TestReplicationContext:
