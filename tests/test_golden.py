@@ -59,6 +59,18 @@ CLI_CASES = {
     ],
 }
 
+# The size cells of README "Finite-sample size and power": eg-levels on
+# independent random walks, argv exactly as the README prints it.
+SIZE_CELLS = {
+    f"mc_size_n{n}_lags{lags}{'_trend' if trend == 'true' else ''}": [
+        "mc-size", "--test", "eg-levels", "--dgp", "independent-random-walks", "--n", str(n),
+        "--lags", str(lags), "--trend", trend, "--reps", "5000", "--seed", "11",
+    ]
+    for n in (281, 91)
+    for lags, trend in ((0, "false"), (12, "false"), (12, "true"))
+}
+CLI_CASES.update(SIZE_CELLS)
+
 ERROR_CASES = {
     "error_usage": [
         "eg", "--input", "{in}/walk_a.csv", "--input2", "{in}/walk_b.csv", "--lags", "-1",
