@@ -561,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with open(args.config, "r", encoding="utf-8") as fh:
                     file_text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file: {exc}") from None
         config = resolve_config(args.command, cli_values, file_text)
         report, rows, human = _HANDLERS[args.command](config)

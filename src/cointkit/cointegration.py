@@ -20,11 +20,11 @@ import numpy as np
 
 from cointkit.critvals import LEVELS, MIN_N, SOURCE_ID, DeterministicSpec, critical_values_map
 from cointkit.ecm import _levels_regression
-from cointkit.errors import CointkitError, SeriesTooShort, UsageError
+from cointkit.errors import CointkitError, UsageError
 from cointkit.formats import fmt12s, significance_stars
 from cointkit.regression import OlsFit, _as_fit, _Solution
 from cointkit.series import TimeSeries, align, has_differencing, lineage_summary, log_transform
-from cointkit.unitroot import _adf
+from cointkit.unitroot import _adf, _adf_sample
 
 LOGARITHMS = "logarithms"
 UNTRANSFORMED = "untransformed"
@@ -208,15 +208,10 @@ def _eg_regressions(
     the no-deterministics ADF on the residuals. Returns the stage-one and
     stage-two solutions and the effective sample size; the statistic is
     the stage-two ``t_stats[..., 0]``. ``spec.transform`` and
-    ``spec.normalize_on`` have already been applied by the caller.
+    ``spec.normalize_on`` have already been applied by the caller. The
+    residuals are as long as the levels, so the ADF sample is checked first.
     """
-    n = dep.shape[-1]
-    n_effective = n - 1 - spec.lags
-    if n_effective < 10:
-        raise SeriesTooShort(
-            f"effective sample {n_effective} with {spec.lags} lags; need >= 10"
-        )
-
+    _adf_sample(dep.shape[-1], spec.lags)
     stage_one = _levels_regression(dep, other, spec.trend_in_stage_one)
     stage_two, n_eff = _adf(stage_one.resid, spec.lags, DeterministicSpec.none())
     return stage_one, stage_two, n_eff

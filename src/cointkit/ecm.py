@@ -17,7 +17,7 @@ caveat when a companion cointegration test cannot reject.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -150,13 +150,24 @@ def manifest_for(spec: EcmSpec, extra_names: tuple[str, ...] = ()) -> tuple[str,
     return tuple(names)
 
 
-def _check_gap(gap: int, frequency: int) -> None:
-    """A differencing span must be the series frequency or one period."""
+def _ardl_rows(n: int, spec: EcmSpec, frequency: int) -> np.ndarray:
+    """The ARDL sample rule: the positions, in a pair of ``n`` aligned levels,
+    that the ARDL stage regresses, which must number >= 10.
+
+    The differencing span must be the series frequency or one period.
+    """
+    gap = spec.seasonal_gap
     if gap != 1 and gap != frequency:
         raise UnsupportedCombination(
             f"seasonal_gap {gap} matches neither the series frequency ({frequency}) "
             "nor the conventional one-period form (1)"
         )
+    rows = np.arange(max(gap + spec.ardl_control_lags, spec.ect_lag), n)
+    if rows.size < 10:
+        raise SeriesTooShort(
+            f"ARDL stage has {rows.size} effective observations after trimming; need >= 10"
+        )
+    return rows
 
 
 def _ecm_regressions(
@@ -164,26 +175,21 @@ def _ecm_regressions(
     x: np.ndarray,
     spec: EcmSpec,
     frequency: int,
-    extra_columns: Callable[[np.ndarray], list[tuple[str, np.ndarray]]] | None = None,
+    extras: Sequence[tuple[str, np.ndarray]] = (),
 ) -> tuple[_Solution, _Solution]:
     """Both error-correction stages on each row of (..., n) stacks of aligned levels.
 
-    Returns the levels solution, whose residuals are the error-correction
-    term, and the ARDL solution. ``extra_columns`` maps the ARDL sample rows
-    (positions in the input) to more named regressors, placed after the
-    error-correction term; it is called after both sample-size checks.
+    The sample is checked by :func:`_ardl_rows` before the levels regression,
+    so a runner can check its setting once, before any replication. Returns
+    the levels solution, whose residuals are the error-correction term, and
+    the ARDL solution. ``extras`` are more named regressors, each given on
+    the ``_ardl_rows`` positions, placed after the error-correction term.
     """
-    gap = spec.seasonal_gap
-    _check_gap(gap, frequency)
-    levels = _levels_regression(y, x, spec.include_trend)
-
     n = y.shape[-1]
-    t0 = max(gap + spec.ardl_control_lags, spec.ect_lag)
-    rows = np.arange(t0, n)
-    if rows.size < 10:
-        raise SeriesTooShort(
-            f"ARDL stage has {rows.size} effective observations after trimming; need >= 10"
-        )
+    gap = spec.seasonal_gap
+    rows = _ardl_rows(n, spec, frequency)
+    t0 = int(rows[0])
+    levels = _levels_regression(y, x, spec.include_trend)
 
     sy = y[..., gap:] - y[..., :-gap]
     sx = x[..., gap:] - x[..., :-gap]
@@ -193,7 +199,6 @@ def _ecm_regressions(
         # change ending at period i + gap, so its lag j sits at offset j + gap.
         return values[..., t0 - offset : n - offset]
 
-    extras = extra_columns(rows) if extra_columns else []
     columns = [back(sx, gap)]  # in the order of manifest_for
     for j in range(1, spec.ardl_control_lags + 1):
         columns += [back(sy, j + gap), back(sx, j + gap)]
@@ -225,33 +230,28 @@ def estimate_ecm(
     estimation the Monte Carlo runners use.
 
     ``extra_controls`` maps column names to series of the same frequency
-    covering the regression sample.
+    covering the regression sample. The differencing span, the ARDL sample
+    size and the extra controls are checked before either regression runs.
     """
     y_al, x_al = align(y, x)
-    extras = dict(extra_controls or {})
+    rows = _ardl_rows(len(y_al), spec, y_al.frequency)
+    controls = dict(extra_controls or {})
+    builtin = set(manifest_for(spec))
+    for name in controls:
+        if name in builtin:
+            raise UsageError(f"extra control name {name!r} collides with a built-in regressor")
+    extras = []
+    for name, series in controls.items():
+        if series.frequency != y_al.frequency:
+            raise UnsupportedCombination(
+                f"extra control {name!r} has frequency {series.frequency}, need {y_al.frequency}"
+            )
+        offsets = y_al.start_index + rows - series.start_index
+        if offsets.min() < 0 or offsets.max() >= len(series):
+            raise SeriesTooShort(f"extra control {name!r} does not cover the regression sample")
+        extras.append((name, series.values[offsets]))
 
-    def extra_columns(rows: np.ndarray) -> list[tuple[str, np.ndarray]]:
-        builtin = set(manifest_for(spec))
-        for name in extras:
-            if name in builtin:
-                raise UsageError(f"extra control name {name!r} collides with a built-in regressor")
-        columns = []
-        for name, series in extras.items():
-            if series.frequency != y_al.frequency:
-                raise UnsupportedCombination(
-                    f"extra control {name!r} has frequency {series.frequency}, need {y_al.frequency}"
-                )
-            offsets = y_al.start_index + rows - series.start_index
-            if offsets.min() < 0 or offsets.max() >= len(series):
-                raise SeriesTooShort(
-                    f"extra control {name!r} does not cover the regression sample"
-                )
-            columns.append((name, series.values[offsets]))
-        return columns
-
-    levels, ardl = _ecm_regressions(
-        y_al.values, x_al.values, spec, y_al.frequency, extra_columns
-    )
+    levels, ardl = _ecm_regressions(y_al.values, x_al.values, spec, y_al.frequency, extras)
     ect_series = TimeSeries(
         start=y_al.shifted_start(spec.ect_lag),
         frequency=y_al.frequency,

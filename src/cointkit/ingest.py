@@ -53,51 +53,54 @@ def ingest_csv(path: str) -> TimeSeries:
         Rows that skip, repeat, or reverse a period.
     EmptyFile
         A file with no data rows.
+    DataError
+        A file that cannot be opened or is not valid UTF-8.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ParseError(reader.line_num, str(exc)) from None
+    if not rows:
+        raise EmptyFile(path)
+    header, *records = rows
+    if [h.strip().lower() for h in header] != ["date", "value"]:
+        raise ParseError(1, f"header must be 'date,value', got {','.join(header)!r}")
+
+    frequency: int | None = None
+    start: tuple[int, int] | None = None
+    prev_index: int | None = None
+    values: list[float] = []
+
+    for line, row in enumerate(records, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            raise ParseError(line, "blank row")
+        if len(row) != 2:
+            raise ParseError(line, f"expected 2 fields, got {len(row)}")
+        date_text, value_text = row[0].strip(), row[1].strip()
+
+        freq, period = _parse_date(date_text, line)
+        if frequency is None:
+            frequency, start = freq, period
+        elif freq != frequency:
+            raise ParseError(line, f"date {date_text!r} switches frequency mid-file")
+
+        index = _abs_index(period, frequency)
+        if prev_index is not None and index != prev_index + 1:
+            expected = _from_abs_index(prev_index + 1, frequency)
+            raise GapInDates(period_label(expected, frequency), period_label(period, frequency))
+        prev_index = index
+
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(path) from None
-        if [h.strip().lower() for h in header] != ["date", "value"]:
-            raise ParseError(1, f"header must be 'date,value', got {','.join(header)!r}")
-
-        frequency: int | None = None
-        start: tuple[int, int] | None = None
-        prev_index: int | None = None
-        values: list[float] = []
-
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                raise ParseError(line, "blank row")
-            if len(row) != 2:
-                raise ParseError(line, f"expected 2 fields, got {len(row)}")
-            date_text, value_text = row[0].strip(), row[1].strip()
-
-            freq, period = _parse_date(date_text, line)
-            if frequency is None:
-                frequency, start = freq, period
-            elif freq != frequency:
-                raise ParseError(line, f"date {date_text!r} switches frequency mid-file")
-
-            index = _abs_index(period, frequency)
-            if prev_index is not None and index != prev_index + 1:
-                expected = _from_abs_index(prev_index + 1, frequency)
-                raise GapInDates(period_label(expected, frequency), period_label(period, frequency))
-            prev_index = index
-
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise ParseError(line, f"cannot parse value {value_text!r}") from None
-            if not math.isfinite(value):
-                raise ParseError(line, f"value {value_text!r} is not finite")
-            values.append(value)
+            value = float(value_text)
+        except ValueError:
+            raise ParseError(line, f"cannot parse value {value_text!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(line, f"value {value_text!r} is not finite")
+        values.append(value)
 
     if not values:
         raise EmptyFile(path)

@@ -45,10 +45,10 @@ from cointkit.cointegration import (
     eg_critical_values,
 )
 from cointkit.critvals import LEVELS, DeterministicSpec
-from cointkit.ecm import EcmSpec, _check_gap, _ecm_regressions, _levels_regression
+from cointkit.ecm import EcmSpec, _ardl_rows, _ecm_regressions, _levels_regression
 from cointkit.errors import CointkitError, DataError, MissingGuardWarning, UsageError
 from cointkit.series import MONTHLY, TimeSeries, iterated_difference
-from cointkit.unitroot import _adf, _lag_order, adf_critical_values
+from cointkit.unitroot import _adf, _adf_sample, adf_critical_values
 
 PRNG_ID = "numpy-pcg64/standard-normal"
 BURN_IN = 100
@@ -465,12 +465,12 @@ def _size_result(
 
     The critical values depend on the effective sample size alone, which the configuration fixes.
     """
-    n_obs = dgp.n - 1 if test.kind == EG_DIFFERENCES else dgp.n
-    n_eff = n_obs - 1 - test.lags
-    if test.kind == ADF:
-        spec, cvs = None, adf_critical_values(n_eff, test.det)
+    spec = None if test.kind == ADF else _eg_spec(test)
+    n_eff = _adf_sample(dgp.n - 1 if test.kind == EG_DIFFERENCES else dgp.n, test.lags)
+    if spec is None:
+        cvs = adf_critical_values(n_eff, test.det)
     else:
-        spec, cvs = _eg_spec(test), eg_critical_values(n_eff, test.trend)
+        cvs = eg_critical_values(n_eff, test.trend)
     stats = _run_replications(partial(_size_block, test, spec, dgp), dgp, config, workers)
     guard_count = len(stats) if test.kind == EG_DIFFERENCES else 0
     return _rejection_result(stats, cvs, config, digest, guard_count)
@@ -605,8 +605,7 @@ def run_ect_unit_root_experiment(
     near the nominal level.
     """
     spec = ecm_spec or EcmSpec(seasonal_gap=MONTHLY)
-    _check_gap(spec.seasonal_gap, MONTHLY)
-    lags = _lag_order(lags)
+    lags = int(lags)
     config, digest = _config(
         "ect_unit_root",
         n=int(n),
@@ -619,8 +618,9 @@ def run_ect_unit_root_experiment(
         base_seed=base_seed,
     )
     dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
-    # The ECT series has n - ect_lag observations; its ADF loses 1 + lags more.
-    cvs = eg_critical_values(dgp.n - spec.ect_lag - 1 - lags, spec.include_trend)
+    _ardl_rows(dgp.n, spec, MONTHLY)
+    # The ECT series has n - ect_lag observations.
+    cvs = eg_critical_values(_adf_sample(dgp.n - spec.ect_lag, lags), spec.include_trend)
     stats = _run_replications(partial(_ect_unit_root_block, spec, lags), dgp, config, workers)
     return _rejection_result(stats, cvs, config, digest)
 
@@ -672,7 +672,6 @@ def run_ect_recovery_experiment(
         raise UsageError(f"band must be two finite bounds with lo < hi, got {tuple(band)}")
     lo, hi = band
     spec = ecm_spec or EcmSpec(seasonal_gap=1)
-    _check_gap(spec.seasonal_gap, MONTHLY)
     config, digest = _config(
         "ect_recovery",
         n=int(n),
@@ -686,6 +685,7 @@ def run_ect_recovery_experiment(
         base_seed=base_seed,
     )
     dgp = DgpSpec(COINTEGRATED_PAIR, int(n), innovation_sd, beta=beta, adjust=adjust)
+    _ardl_rows(dgp.n, spec, MONTHLY)
     coef, t = _run_replications(partial(_recovery_block, spec), dgp, config, workers).T
     in_band = (lo < coef) & (coef < hi)
     t_ok = t < t_threshold

@@ -60,27 +60,29 @@ def _degenerate(values: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
     return np.abs(dx_resid).max(axis=-1, initial=0.0) <= 1e-12 * scale
 
 
-def _lag_order(lags) -> int:
-    """``lags`` as an int, which must be >= 0."""
+def _adf_sample(m: int, lags: int) -> int:
+    """The ADF sample rule: what ``m`` observations leave after differencing and ``lags`` lags."""
     lags = int(lags)
     if lags < 0:
         raise UsageError(f"lags must be >= 0, got {lags}")
-    return lags
+    n_eff = m - 1 - lags
+    if n_eff < MIN_EFFECTIVE_SAMPLE:
+        raise SeriesTooShort(
+            f"effective sample {n_eff} after differencing and {lags} lags; need >= {MIN_EFFECTIVE_SAMPLE}"
+        )
+    return n_eff
 
 
 def _adf(x: np.ndarray, lags: int, det: DeterministicSpec) -> tuple[_Solution, int]:
     """The ADF regression of each row of ``x`` (..., m), and the effective sample size.
 
     The statistic is ``t_stats[..., 0]``, the t-ratio on the lagged level.
-    On a stack every check covers every row, and the first failure raises.
+    :func:`_adf_sample` checks the sample first, and runners call it once at
+    configuration. On a stack every check covers every row; the first failure raises.
     """
-    lags = _lag_order(lags)
+    lags = int(lags)
     m = x.shape[-1]
-    n_eff = m - 1 - lags
-    if n_eff < MIN_EFFECTIVE_SAMPLE:
-        raise SeriesTooShort(
-            f"effective sample {n_eff} after differencing and {lags} lags; need >= {MIN_EFFECTIVE_SAMPLE}"
-        )
+    n_eff = _adf_sample(m, lags)
 
     dx = np.diff(x, axis=-1)
     y = dx[..., lags:]

@@ -124,6 +124,13 @@ class TestIngest:
             ingest_csv(str(p))
 
 
+def _one_error_record(capsys) -> dict:
+    """The decoded record of stderr, which must be exactly one ``cointkit-error:`` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("cointkit-error: ") and err.count("\n") == 1
+    return json.loads(err[len("cointkit-error: ") :])
+
+
 class TestExitCodes:
     def test_usage_error_is_exit_one_and_writes_nothing(self, tmp_path, capsys):
         pa, pb = write_walk_pair(tmp_path)
@@ -143,6 +150,31 @@ class TestExitCodes:
         code = main(["adf", "--input", str(tmp_path / "absent.csv")])
         assert code == 2
         assert "cointkit-error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, error, message",
+        [
+            (b"date,value\n2020-01,1\xff\n", "DataError", "cannot read "),
+            (b'date,value\n2020-01,"' + b"1" * 140_000 + b'"\n', "ParseError", "line 2: "),
+        ],
+        ids=["invalid-utf8", "field-over-csv-limit"],
+    )
+    def test_malformed_input_bytes_are_exit_two(self, tmp_path, capsys, content, error, message):
+        p = tmp_path / "m.csv"
+        p.write_bytes(content)
+        assert main(["adf", "--input", str(p)]) == 2
+        record = _one_error_record(capsys)
+        assert record["error"] == error
+        assert record["message"].startswith(message)
+
+    def test_config_file_not_utf8_is_exit_one(self, tmp_path, capsys):
+        pa, _ = write_walk_pair(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"lags = 2\xff\n")
+        assert main(["adf", "--input", str(pa), "--config", str(cfg)]) == 1
+        record = _one_error_record(capsys)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("cannot read config file: ")
 
     def test_data_error_is_exit_two(self, tmp_path, capsys):
         p = tmp_path / "g.csv"

@@ -18,6 +18,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
+import shlex
 import shutil
 import sys
 import tempfile
@@ -29,6 +31,7 @@ import pytest
 import cointkit.montecarlo as mc
 from cointkit.cli import main
 
+README = Path(__file__).parents[1] / "README.md"
 GOLDEN = Path(__file__).with_name("golden")
 INPUTS = GOLDEN / "inputs"
 EXPECTED = GOLDEN / "expected"
@@ -154,6 +157,29 @@ def test_cli_failure_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(EXPERIMENT_CASES))
 def test_experiment_json_matches_golden(name):
     assert _experiment_output(name) == _expected(f"{name}.json")
+
+
+def _readme_size_rows() -> list[tuple[list[str], list[str]]]:
+    """The argv and the 1%, 5% and 10% figures of each row of README's size table."""
+    table = _read(README).split("\nSize: ", 1)[1].split("\n\n")[1]
+    rows = []
+    for line in table.splitlines()[2:]:  # past the header and the rule
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        program, *argv = shlex.split(cells[-1].strip("`"))
+        assert program == "cointkit", line
+        rows.append((argv, cells[2:5]))
+    return rows
+
+
+def test_readme_size_table_is_printed_by_its_commands():
+    """Each README size figure is the rate its command prints, as the golden stdout records."""
+    rows = _readme_size_rows()
+    assert len(rows) == len(SIZE_CELLS)
+    case_of = {tuple(argv): name for name, argv in CLI_CASES.items()}
+    for argv, figures in rows:
+        name = case_of[tuple(argv)]
+        rates = dict(re.findall(r"(\d+)%: ([\d.]+)", _expected(f"{name}.stdout").splitlines()[0]))
+        assert [rates[str(level)] for level in (1, 5, 10)] == figures, name
 
 
 def _write_series(path: Path, start: tuple[int, int], values, quarterly: bool = False) -> None:

@@ -20,7 +20,13 @@ from cointkit.cointegration import (
 )
 from cointkit.critvals import LEVELS, DeterministicSpec
 from cointkit.ecm import EcmSpec, _ecm_regressions, estimate_ecm, estimate_levels
-from cointkit.errors import DataError, MissingGuardWarning, RankDeficient, UsageError
+from cointkit.errors import (
+    DataError,
+    MissingGuardWarning,
+    RankDeficient,
+    SeriesTooShort,
+    UsageError,
+)
 from cointkit.series import MONTHLY, iterated_difference
 from cointkit.unitroot import _adf, adf_regression, adf_test
 
@@ -380,6 +386,12 @@ _RUNNERS = {
 }
 
 
+def _size(kind: str, lags: int) -> mc.ExperimentResult:
+    """A size experiment of ``kind`` with ``lags`` lags on independent walks of 30."""
+    test = mc.TestConfig(kind=kind, lags=lags)
+    return mc.run_size_experiment(test, mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 30), 100, 0)
+
+
 @pytest.fixture
 def no_replications(monkeypatch):
     def refuse(*args, **kwargs):
@@ -440,6 +452,62 @@ class TestRunnerValidation:
         with pytest.raises(UsageError, match=message) as caught:
             run()
         assert not hasattr(caught.value, "replication")
+
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (
+                lambda: _size(mc.EG_LEVELS, 24),
+                "^effective sample 5 after differencing and 24 lags; need >= 10$",
+            ),
+            (
+                lambda: _size(mc.ADF, 20),
+                "^effective sample 9 after differencing and 20 lags; need >= 10$",
+            ),
+            (
+                lambda: _size(mc.EG_DIFFERENCES, 19),
+                "^effective sample 9 after differencing and 19 lags; need >= 10$",
+            ),
+            (
+                lambda: mc.run_ect_unit_root_experiment(30, 100, 0, lags=20),
+                "^effective sample 8 after differencing and 20 lags; need >= 10$",
+            ),
+            (
+                lambda: mc.run_ect_unit_root_experiment(
+                    30, 100, 0, ecm_spec=EcmSpec(12, ardl_control_lags=20)
+                ),
+                "^ARDL stage has 0 effective observations after trimming; need >= 10$",
+            ),
+            (
+                lambda: mc.run_ect_recovery_experiment(
+                    30, 100, 0, ecm_spec=EcmSpec(1, ardl_control_lags=25)
+                ),
+                "^ARDL stage has 4 effective observations after trimming; need >= 10$",
+            ),
+        ],
+        ids=[
+            "size-eg-levels-lags-24",
+            "size-adf-lags-20",
+            "size-eg-differences-lags-19",
+            "ect-unit-root-lags-20",
+            "ect-unit-root-ardl-lags-20",
+            "ect-recovery-ardl-lags-25",
+        ],
+    )
+    def test_short_sample_fails_with_no_replication_context(self, no_replications, run, message):
+        with pytest.raises(SeriesTooShort, match=message) as caught:
+            run()
+        assert not hasattr(caught.value, "replication")
+
+    def test_cli_short_sample_names_no_replication(self, no_replications, capsys):
+        assert main(["mc-size", "--n", "30", "--reps", "100", "--lags", "24"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cointkit-error: ") and err.count("\n") == 1
+        record = json.loads(err[len("cointkit-error: ") :])
+        assert record == {
+            "error": "SeriesTooShort",
+            "message": "effective sample 5 after differencing and 24 lags; need >= 10",
+        }
 
     def test_cli_configuration_error_names_no_replication(self, no_replications, capsys):
         assert main(["mc-size", "--n", "60", "--reps", "100", "--lags", "25"]) == 1
