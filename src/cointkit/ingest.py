@@ -59,14 +59,19 @@ def ingest_csv(path: str) -> TimeSeries:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            # Each record with the physical line it starts on: a quoted
+            # value may span lines.
+            rows, line = [], 1
+            for row in reader:
+                rows.append((line, row))
+                line = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise ParseError(reader.line_num, str(exc)) from None
     if not rows:
         raise EmptyFile(path)
-    header, *records = rows
+    (_, header), *records = rows
     if [h.strip().lower() for h in header] != ["date", "value"]:
         raise ParseError(1, f"header must be 'date,value', got {','.join(header)!r}")
 
@@ -75,7 +80,7 @@ def ingest_csv(path: str) -> TimeSeries:
     prev_index: int | None = None
     values: list[float] = []
 
-    for line, row in enumerate(records, start=2):
+    for line, row in records:
         if not row or all(not cell.strip() for cell in row):
             raise ParseError(line, "blank row")
         if len(row) != 2:

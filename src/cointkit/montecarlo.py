@@ -10,11 +10,15 @@ across worker processes without changing any count.
 Every generated series discards a 100-observation burn-in, so results
 speak about the processes rather than their initial conditions.
 
-The runners draw replications in stacks of ``GENERATE_SIZE`` (64), one
-generator per replication filling its row, and run the cointegrated-pair
-recursion one time step at a time across every row of the stack. Each
-series is bitwise equal to the one ``generate`` gives for that
-replication's seed alone, whatever the stack, block or worker split.
+The runners draw replications in stacks of ``GENERATE_SIZE`` (64). numpy's
+``SeedSequence`` hash runs on the whole stack at once, to give each
+replication's seed and then its PCG64 state, bitwise equal to building
+them one replication at a time, so ``PRNG_ID`` and the seed scheme are
+numpy's. One reused PCG64 fills each row from that row's state, and the
+cointegrated-pair recursion runs one time step at a time across every row
+of the stack. Each series is bitwise equal to the one ``generate`` gives
+for that replication's seed alone, whatever the stack, block or worker
+split.
 
 A block of replications yields only statistics: one float per replication,
 or (ECT coefficient, t-ratio) for the recovery experiment. Each runner
@@ -25,11 +29,11 @@ replication.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, ClassVar
@@ -90,6 +94,165 @@ def _seed(value) -> int:
     if not 0 <= int(value) < 2**64:
         raise UsageError("seed must be a 64-bit unsigned integer")
     return int(value)
+
+
+# numpy's SeedSequence, run on a stack. It is O'Neill's seed_seq hash (PCG
+# report HMC-CS-2014-0905) over a pool of four uint32 words, and numpy keeps
+# its output stable across releases. Its multipliers advance the same way
+# whatever the entropy, so they depend only on the number of entropy words:
+# every row of one length hashes with the same constants, one ufunc call per
+# step for the whole stack.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+@functools.cache
+def _multipliers(init: int, mult: int, count: int) -> tuple[int, ...]:
+    """``init * mult**k mod 2**32`` for k = 0..count."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(out)
+
+
+@functools.cache
+def _pool_constants(words: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (xor, multiply) columns of each pool hashing step, for ``words`` entropy words.
+
+    Step 0 hashes the four initial pool words; steps 1-4 hash pool word
+    ``src`` into the three others (column ``src`` is 0, and its result
+    unused); each later step hashes one more entropy word into all four.
+    """
+    slots = [range(_POOL_SIZE)]
+    slots += [[d for d in range(_POOL_SIZE) if d != src] for src in range(_POOL_SIZE)]
+    slots += [range(_POOL_SIZE)] * max(words - _POOL_SIZE, 0)
+    consts = iter(_multipliers(_INIT_A, _MULT_A, sum(map(len, slots))))
+    steps = []
+    xor = next(consts)
+    for step in slots:
+        xors, mults = [0] * _POOL_SIZE, [0] * _POOL_SIZE
+        for dst in step:
+            xors[dst] = xor
+            mults[dst] = xor = next(consts)
+        columns = np.array([xors, mults], np.uint32)[:, :, None]
+        columns.setflags(write=False)  # shared by every caller through the cache
+        steps.append(tuple(columns))
+    return tuple(steps)
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _seed_sequence(entropy: list, rows: int, n_words: int) -> np.ndarray:
+    """``SeedSequence.generate_state(n_words)`` of ``rows`` entropies as (n_words, rows) uint32.
+
+    ``entropy`` is numpy's assembled entropy, one item per word: an int
+    shared by every row, or a (rows,) uint32 array. Arrays stay arrays, so
+    the arithmetic wraps silently as numpy's uint32 does.
+    """
+    start, *steps = _pool_constants(len(entropy))
+    pool = np.zeros((_POOL_SIZE, rows), np.uint32)
+    for i, word in enumerate(entropy[:_POOL_SIZE]):
+        pool[i] = word
+    pool = _hashmix(pool, *start)
+    for src in range(_POOL_SIZE):
+        kept = pool[src]
+        pool = _mix(pool, _hashmix(kept, *steps[src]))
+        pool[src] = kept
+    for word, consts in zip(entropy[_POOL_SIZE:], steps[_POOL_SIZE:]):
+        pool = _mix(pool, _hashmix(word, *consts))
+    mults = np.array(_multipliers(_INIT_B, _MULT_B, n_words), np.uint32)[:, None]
+    cycled = np.tile(pool, (-(-n_words // _POOL_SIZE), 1))[:n_words]
+    return _hashmix(cycled, mults[:-1], mults[1:])
+
+
+def _int_words(value: int) -> list[int]:
+    """``value`` as numpy's SeedSequence reads an int: little-endian uint32 words, at least one."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _keyed_states(prefix: list[int], keys: list[int], n_words: int) -> np.ndarray:
+    """``generate_state(n_words)`` of the SeedSequence with entropy ``prefix`` and then
+    the words of each key, as (n_words, len(keys)) uint32.
+
+    Keys with more words give longer entropies, so each word count is hashed
+    as its own group.
+    """
+    if min(keys, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    shifts = range(0, max(max(keys, default=0).bit_length(), 1), 32)
+    words = np.array([[key >> shift & _MASK32 for key in keys] for shift in shifts], np.uint32)
+    lengths = (np.arange(1, len(words) + 1)[:, None] * (words != 0)).max(axis=0, initial=1)
+    out = np.empty((n_words, len(keys)), np.uint32)
+    for length in np.unique(lengths).tolist():
+        rows = lengths == length
+        group = words[:length, rows]
+        out[:, rows] = _seed_sequence(prefix + list(group), group.shape[1], n_words)
+    return out
+
+
+def _uint64s(words: np.ndarray) -> list[list[int]]:
+    """Pairs of uint32 rows read as little-endian uint64 rows, as Python ints."""
+    wide = words.astype(np.uint64)
+    return (wide[0::2] | wide[1::2] << np.uint64(32)).tolist()
+
+
+def _replication_seeds(base_seed: int, r0: int, r1: int) -> list[int]:
+    """``replication_seed(base_seed, r)`` for r in ``r0..r1 - 1``.
+
+    Each is numpy's ``SeedSequence(entropy=base_seed, spawn_key=(r,))
+    .generate_state(1, np.uint64)[0]``, bit for bit: the base seed's words,
+    zero-padded to the pool size, then the spawn key's.
+    """
+    base = _int_words(int(base_seed))
+    prefix = base + [0] * (_POOL_SIZE - len(base))
+    (seeds,) = _uint64s(_keyed_states(prefix, list(range(int(r0), int(r1))), 2))
+    return seeds
+
+
+def replication_seed(base_seed: int, r: int) -> int:
+    """The 64-bit seed of replication ``r``: a pure function of its inputs."""
+    return _replication_seeds(base_seed, r, r + 1)[0]
+
+
+def _pcg64_states(seeds: list[int]) -> list[dict]:
+    """The ``.state`` numpy's ``PCG64`` takes from ``SeedSequence(seed)``, for each seed.
+
+    PCG64 seeds from four uint64 words: the first two are the 128-bit
+    initial state, the last two the stream, which numpy's
+    ``pcg_setseq_128_srandom_r`` turns into an odd increment and two steps.
+    """
+    state_hi, state_lo, seq_hi, seq_lo = _uint64s(_keyed_states([], seeds, 8))
+    states = []
+    for hi, lo, inc_hi, inc_lo in zip(state_hi, state_lo, seq_hi, seq_lo):
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
 
 
 @dataclass(frozen=True)
@@ -159,8 +322,10 @@ def _generate_stack(dgp: DgpSpec, seeds: list[int]) -> tuple[np.ndarray, np.ndar
     """
     total = dgp.n + BURN_IN
     innov = np.empty((len(seeds), 2, total))
-    for row, seed in zip(innov, seeds):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    bit_generator = np.random.PCG64(0)  # every row sets its own state
+    rng = np.random.Generator(bit_generator)
+    for row, state in zip(innov, _pcg64_states(seeds)):
+        bit_generator.state = state
         rng.standard_normal(out=row)
     # A huge innovation_sd overflows; the finiteness check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,12 +379,6 @@ def generate(dgp: DgpSpec) -> tuple[TimeSeries, TimeSeries]:
     first, second = _generate_stack(dgp, [dgp.seed])
     names = _SERIES_NAMES[dgp.kind]
     return _series(first[0], names[0]), _series(second[0], names[1])
-
-
-def replication_seed(base_seed: int, r: int) -> int:
-    """The 64-bit seed of replication ``r``: a pure function of its inputs."""
-    ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(int(r),))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
@@ -393,7 +552,7 @@ def _outcome_chunk(block: _Block, dgp: DgpSpec, base_seed: int, r0: int, r1: int
     ``GENERATE_SIZE`` and solved ``BLOCK_SIZE`` at a time."""
     pieces: list[np.ndarray] = []
     for d0 in range(r0, r1, GENERATE_SIZE):
-        seeds = [replication_seed(base_seed, r) for r in range(d0, min(d0 + GENERATE_SIZE, r1))]
+        seeds = _replication_seeds(base_seed, d0, min(d0 + GENERATE_SIZE, r1))
         try:
             first, second = _generate_stack(dgp, seeds)
             drawn = [
@@ -433,6 +592,8 @@ def _run_replications(block: _Block, dgp: DgpSpec, config: dict, workers: int) -
     n_blocks = -(-reps // BLOCK_SIZE)
     bounds = [min(n_blocks * w // workers * BLOCK_SIZE, reps) for w in range(workers + 1)]
     chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         futures = [pool.submit(_outcome_chunk, block, dgp, base_seed, lo, hi) for lo, hi in chunks]
         # Chunk order preserved: counts and medians are worker-invariant.

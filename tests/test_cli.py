@@ -92,6 +92,17 @@ class TestIngest:
             ingest_csv(str(p))
         assert exc.value.line == 7
 
+    @pytest.mark.parametrize(
+        "tail, line, message",
+        [("2020-0x,2\n", 4, "date '2020-0x'"), ("\n", 4, "blank row")],
+    )
+    def test_lines_after_a_multiline_value_count_physical_lines(self, tmp_path, tail, line, message):
+        p = tmp_path / "m.csv"
+        p.write_text('date,value\n2020-01,"1\n"\n' + tail, encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as exc:
+            ingest_csv(str(p))
+        assert exc.value.line == line
+
     def test_bad_date_format(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("date,value\n01/2020,1\n", encoding="utf-8")

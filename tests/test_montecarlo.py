@@ -1,12 +1,17 @@
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cointkit.montecarlo as mc
 from cointkit.cli import main
@@ -151,6 +156,86 @@ class TestSeeds:
         seeds = {mc.replication_seed(42, r) for r in range(200)}
         assert len(seeds) == 200
         assert mc.replication_seed(42, 0) != mc.replication_seed(43, 0)
+
+
+_UINT64 = st.integers(0, 2**64 - 1)
+
+
+def _numpy_seed(base_seed, r):
+    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(r,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+class TestStackedSeedingEqualsNumpy:
+    """The stacked SeedSequence hash against numpy's own, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        base_seed=st.integers(0, 2**128 - 1),
+        r0=st.one_of(_UINT64, st.integers(2**32 - 70, 2**32 - 1)),
+        size=st.integers(1, 70),
+    )
+    def test_replication_seeds(self, base_seed, r0, size):
+        r1 = min(r0 + size, 2**64)
+        expected = [_numpy_seed(base_seed, r) for r in range(r0, r1)]
+        assert mc._replication_seeds(base_seed, r0, r1) == expected
+        assert mc.replication_seed(base_seed, r0) == expected[0]
+
+    @pytest.mark.parametrize("base_seed", [0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**201])
+    def test_stack_straddling_two_word_spawn_keys(self, base_seed):
+        # Indices from 2**32 on take a two-word spawn key: a longer entropy.
+        r0, r1 = 2**32 - 5, 2**32 + 5
+        expected = [_numpy_seed(base_seed, r) for r in range(r0, r1)]
+        assert mc._replication_seeds(base_seed, r0, r1) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(_UINT64, st.integers(0, 2**32 - 1)), min_size=1, max_size=70))
+    def test_pcg64_states(self, seeds):
+        expected = [np.random.PCG64(np.random.SeedSequence(s)).state for s in seeds]
+        assert mc._pcg64_states(seeds) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_UINT64, min_size=1, max_size=8))
+    def test_reused_generator_draws(self, seeds):
+        dgp = mc.DgpSpec(mc.WHITE_NOISE_PAIR, 30)
+        first, second = mc._generate_stack(dgp, seeds)
+        for i, seed in enumerate(seeds):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            innov = rng.standard_normal((2, dgp.n + mc.BURN_IN))[:, mc.BURN_IN :]
+            assert first[i].tobytes() == innov[0].tobytes()
+            assert second[i].tobytes() == innov[1].tobytes()
+
+    @pytest.mark.parametrize("base_seed, r", [(-1, 0), (0, -1), (-(2**70), 3), (5, -(2**40))])
+    def test_negative_arguments_raise(self, base_seed, r):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            mc.replication_seed(base_seed, r)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            mc._replication_seeds(base_seed, r, r + 3)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            mc._pcg64_states([3, min(base_seed, r)])
+
+    def test_runners_construct_no_seed_sequence(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SeedSequence was constructed")
+
+        expected = _RUNNERS["ect_recovery"](base_seed=3)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert _RUNNERS["ect_recovery"](base_seed=3) == expected
+        assert mc.replication_seed(3, 0) == mc._replication_seeds(3, 0, 1)[0]
+
+
+def test_cli_import_loads_montecarlo_but_not_the_process_pool():
+    # The benchmark's tracer reads cointkit.montecarlo after importing the CLI.
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    code = (
+        "import sys, cointkit.cli; "
+        "print('cointkit.montecarlo' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.split() == ["True", "False"]
 
 
 class TestWilson:
@@ -372,7 +457,7 @@ def _two_cpus_and_no_pool(monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
 _RUNNERS = {
