@@ -327,39 +327,13 @@ def _cmd_adf(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
     series = ingest_csv(config.values["input"])
     det = DeterministicSpec.from_label(config.values["det"])
     report = adf_test(series, config.values["lags"], det)
-    rows = [
-        [
-            "statistic",
-            "lags",
-            "deterministic",
-            "n_effective",
-            "cv1",
-            "cv5",
-            "cv10",
-            "reject1",
-            "reject5",
-            "reject10",
-        ],
-        [
-            fmt12s(report.statistic),
-            str(report.lags),
-            det.label(),
-            str(report.n_effective),
-            fmt12s(report.critical_values[1]),
-            fmt12s(report.critical_values[5]),
-            fmt12s(report.critical_values[10]),
-            str(report.reject_at[1]).lower(),
-            str(report.reject_at[5]).lower(),
-            str(report.reject_at[10]).lower(),
-        ],
-    ]
     human = [
         f"ADF on {series.name}: statistic {_stars_line(report.statistic, report.critical_values)} "
         f"(lags {report.lags}, {det.label()}, n_eff {report.n_effective})",
         "critical values: "
         + ", ".join(f"{l}%: {report.critical_values[l]:.3f}" for l in LEVELS),
     ]
-    return report.to_json_dict(), rows, human
+    return report.to_json_dict(), report.to_csv_rows(), human
 
 
 def _cmd_eg(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
@@ -457,18 +431,6 @@ def _cmd_ecm(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
         "cointegration_check": check,
         "caveat": caveat,
     }
-    rows = [["equation", "term", "coefficient", "stderr", "t_stat"]]
-    for eq_name, eq_fit in (("levels", fit.levels_fit), ("ardl", fit.ardl_fit)):
-        for term in eq_fit.column_names:
-            rows.append(
-                [
-                    eq_name,
-                    term,
-                    fmt12s(eq_fit.coefficients[term]),
-                    fmt12s(eq_fit.stderrs[term]),
-                    fmt12s(eq_fit.t_stats[term]),
-                ]
-            )
     human = [
         f"levels slope: {fit.levels_fit.coefficients['x']:.3f}",
         f"error-correction coefficient (ect_l{spec.ect_lag}): "
@@ -477,7 +439,7 @@ def _cmd_ecm(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
     ]
     if caveat:
         human.append(f"warning: {caveat}")
-    return report, rows, human
+    return report, fit.to_csv_rows(), human
 
 
 def _cmd_mc_falsepos(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:

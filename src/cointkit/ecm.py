@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from cointkit.errors import SeriesTooShort, UnsupportedCombination, UsageError
+from cointkit.formats import fmt12s
 from cointkit.regression import OlsFit, _as_fit, _lstsq, _Solution
 from cointkit.series import TimeSeries, align
 
@@ -85,6 +86,15 @@ class EcmFit:
                 "length": len(self.ect_series),
             },
         }
+
+    def to_csv_rows(self) -> list[list[str]]:
+        """A header, then one row per term of the levels and then the ARDL equation."""
+        rows = [["equation", "term", "coefficient", "stderr", "t_stat"]]
+        for equation, fit in (("levels", self.levels_fit), ("ardl", self.ardl_fit)):
+            for term in fit.column_names:
+                numbers = (fit.coefficients[term], fit.stderrs[term], fit.t_stats[term])
+                rows.append([equation, term, *map(fmt12s, numbers)])
+        return rows
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ across worker processes without changing any count.
 Every generated series discards a 100-observation burn-in, so results
 speak about the processes rather than their initial conditions.
 
-The runners draw replications in stacks of ``GENERATE_SIZE`` (64). numpy's
-``SeedSequence`` hash runs on the whole stack at once, to give each
-replication's seed and then its PCG64 state, bitwise equal to building
-them one replication at a time, so ``PRNG_ID`` and the seed scheme are
-numpy's. One reused PCG64 fills each row from that row's state, and the
+The runners draw replications in stacks of up to ``GENERATE_SIZE`` (256),
+fewer for long series (``_draw_rows``). numpy's ``SeedSequence`` hash runs
+on the whole stack at once, to give each replication's seed and then its
+PCG64 state, bitwise equal to building them one replication at a time, so
+``PRNG_ID`` and the seed scheme are numpy's. One reused PCG64 fills each
+row from that row's state, the walks are summed in place, and the
 cointegrated-pair recursion runs one time step at a time across every row
 of the stack. Each series is bitwise equal to the one ``generate`` gives
 for that replication's seed alone, whatever the stack, block or worker
@@ -78,15 +79,24 @@ MIN_REPLICATIONS = 100
 BLOCK_SIZE = 16
 
 # Replications drawn as one stack, then solved BLOCK_SIZE rows at a time.
-# Series are bitwise the same for any draw size. A step of the
-# cointegrated-pair recursion is mostly fixed ufunc overhead, so it costs
-# less per row the more rows it covers, and the draw is larger than a
-# kernel block. Per pair at n=600 (2-vCPU host,
-# best of 15) the recursion took 0.074 ms for 16 rows, 0.048 ms for 32,
-# 0.029 ms for 64 and 0.022 ms for 128, against 0.096 ms for a loop on
-# Python floats. Kernel blocks of 64 instead of 16 were slower on the ECM
-# recovery experiment and raised its peak RSS from 89 to 98 MiB.
-GENERATE_SIZE = 64
+# Series are bitwise the same for any draw size. Each draw pays fixed costs
+# whatever its row count: the seeding hash, its allocations, and on the
+# cointegrated pair one recursion of three ufunc calls per time step, so a
+# worker draws its replications in as few stacks as memory allows. Seeding
+# and drawing one replication (2-vCPU host, best of 15) took 56 us in an
+# 8-row draw, 24 us in 64 rows and 23 us in 256 for walks at n=300, and
+# 195, 64 and 62 us for the pair at n=600. A draw covers up to
+# GENERATE_SIZE rows and at most _DRAW_STEPS row-steps (rows times
+# n + BURN_IN), but never fewer than 64 rows, so long series are drawn 64
+# at a time. A draw works in place, so its tracemalloc peak is at most 36
+# bytes per row-step: about 6 MiB for a full draw at n=600.
+GENERATE_SIZE = 256
+_DRAW_STEPS = 256 * 700
+
+
+def _draw_rows(n: int) -> int:
+    """The replications drawn as one stack for series of ``n`` observations."""
+    return min(GENERATE_SIZE, max(64, _DRAW_STEPS // (n + BURN_IN)))
 
 
 def _seed(value) -> int:
@@ -277,6 +287,10 @@ class DgpSpec:
     def __post_init__(self):
         if self.kind not in _DGP_KINDS:
             raise UsageError(f"unknown DGP kind {self.kind!r}")
+        # Equal settings give equal configs and digests: 1 and 1.0, or a
+        # numpy float, are one setting.
+        for name in ("innovation_sd", "beta", "adjust"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if int(self.n) < 30:
             raise UsageError(f"n must be >= 30, got {self.n}")
         if not 0.0 <= self.innovation_sd < math.inf:
@@ -330,16 +344,13 @@ def _generate_stack(dgp: DgpSpec, seeds: list[int]) -> tuple[np.ndarray, np.ndar
     # A huge innovation_sd overflows; the finiteness check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         innov *= dgp.innovation_sd
-        if dgp.kind == WHITE_NOISE_PAIR:
-            a, b = innov[:, 0], innov[:, 1]
-        elif dgp.kind == INDEPENDENT_RANDOM_WALKS:
-            walks = np.cumsum(innov, axis=2)
-            a, b = walks[:, 0], walks[:, 1]
-        else:
-            a = np.cumsum(innov[:, 0], axis=1)
-            b = _adjusting_series(a, innov[:, 1], dgp)
-    first = np.ascontiguousarray(a[:, BURN_IN:])
-    second = np.ascontiguousarray(b[:, BURN_IN:])
+        if dgp.kind == INDEPENDENT_RANDOM_WALKS:
+            np.cumsum(innov, axis=2, out=innov)
+        elif dgp.kind == COINTEGRATED_PAIR:
+            np.cumsum(innov[:, 0], axis=1, out=innov[:, 0])
+            _adjusting_series(innov[:, 0], innov[:, 1], dgp)
+    first = np.ascontiguousarray(innov[:, 0, BURN_IN:])
+    second = np.ascontiguousarray(innov[:, 1, BURN_IN:])
     for values in (first, second):
         finite = np.isfinite(values)
         if not finite.all():
@@ -348,24 +359,25 @@ def _generate_stack(dgp: DgpSpec, seeds: list[int]) -> tuple[np.ndarray, np.ndar
     return first, second
 
 
-def _adjusting_series(x: np.ndarray, e: np.ndarray, dgp: DgpSpec) -> np.ndarray:
-    """y_t = keep * y_{t-1} + pull * x_{t-1} + e_t with y_0 = e_0, for each row.
+def _adjusting_series(x: np.ndarray, e: np.ndarray, dgp: DgpSpec) -> None:
+    """Overwrites each row of ``e`` with y_t = keep * y_{t-1} + pull * x_{t-1} + e_t, y_0 = e_0.
 
-    The recursion runs time-major, one step for every row at once, as three
-    ufunc calls in the order of the scalar expression, so each row is bitwise
-    the scalar recursion.
+    The recursion runs time-major, one step for every row at once, in place
+    over one transposed copy of ``e``. Each step is three ufunc calls in the
+    order of the scalar expression; the last adds ``tmp + e_t``, which is
+    bitwise ``(keep * y_{t-1} + pull * x_{t-1}) + e_t``, so each row is
+    bitwise the scalar recursion.
     """
-    e = np.ascontiguousarray(e.T)
-    keep = np.full(e.shape[1], 1.0 - dgp.adjust)
-    pull_x = np.ascontiguousarray((dgp.adjust * dgp.beta * x).T)
-    y = np.empty_like(e)
-    y[0] = e[0]
+    y = np.ascontiguousarray(e.T)
+    pull_x = np.multiply(dgp.adjust * dgp.beta, x.T, out=np.empty_like(y))
+    keep = np.full(y.shape[1], 1.0 - dgp.adjust)
+    tmp = np.empty_like(keep)
     steps = list(y)
-    for prev, y_t, pull_x_prev, e_t in zip(steps, steps[1:], list(pull_x), list(e[1:])):
-        np.multiply(keep, prev, y_t)
-        np.add(y_t, pull_x_prev, y_t)
-        np.add(y_t, e_t, y_t)
-    return y.T
+    for prev, y_t, pull_x_prev in zip(steps, steps[1:], list(pull_x)):
+        np.multiply(keep, prev, tmp)
+        np.add(tmp, pull_x_prev, tmp)
+        np.add(tmp, y_t, y_t)
+    e[...] = y.T
 
 
 def generate(dgp: DgpSpec) -> tuple[TimeSeries, TimeSeries]:
@@ -549,10 +561,11 @@ def _recovery_block(spec: EcmSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _outcome_chunk(block: _Block, dgp: DgpSpec, base_seed: int, r0: int, r1: int) -> np.ndarray:
     """``block``'s statistics of replications ``r0``..``r1 - 1``, drawn
-    ``GENERATE_SIZE`` and solved ``BLOCK_SIZE`` at a time."""
+    ``_draw_rows(dgp.n)`` and solved ``BLOCK_SIZE`` at a time."""
     pieces: list[np.ndarray] = []
-    for d0 in range(r0, r1, GENERATE_SIZE):
-        seeds = _replication_seeds(base_seed, d0, min(d0 + GENERATE_SIZE, r1))
+    rows = _draw_rows(dgp.n)
+    for d0 in range(r0, r1, rows):
+        seeds = _replication_seeds(base_seed, d0, min(d0 + rows, r1))
         try:
             first, second = _generate_stack(dgp, seeds)
             drawn = [
@@ -720,18 +733,19 @@ def run_spurious_regression_experiment(
 ) -> SpuriousSlopeResult:
     """Rate of |slope t-ratio| > threshold in levels regressions of
     independent random walks: the classic spurious-regression effect."""
+    threshold = float(threshold)
     if not math.isfinite(threshold):
         raise UsageError(f"threshold must be finite, got {threshold}")
+    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
     config, digest = _config(
         "spurious_regression",
-        n=int(n),
-        innovation_sd=innovation_sd,
+        n=dgp.n,
+        innovation_sd=dgp.innovation_sd,
         threshold=threshold,
         include_trend=bool(include_trend),
         reps=int(reps),
         base_seed=base_seed,
     )
-    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
     slope_t = _run_replications(partial(_spurious_block, bool(include_trend)), dgp, config, workers)
     count = int(np.count_nonzero(np.abs(slope_t) > threshold))
     return SpuriousSlopeResult(
@@ -767,10 +781,11 @@ def run_ect_unit_root_experiment(
     """
     spec = ecm_spec or EcmSpec(seasonal_gap=MONTHLY)
     lags = int(lags)
+    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
     config, digest = _config(
         "ect_unit_root",
-        n=int(n),
-        innovation_sd=innovation_sd,
+        n=dgp.n,
+        innovation_sd=dgp.innovation_sd,
         ecm_spec=spec.to_json_dict(),
         adf_lags=lags,
         cv_variables=2,
@@ -778,7 +793,6 @@ def run_ect_unit_root_experiment(
         levels=list(LEVELS),
         base_seed=base_seed,
     )
-    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
     _ardl_rows(dgp.n, spec, MONTHLY)
     # The ECT series has n - ect_lag observations.
     cvs = eg_critical_values(_adf_sample(dgp.n - spec.ect_lag, lags), spec.include_trend)
@@ -827,25 +841,27 @@ def run_ect_recovery_experiment(
     term is linearly redundant given the differencing identity, and its
     coefficient converges to zero regardless of the true adjustment speed.
     """
+    t_threshold = float(t_threshold)
     if not math.isfinite(t_threshold):
         raise UsageError(f"t_threshold must be finite, got {t_threshold}")
+    band = tuple(map(float, band))
     if len(band) != 2 or not all(map(math.isfinite, band)) or not band[0] < band[1]:
-        raise UsageError(f"band must be two finite bounds with lo < hi, got {tuple(band)}")
+        raise UsageError(f"band must be two finite bounds with lo < hi, got {band}")
     lo, hi = band
     spec = ecm_spec or EcmSpec(seasonal_gap=1)
+    dgp = DgpSpec(COINTEGRATED_PAIR, int(n), innovation_sd, beta=beta, adjust=adjust)
     config, digest = _config(
         "ect_recovery",
-        n=int(n),
-        innovation_sd=innovation_sd,
-        beta=beta,
-        adjust=adjust,
+        n=dgp.n,
+        innovation_sd=dgp.innovation_sd,
+        beta=dgp.beta,
+        adjust=dgp.adjust,
         ecm_spec=spec.to_json_dict(),
         band=list(band),
         t_threshold=t_threshold,
         reps=int(reps),
         base_seed=base_seed,
     )
-    dgp = DgpSpec(COINTEGRATED_PAIR, int(n), innovation_sd, beta=beta, adjust=adjust)
     _ardl_rows(dgp.n, spec, MONTHLY)
     coef, t = _run_replications(partial(_recovery_block, spec), dgp, config, workers).T
     in_band = (lo < coef) & (coef < hi)
@@ -853,8 +869,8 @@ def run_ect_recovery_experiment(
     joint = int(np.count_nonzero(in_band & t_ok))
     return EctRecoveryResult(
         replications=len(coef),
-        band=(float(lo), float(hi)),
-        t_threshold=float(t_threshold),
+        band=band,
+        t_threshold=t_threshold,
         in_band_count=int(np.count_nonzero(in_band)),
         t_ok_count=int(np.count_nonzero(t_ok)),
         joint_count=joint,

@@ -21,12 +21,26 @@ from cointkit.critvals import (
     critical_values_map,
 )
 from cointkit.errors import DegenerateInput, SeriesTooShort, UsageError
+from cointkit.formats import fmt12s
 from cointkit.regression import OlsFit, _as_fit, _lstsq, _rowdot, _Solution
 from cointkit.series import TimeSeries
 
 MIN_EFFECTIVE_SAMPLE = 10
 
 LEVEL_COLUMN = "level_lag1"
+
+CSV_COLUMNS = (
+    "statistic",
+    "lags",
+    "deterministic",
+    "n_effective",
+    "cv1",
+    "cv5",
+    "cv10",
+    "reject1",
+    "reject5",
+    "reject10",
+)
 
 
 @dataclass(frozen=True)
@@ -52,6 +66,13 @@ class UnitRootReport:
             "reject_at": {str(l): self.reject_at[l] for l in LEVELS},
             "cv_source": self.cv_source,
         }
+
+    def to_csv_rows(self) -> list[list[str]]:
+        """The CSV_COLUMNS header and this report's one row."""
+        row = [fmt12s(self.statistic), str(self.lags), self.det.label(), str(self.n_effective)]
+        row += [fmt12s(self.critical_values[level]) for level in LEVELS]
+        row += [str(self.reject_at[level]).lower() for level in LEVELS]
+        return [list(CSV_COLUMNS), row]
 
 
 def _degenerate(values: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:

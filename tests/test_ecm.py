@@ -241,3 +241,18 @@ class TestAudit:
             "declared_but_absent": ["b"],
             "is_clean": False,
         }
+
+
+class TestCsvRows:
+    def test_one_row_per_term_of_each_equation(self):
+        y, x = random_walk_pair(np.random.default_rng(4), 120)
+        fit = estimate_ecm(y, x, EcmSpec(seasonal_gap=1))
+        header, *rows = fit.to_csv_rows()
+        assert header == ["equation", "term", "coefficient", "stderr", "t_stat"]
+        expected = [("levels", t) for t in fit.levels_fit.column_names]
+        expected += [("ardl", t) for t in fit.ardl_fit.column_names]
+        assert [tuple(row[:2]) for row in rows] == expected
+        equation, term, coefficient, stderr, t_stat = rows[-1]
+        assert coefficient == f"{fit.ardl_fit.coefficients[term]:.12g}"
+        assert stderr == f"{fit.ardl_fit.stderrs[term]:.12g}"
+        assert t_stat == f"{fit.ardl_fit.t_stats[term]:.12g}"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -123,7 +124,7 @@ class TestGenerateStack:
     @pytest.mark.parametrize("kind", _KINDS)
     def test_rows_equal_generate(self, kind, n, sd):
         dgp = mc.DgpSpec(kind, n, sd, beta=1.7, adjust=0.3)
-        for size in (64, 17, 1):
+        for size in (256, 200, 64, 17, 1):
             seeds = [mc.replication_seed(6, r) for r in range(size)]
             first, second = mc._generate_stack(dgp, seeds)
             assert first.shape == second.shape == (size, n)
@@ -146,6 +147,39 @@ class TestGenerateStack:
                 mc._generate_stack(dgp, [mc.replication_seed(6, r) for r in range(64)])
         assert str(scalar.value).startswith("non-finite value at position ")
         assert str(stacked.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("n", [30, 600, 10_000])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_draw_works_in_place(self, kind, n):
+        # The draw's peak working set, innovations and results included, per
+        # row-step (a row times n + BURN_IN steps).
+        rows = mc._draw_rows(n)
+        dgp = mc.DgpSpec(kind, n, beta=1.7, adjust=0.3)
+        seeds = mc._replication_seeds(6, 0, rows)
+        tracemalloc.start()
+        try:
+            mc._generate_stack(dgp, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * rows * (n + mc.BURN_IN)
+
+    @pytest.mark.parametrize(
+        "n, reps, draws", [(60, 600, [256, 256, 88]), (600, 200, [200]), (10_000, 130, [64, 64, 2])]
+    )
+    def test_draw_rows_shrink_for_long_series(self, monkeypatch, n, reps, draws):
+        drawn = []
+        real = mc._generate_stack
+
+        def generate_stack(dgp, seeds):
+            drawn.append(len(seeds))
+            return real(dgp, seeds)
+
+        monkeypatch.setattr(mc, "_generate_stack", generate_stack)
+        dgp = mc.DgpSpec(mc.WHITE_NOISE_PAIR, n)
+        stats = mc._outcome_chunk(lambda first, second: first[:, 0], dgp, 6, 0, reps)
+        assert drawn == draws
+        assert len(stats) == reps
 
 
 class TestSeeds:
@@ -304,10 +338,11 @@ class TestSizeExperiment:
     @pytest.mark.parametrize("reps", [101, 161])
     def test_worker_count_does_not_change_results(self, monkeypatch, reps):
         # Every runner, with a partial last block and pool chunks of unequal
-        # size. At 161 replications the second worker's chunk (80..160) spans
-        # a full 64-replication draw and a partial one. Two workers are
-        # allowed on any host.
+        # size. With draws of 64, at 161 replications the second worker's
+        # chunk (80..160) spans a full 64-replication draw and a partial one.
+        # Two workers are allowed on any host.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc, "GENERATE_SIZE", 64)
         runners = {
             "size": lambda w: mc.run_size_experiment(
                 mc.TestConfig(kind=mc.EG_LEVELS, lags=1),
@@ -348,6 +383,40 @@ class TestSizeExperiment:
                 assert lo <= r1.rejection_rate[5] <= hi
 
 
+def _five_runners(reps: int) -> dict:
+    """Each runner's result for ``reps`` replications of base seed 15, series of 60."""
+    return {
+        "size": mc.run_size_experiment(
+            mc.TestConfig(kind=mc.EG_LEVELS, lags=1),
+            mc.DgpSpec(mc.COINTEGRATED_PAIR, 60, adjust=0.3),
+            reps=reps,
+            base_seed=15,
+        ).to_json_dict(),
+        "false_positive": mc.run_false_positive_experiment(
+            n=60, reps=reps, base_seed=15
+        ).to_json_dict(),
+        "spurious": mc.run_spurious_regression_experiment(
+            n=60, reps=reps, base_seed=15
+        ).to_json_dict(),
+        "ect_unit_root": mc.run_ect_unit_root_experiment(
+            n=60, reps=reps, base_seed=15
+        ).to_json_dict(),
+        "ect_recovery": mc.run_ect_recovery_experiment(
+            n=60, reps=reps, base_seed=15
+        ).to_json_dict(),
+    }
+
+
+class TestDrawSize:
+    def test_draw_size_does_not_change_results(self, monkeypatch):
+        # 300 replications span two draws at the default size.
+        assert mc._draw_rows(60) < 300
+        reference = _five_runners(300)
+        for size in (1, 7, 64):
+            monkeypatch.setattr(mc, "GENERATE_SIZE", size)
+            assert _five_runners(300) == reference, size
+
+
 class TestDigest:
     def test_digest_changes_with_any_field(self):
         base = dict(
@@ -377,6 +446,42 @@ class TestDigest:
             mc.run_size_experiment(**kwargs).config_digest
             == mc.run_size_experiment(**kwargs).config_digest
         )
+
+    @pytest.mark.parametrize("number", [int, np.float32, np.float64])
+    def test_equal_settings_give_equal_digests(self, number):
+        # 1 and 1.0, or a numpy float of the same value, are one setting.
+        def results(num):
+            return [
+                mc.run_spurious_regression_experiment(
+                    n=60, reps=100, base_seed=5, threshold=num(2), innovation_sd=num(1)
+                ),
+                mc.run_ect_recovery_experiment(
+                    n=60,
+                    reps=100,
+                    base_seed=5,
+                    beta=num(1),
+                    adjust=num(1),
+                    band=(num(-1), num(0)),
+                    t_threshold=num(-3),
+                    innovation_sd=num(1),
+                ),
+                mc.run_ect_unit_root_experiment(n=60, reps=100, base_seed=5, innovation_sd=num(1)),
+                mc.run_size_experiment(
+                    mc.TestConfig(kind=mc.EG_LEVELS),
+                    mc.DgpSpec(mc.COINTEGRATED_PAIR, 60, num(1), beta=num(2), adjust=num(1)),
+                    reps=100,
+                    base_seed=5,
+                ),
+            ]
+
+        made = results(number)
+        for result, reference in zip(made, results(float)):
+            assert result.to_json_dict() == reference.to_json_dict()
+        spurious, recovery = made[:2]
+        assert type(spurious.config["threshold"]) is type(spurious.threshold) is float
+        assert type(spurious.config["innovation_sd"]) is float
+        assert [type(v) for v in recovery.config["band"]] == [float, float]
+        assert [type(recovery.config[k]) for k in ("beta", "adjust", "t_threshold")] == [float] * 3
 
     def test_template_seed_is_not_part_of_config(self):
         a = mc.run_size_experiment(

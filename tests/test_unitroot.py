@@ -159,3 +159,21 @@ class TestOracle:
         report = adf_test(monthly_series(x), lags, C)
         assert report.statistic == pytest.approx(expected_t, rel=1e-9)
         assert report.n_effective == y.size
+
+
+class TestCsvRows:
+    def test_header_and_one_row_of_the_report(self):
+        x = monthly_series(np.cumsum(np.random.default_rng(3).standard_normal(120)))
+        report = adf_test(x, 2, CT)
+        header, row = report.to_csv_rows()
+        assert header == ["statistic", "lags", "deterministic", "n_effective"] + [
+            f"{name}{level}" for name in ("cv", "reject") for level in (1, 5, 10)
+        ]
+        assert row == [
+            f"{report.statistic:.12g}",
+            "2",
+            CT.label(),
+            str(report.n_effective),
+            *(f"{report.critical_values[level]:.12g}" for level in (1, 5, 10)),
+            *(str(report.reject_at[level]).lower() for level in (1, 5, 10)),
+        ]
