@@ -351,12 +351,21 @@ def _generate_stack(dgp: DgpSpec, seeds: list[int]) -> tuple[np.ndarray, np.ndar
             _adjusting_series(innov[:, 0], innov[:, 1], dgp)
     first = np.ascontiguousarray(innov[:, 0, BURN_IN:])
     second = np.ascontiguousarray(innov[:, 1, BURN_IN:])
-    for values in (first, second):
+    _check_finite(first, second)
+    return first, second
+
+
+def _check_finite(*stacks: np.ndarray) -> None:
+    """Raises ``TimeSeries``'s error for the first non-finite value, stack by stack.
+
+    Its position is within the first row that holds one, so on a stack of
+    one it is the error ``TimeSeries`` raises for that series.
+    """
+    for values in stacks:
         finite = np.isfinite(values)
         if not finite.all():
             _, position = np.argwhere(~finite)[0]
             raise DataError(f"non-finite value at position {position}")
-    return first, second
 
 
 def _adjusting_series(x: np.ndarray, e: np.ndarray, dgp: DgpSpec) -> None:
@@ -397,6 +406,8 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95 percent Wilson score interval for a binomial proportion."""
     if total <= 0:
         raise UsageError("total must be positive")
+    if not 0 <= successes <= total:
+        raise UsageError(f"successes must be in 0..{total}, got {successes}")
     z2 = _WILSON_Z**2
     phat = successes / total
     denom = 1.0 + z2 / total
@@ -516,24 +527,32 @@ _Block = Callable[[np.ndarray, np.ndarray], np.ndarray]
 def _size_block(
     test: TestConfig, spec: EgSpec | None, dgp: DgpSpec, first: np.ndarray, second: np.ndarray
 ) -> np.ndarray:
-    """The test statistic of each replication; on eg-differences every one must trip the guard."""
-    pairs = []
+    """The test statistic of each replication; on eg-differences the guard must fire.
+
+    eg-differences differences both stacks whole: ``np.diff`` along the rows
+    is bitwise each row's ``iterated_difference``. An overflowing difference
+    raises the ``DataError`` that ``TimeSeries`` raises for it. Every
+    replication of a block carries the same lineage, so the guard runs once,
+    on the block's first pair differenced as series; a miss raises
+    :class:`MissingGuardWarning` for that first replication.
+    """
+    levels = first, second
     if test.kind == EG_DIFFERENCES:
-        # As series, so the guard sees each replication's differencing lineage.
-        name_a, name_b = _SERIES_NAMES[dgp.kind]
-        pairs = [
-            (iterated_difference(_series(a, name_a), 1), iterated_difference(_series(b, name_b), 1))
-            for a, b in zip(first, second)
-        ]
-        first = np.stack([a.values for a, _ in pairs])
-        second = np.stack([b.values for _, b in pairs])
+        # A difference of finite levels may overflow; _check_finite reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            first, second = np.diff(first, axis=-1), np.diff(second, axis=-1)
+        _check_finite(first, second)
     if test.kind == ADF:
         solution, _ = _adf(first, test.lags, test.det)
     else:
         _, solution, _ = _eg_regressions(first, second, spec)
-    for i, pair in enumerate(pairs):
+    if test.kind == EG_DIFFERENCES:
+        pair = [
+            iterated_difference(_series(values[0], name), 1)
+            for values, name in zip(levels, _SERIES_NAMES[dgp.kind])
+        ]
         if differencing_warning(*pair) is None:
-            raise MissingGuardWarning(i)  # _outcome_chunk sets the replication's index
+            raise MissingGuardWarning(0)  # _outcome_chunk sets the replication's index
     return solution.t_stats[:, 0]
 
 
@@ -688,7 +707,9 @@ def run_false_positive_experiment(
     linear combination is stationary and the residual test rejects almost
     surely: a false positive for cointegration. Every replication must trip
     the differenced-input guard; a miss raises :class:`MissingGuardWarning`
-    instead of being silently counted.
+    instead of being silently counted. The guard reads lineage alone, which
+    every replication shares, so it runs once per block of replications,
+    whose walks are differenced as whole stacks.
     """
     if int(level) not in LEVELS:
         raise UsageError(f"level must be one of {LEVELS}, got {level}")

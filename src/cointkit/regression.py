@@ -33,7 +33,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from cointkit.errors import DataError, DimensionMismatch, RankDeficient
+from cointkit.errors import DataError, DimensionMismatch, NumericalError, RankDeficient
 
 _EPS = np.finfo(float).eps
 
@@ -150,8 +150,10 @@ def _lstsq(A: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> _Solution:
     """Least squares of ``y[..., :]`` on ``A[..., :, :]``, one design or a stack of them.
 
     The checks below are those of :class:`DesignMatrix` and :func:`ols_fit`,
-    in their order. On a stack they raise for the first slice that fails,
-    so a caller that needs the error of a given slice reruns it alone.
+    in their order, then a :class:`NumericalError` when the design's squared
+    column norms or the residual sum of squares overflow. On a stack they
+    raise for the first slice that fails, so a caller that needs the error
+    of a given slice reruns it alone.
     """
     A = np.ascontiguousarray(A)
     y = np.ascontiguousarray(y)
@@ -163,8 +165,13 @@ def _lstsq(A: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> _Solution:
     if not np.isfinite(y).all():
         raise DataError("dependent variable contains non-finite entries")
 
-    col_sq = np.ones(n) @ (A * A)
+    # Squares of values above about 1.3e154 overflow; an infinite tolerance
+    # would call every column dependent.
+    with np.errstate(over="ignore"):
+        col_sq = np.ones(n) @ (A * A)
     tol = n * _EPS * np.sqrt(col_sq.max(axis=-1))
+    if not np.isfinite(tol).all():
+        raise NumericalError("design overflows: squared column norms exceed the float range")
 
     Q, R = np.linalg.qr(A)
     weak = np.abs(np.diagonal(R, axis1=-2, axis2=-1)) <= tol[..., None]
@@ -174,7 +181,10 @@ def _lstsq(A: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> _Solution:
     beta = np.linalg.solve(R, Q.swapaxes(-1, -2) @ y[..., None])
     resid = y - (A @ beta)[..., 0]
     beta = beta[..., 0]
-    rss = _rowdot(resid, resid)
+    with np.errstate(over="ignore"):
+        rss = _rowdot(resid, resid)
+    if not np.isfinite(rss).all():
+        raise NumericalError("residuals overflow: their sum of squares exceeds the float range")
 
     r_inv = np.linalg.inv(R)
     xtx_inv_diag = (r_inv * r_inv) @ np.ones(k)
@@ -234,6 +244,8 @@ def ols_fit(y: Sequence[float], X: DesignMatrix) -> OlsFit:
     RankDeficient
         Naming the first column that is numerically dependent on its
         predecessors.
+    NumericalError
+        If a squared column norm or the residual sum of squares overflows.
     """
     yv = np.asarray(y, dtype=float).ravel()
     if yv.size != X.nobs:

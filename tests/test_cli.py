@@ -142,6 +142,24 @@ def _one_error_record(capsys) -> dict:
     return json.loads(err[len("cointkit-error: ") :])
 
 
+def _only_error_line(tmp_path, argv) -> dict:
+    """The record of a fresh ``cointkit`` process that must exit 2 with one stderr line.
+
+    numpy's overflow warnings would go to stderr ahead of the line.
+    """
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cointkit.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cointkit-error: ")
+    return json.loads(lines[0].split("cointkit-error: ", 1)[1])
+
+
 class TestExitCodes:
     def test_usage_error_is_exit_one_and_writes_nothing(self, tmp_path, capsys):
         pa, pb = write_walk_pair(tmp_path)
@@ -219,22 +237,47 @@ class TestExitCodes:
         assert (record["replication"], record["seed"]) == (0, mc.replication_seed(4, 0))
 
     def test_overflowing_draw_prints_only_the_error_line(self, tmp_path):
-        # numpy's overflow warnings would go to stderr ahead of the line.
-        src = os.path.dirname(os.path.dirname(mc.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        argv = ["mc-size", "--sd", "1e308", "--reps", "100", "--n", "60"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "cointkit.cli", *argv],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
-        )
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("cointkit-error: ")
-        record = json.loads(lines[0].split("cointkit-error: ", 1)[1])
+        record = _only_error_line(tmp_path, ["mc-size", "--sd", "1e308", "--reps", "100", "--n", "60"])
         assert record["error"] == "DataError"
         assert record["message"].startswith("non-finite value at position ")
         assert (record["replication"], record["seed"]) == (0, mc.replication_seed(0, 0))
+
+    @pytest.mark.parametrize("seed, position", [(0, 0), (2, 6)])
+    def test_overflowing_difference_prints_only_the_error_line(self, tmp_path, seed, position):
+        # Finite levels whose first differences overflow.
+        argv = [
+            "mc-size", "--test", "eg-differences", "--dgp", "white-noise-pair", "--sd", "6e307",
+            "--n", "30", "--reps", "100", "--seed", str(seed),
+        ]
+        assert _only_error_line(tmp_path, argv) == {
+            "error": "DataError",
+            "message": f"non-finite value at position {position}",
+            "replication": 0,
+            "seed": mc.replication_seed(seed, 0),
+        }
+
+    @pytest.mark.parametrize(
+        "command, scales, message",
+        [
+            ("eg", (5e161, 5e161), "design overflows"),
+            ("eg", (5e161, 1.0), "residuals overflow"),
+            ("ecm", (5e161, 1.0), "residuals overflow"),
+            ("adf", (5e161,), "design overflows"),
+        ],
+    )
+    def test_overflowing_regression_is_a_numerical_error(self, tmp_path, capsys, command, scales, message):
+        # Squares of values this large overflow: the error says so, instead of
+        # naming a column that is not dependent, and numpy warns of nothing.
+        rng = np.random.default_rng(1)
+        argv = [command]
+        for flag, scale in zip(("--input", "--input2"), scales):
+            path = tmp_path / f"{flag[2:]}.csv"
+            write_series_csv(path, (np.cumsum(rng.standard_normal(120)) + 50.0) * scale)
+            argv += [flag, str(path)]
+        assert main(argv) == 3
+        record = _one_error_record(capsys)
+        assert record["error"] == "NumericalError"
+        assert record["message"].startswith(message + ": ")
 
     def test_bad_flag_choice_is_exit_one(self, tmp_path, capsys):
         pa, _ = write_walk_pair(tmp_path)

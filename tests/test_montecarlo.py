@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from cointkit.errors import (
     SeriesTooShort,
     UsageError,
 )
-from cointkit.series import MONTHLY, iterated_difference
+from cointkit.series import ITERATED_DIFF, MONTHLY, TimeSeries, TransformTag, iterated_difference
 from cointkit.unitroot import _adf, adf_regression, adf_test
 
 
@@ -283,6 +284,11 @@ class TestWilson:
         lo2, hi2 = mc.wilson_interval(1000, 10000)
         assert (hi2 - lo2) < (hi1 - lo1)
 
+    @pytest.mark.parametrize("k, n", [(5, 3), (-1, 10), (11, 10), (0, 0)])
+    def test_rejects_impossible_counts(self, k, n):
+        with pytest.raises(UsageError):
+            mc.wilson_interval(k, n)
+
 
 class TestFalsePositiveExperiment:
     def test_small_sample_rate_still_extreme(self):
@@ -303,6 +309,31 @@ class TestFalsePositiveExperiment:
         with pytest.raises(MissingGuardWarning) as caught:
             mc.run_false_positive_experiment(n=50, reps=100, level=1, base_seed=7)
         assert caught.value.replication == 0
+
+    @pytest.mark.parametrize("block_size", [1, 16])
+    def test_guard_runs_once_per_block(self, monkeypatch, block_size):
+        # The guard reads lineage alone, which every replication of a block
+        # shares, so a block builds the same few series whatever its size.
+        guards, built = [], []
+        real_guard, real_init = mc.differencing_warning, TimeSeries.__post_init__
+
+        def differencing_warning(a, b):
+            guards.append((a.lineage, b.lineage))
+            return real_guard(a, b)
+
+        def post_init(series):
+            built.append(len(series.values))
+            real_init(series)
+
+        monkeypatch.setattr(mc, "differencing_warning", differencing_warning)
+        monkeypatch.setattr(TimeSeries, "__post_init__", post_init)
+        monkeypatch.setattr(mc, "BLOCK_SIZE", block_size)
+        result = mc.run_false_positive_experiment(n=50, reps=100, level=1, base_seed=7)
+        blocks = -(-100 // block_size)
+        assert result.guard_warning_count == 100
+        assert len(guards) == blocks
+        assert set(guards) == {((TransformTag(ITERATED_DIFF, 1, 1),),) * 2}
+        assert built == [50, 49, 50, 49] * blocks
 
 
 class TestSizeExperiment:
@@ -415,6 +446,53 @@ class TestDrawSize:
         for size in (1, 7, 64):
             monkeypatch.setattr(mc, "GENERATE_SIZE", size)
             assert _five_runners(300) == reference, size
+
+
+_SPLIT_BLOCKS = (mc.EG_LEVELS, mc.EG_DIFFERENCES, mc.ADF, "spurious", "ect-unit-root", "ect-recovery")
+
+
+def _split_block(name, n):
+    """One of the five block functions, bound as its runner binds it, and its DGP."""
+    walks = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, n)
+    if name in (mc.EG_LEVELS, mc.EG_DIFFERENCES, mc.ADF):
+        test = mc.TestConfig(kind=name, lags=1)
+        spec = None if name == mc.ADF else mc._eg_spec(test)
+        return partial(mc._size_block, test, spec, walks), walks
+    if name == "spurious":
+        return partial(mc._spurious_block, False), walks
+    if name == "ect-unit-root":
+        return partial(mc._ect_unit_root_block, EcmSpec(seasonal_gap=MONTHLY), 1), walks
+    pair = mc.DgpSpec(mc.COINTEGRATED_PAIR, n, adjust=0.3)
+    return partial(mc._recovery_block, EcmSpec(seasonal_gap=1)), pair
+
+
+class TestSplitInvariance:
+    """Any run of replications, drawn and solved in stacks of any size, gives
+    bitwise the statistics of its replications run one at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(_SPLIT_BLOCKS),
+        n=st.integers(30, 60),
+        r0=st.integers(0, 300),
+        reps=st.integers(1, 40),
+        generate_size=st.integers(1, 48),
+        block_size=st.integers(1, 24),
+    )
+    def test_chunk_equals_replications_one_at_a_time(
+        self, name, n, r0, reps, generate_size, block_size
+    ):
+        block, dgp = _split_block(name, n)
+        seeds = mc._replication_seeds(13, r0, r0 + reps)
+        alone = np.concatenate([block(*mc._generate_stack(dgp, [seed])) for seed in seeds])
+        # Patched in the example's own scope: @given runs many examples in one test call.
+        with mock.patch.object(mc, "GENERATE_SIZE", generate_size), mock.patch.object(
+            mc, "BLOCK_SIZE", block_size
+        ):
+            assert mc._draw_rows(n) == generate_size
+            chunk = mc._outcome_chunk(block, dgp, 13, r0, r0 + reps)
+        assert chunk.shape == alone.shape
+        assert chunk.tobytes() == alone.tobytes()
 
 
 class TestDigest:
@@ -798,6 +876,20 @@ class TestStackedEqualsScalar:
         assert result.rejections == {
             level: sum(report.reject_at[level] for report in reports) for level in LEVELS
         }
+
+    def test_overflowing_difference_raises_the_series_error(self):
+        # Finite levels whose first differences overflow: the error is the
+        # one iterated_difference raises, and numpy warns of nothing.
+        test = mc.TestConfig(kind=mc.EG_DIFFERENCES)
+        dgp = mc.DgpSpec(mc.WHITE_NOISE_PAIR, 30, 6e307)
+        with np.errstate(over="ignore"), pytest.raises(DataError) as scalar:
+            _size_outcome(test, dgp, 2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as blocked:
+                mc.run_size_experiment(test, dgp, reps=100, base_seed=2)
+        assert str(blocked.value) == str(scalar.value) == "non-finite value at position 6"
+        assert (blocked.value.replication, blocked.value.seed) == (0, mc.replication_seed(2, 0))
 
     def test_failing_block_raises_the_scalar_error(self, monkeypatch):
         # In the first draw, replication 33 is rank deficient in stage one
