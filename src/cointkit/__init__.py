@@ -35,7 +35,7 @@ from cointkit.ecm import (
     estimate_ecm,
     estimate_levels,
 )
-from cointkit.ingest import ingest_csv
+from cointkit.ingest import IngestReport, ingest_csv
 from cointkit.montecarlo import (
     DgpSpec,
     EctRecoveryResult,
@@ -80,6 +80,7 @@ __all__ = [
     "GridCell",
     "GridReport",
     "GuardWarning",
+    "IngestReport",
     "LEVELS",
     "OlsFit",
     "SOURCE_ID",

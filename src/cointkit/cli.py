@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -40,8 +41,8 @@ from cointkit.errors import (
     DataError,
     UsageError,
 )
-from cointkit.formats import fmt12s, json_dumps, significance_stars
-from cointkit.ingest import ingest_csv
+from cointkit.formats import json_dumps, significance_stars
+from cointkit.ingest import IngestReport, ingest_csv
 from cointkit.unitroot import adf_test
 
 OUTPUT_DIR_ENV = "COINTKIT_OUTPUT_DIR"
@@ -215,6 +216,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cointkit", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -292,35 +294,12 @@ def _warning_lines(warnings) -> list[str]:
 
 
 def _cmd_ingest_check(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
-    series = ingest_csv(config.values["input"])
-    freq_label = "monthly" if series.frequency == 12 else "quarterly"
-    report = {
-        "type": "ingest_check",
-        "name": series.name,
-        "frequency": series.frequency,
-        "start": series.start_label,
-        "end": series.end_label,
-        "observations": len(series),
-        "min": float(series.values.min()),
-        "max": float(series.values.max()),
-    }
-    rows = [
-        ["name", "frequency", "start", "end", "observations", "min", "max"],
-        [
-            series.name,
-            freq_label,
-            series.start_label,
-            series.end_label,
-            str(len(series)),
-            fmt12s(series.values.min()),
-            fmt12s(series.values.max()),
-        ],
-    ]
+    report = IngestReport.from_series(ingest_csv(config.values["input"]))
     human = [
-        f"{series.name}: {len(series)} {freq_label} observations, "
-        f"{series.start_label}..{series.end_label}"
+        f"{report.name}: {report.observations} {report.frequency_label} observations, "
+        f"{report.start}..{report.end}"
     ]
-    return report, rows, human
+    return report.to_json_dict(), report.to_csv_rows(), human
 
 
 def _cmd_adf(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:

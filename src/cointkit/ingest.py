@@ -1,9 +1,13 @@
 """CSV ingestion under the `date,value` contract.
 
-Dates are ``YYYY-MM`` for monthly files or ``YYYYQn`` for quarterly ones;
-rows must advance one period at a time with no gaps. Anything malformed
-aborts with the 1-based line number of the offending row. Ingested series
-start with an empty transform lineage.
+Dates are ``YYYY-MM`` for monthly files or ``YYYYQn`` for quarterly ones,
+in ASCII digits; rows must advance one period at a time with no gaps.
+Anything malformed aborts with the 1-based line number of the offending
+row. Ingested series start with an empty transform lineage.
+
+A file already in canonical form (upper-case ``Q``, every row two fields)
+is accepted in one bulk pass; any other file is read row by row, and that
+loop alone decides every error and every non-canonical row.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ import csv
 import math
 import os
 import re
+from dataclasses import dataclass
 
 from cointkit.errors import DataError, EmptyFile, GapInDates, ParseError
+from cointkit.formats import fmt12s
 from cointkit.series import (
     MONTHLY,
     QUARTERLY,
@@ -21,10 +27,14 @@ from cointkit.series import (
     _abs_index,
     _from_abs_index,
     period_label,
+    period_labels,
 )
 
-_MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$")
-_QUARTERLY_RE = re.compile(r"^(\d{4})[Qq]([1-4])$")
+_MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
+_QUARTERLY_RE = re.compile(r"^(\d{4})[Qq]([1-4])$", re.ASCII)
+_LAST_YEAR = 9999  # the grammar's years have four digits
+
+CSV_COLUMNS = ("name", "frequency", "start", "end", "observations", "min", "max")
 
 
 def _parse_date(text: str, line: int) -> tuple[int, tuple[int, int]]:
@@ -40,6 +50,53 @@ def _parse_date(text: str, line: int) -> tuple[int, tuple[int, int]]:
         year, quarter = int(q.group(1)), int(q.group(2))
         return QUARTERLY, (year, (quarter - 1) * 3 + 1)
     raise ParseError(line, f"date {text!r} is neither YYYY-MM nor YYYYQn")
+
+
+@dataclass(frozen=True)
+class IngestReport:
+    """What ``ingest-check`` reports of one ingested series."""
+
+    name: str
+    frequency: int
+    start: str
+    end: str
+    observations: int
+    min: float
+    max: float
+
+    @classmethod
+    def from_series(cls, series: TimeSeries) -> "IngestReport":
+        return cls(
+            name=series.name,
+            frequency=series.frequency,
+            start=series.start_label,
+            end=series.end_label,
+            observations=len(series),
+            min=float(series.values.min()),
+            max=float(series.values.max()),
+        )
+
+    @property
+    def frequency_label(self) -> str:
+        return "monthly" if self.frequency == MONTHLY else "quarterly"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "type": "ingest_check",
+            "name": self.name,
+            "frequency": self.frequency,
+            "start": self.start,
+            "end": self.end,
+            "observations": self.observations,
+            "min": self.min,
+            "max": self.max,
+        }
+
+    def to_csv_rows(self) -> list[list[str]]:
+        """The CSV_COLUMNS header and this report's one row."""
+        row = [self.name, self.frequency_label, self.start, self.end, str(self.observations)]
+        row += [fmt12s(self.min), fmt12s(self.max)]
+        return [list(CSV_COLUMNS), row]
 
 
 def ingest_csv(path: str) -> TimeSeries:
@@ -59,28 +116,71 @@ def ingest_csv(path: str) -> TimeSeries:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            # Each record with the physical line it starts on: a quoted
-            # value may span lines.
-            rows, line = [], 1
-            for row in reader:
-                rows.append((line, row))
-                line = reader.line_num + 1
+            # Each record with the physical line it ends on: a quoted value
+            # may span lines.
+            records = [(row, reader.line_num) for row in reader]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise ParseError(reader.line_num, str(exc)) from None
-    if not rows:
+    if not records:
         raise EmptyFile(path)
-    (_, header), *records = rows
+    (header, header_end), *records = records
     if [h.strip().lower() for h in header] != ["date", "value"]:
         raise ParseError(1, f"header must be 'date,value', got {','.join(header)!r}")
 
+    parsed = _canonical(records) or _parse_rows(records, header_end + 1)
+    if parsed is None:
+        raise EmptyFile(path)
+    frequency, start, values = parsed
+    name = os.path.splitext(os.path.basename(path))[0]
+    return TimeSeries(start=start, frequency=frequency, values=values, lineage=(), name=name)
+
+
+def _canonical(records: list) -> tuple[int, tuple[int, int], list[float]] | None:
+    """(frequency, start, values) of records in canonical form, else None.
+
+    Canonical: every record has two fields, the stripped dates are the
+    labels of consecutive periods from the first one, and every value is a
+    finite float. Such records are exactly what the row loop accepts
+    unchanged, so this pass raises nothing and leaves the rest to it.
+    """
+    try:
+        columns = list(zip(*[row for row, _ in records], strict=True))
+    except ValueError:  # records of unequal length
+        return None
+    if len(columns) != 2:
+        return None
+    dates, texts = columns
+    try:
+        frequency, start = _parse_date(dates[0].strip(), 0)
+    except ParseError:
+        return None
+    first = _abs_index(start, frequency)
+    if (first + len(dates) - 1) // frequency > _LAST_YEAR:
+        return None
+    if [d.strip() for d in dates] != period_labels(first, len(dates), frequency):
+        return None
+    try:
+        values = list(map(float, texts))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+    return frequency, start, values
+
+
+def _parse_rows(records: list, line: int) -> tuple[int, tuple[int, int], list[float]] | None:
+    """(frequency, start, values) of the records read row by row from ``line``, or None if none.
+
+    Raises the first record's error, with the line it starts on.
+    """
     frequency: int | None = None
     start: tuple[int, int] | None = None
     prev_index: int | None = None
     values: list[float] = []
 
-    for line, row in records:
+    for row, end in records:
         if not row or all(not cell.strip() for cell in row):
             raise ParseError(line, "blank row")
         if len(row) != 2:
@@ -106,8 +206,8 @@ def ingest_csv(path: str) -> TimeSeries:
         if not math.isfinite(value):
             raise ParseError(line, f"value {value_text!r} is not finite")
         values.append(value)
+        line = end + 1
 
     if not values:
-        raise EmptyFile(path)
-    name = os.path.splitext(os.path.basename(path))[0]
-    return TimeSeries(start=start, frequency=frequency, values=values, lineage=(), name=name)
+        return None
+    return frequency, start, values

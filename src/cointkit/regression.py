@@ -204,10 +204,10 @@ def _as_fit(sol: _Solution) -> OlsFit:
     # A constant non-zero column; a column sum of |A - A[0]| is zero only if every term is.
     constant = (np.ones(n) @ np.abs(A - A[0])) == 0.0
     has_intercept = bool((constant & (A[0] != 0.0)).any())
-    if has_intercept:
-        tss = float(((y - y.mean()) ** 2).sum())
-    else:
-        tss = float((y**2).sum())
+    with np.errstate(over="ignore"):
+        tss = float(((y - y.mean()) ** 2).sum()) if has_intercept else float((y**2).sum())
+    if not np.isfinite(tss):
+        raise NumericalError("total sum of squares overflows: squares of y exceed the float range")
     # TSS and RSS are in squared y units, so "negligible" is judged on the
     # scale of y, whatever the scale of the regressors.
     y_tol = n * _EPS * float(np.abs(y).max())
@@ -245,7 +245,8 @@ def ols_fit(y: Sequence[float], X: DesignMatrix) -> OlsFit:
         Naming the first column that is numerically dependent on its
         predecessors.
     NumericalError
-        If a squared column norm or the residual sum of squares overflows.
+        If a squared column norm, the residual sum of squares or the total
+        sum of squares overflows.
     """
     yv = np.asarray(y, dtype=float).ravel()
     if yv.size != X.nobs:

@@ -94,12 +94,23 @@ def _from_abs_index(index: int, frequency: int) -> tuple[int, int]:
     return index // 4, (index % 4) * 3 + 1
 
 
+_PERIOD_SUFFIXES = {
+    MONTHLY: tuple(f"-{month:02d}" for month in range(1, 13)),
+    QUARTERLY: ("Q1", "Q2", "Q3", "Q4"),
+}
+
+
+def period_labels(first: int, count: int, frequency: int) -> list[str]:
+    """Labels of ``count`` consecutive periods from absolute period index ``first``."""
+    year, skip = divmod(first, frequency)
+    years = [f"{y:04d}" for y in range(year, (first + count - 1) // frequency + 1)]
+    labels = [y + suffix for y in years for suffix in _PERIOD_SUFFIXES[frequency]]
+    return labels[skip : skip + count]
+
+
 def period_label(start: tuple[int, int], frequency: int) -> str:
     """Render a period as ``YYYY-MM`` (monthly) or ``YYYYQn`` (quarterly)."""
-    year, month = start
-    if frequency == MONTHLY:
-        return f"{year:04d}-{month:02d}"
-    return f"{year:04d}Q{(month - 1) // 3 + 1}"
+    return period_labels(_abs_index(start, frequency), 1, frequency)[0]
 
 
 @dataclass(frozen=True)
@@ -168,7 +179,7 @@ class TimeSeries:
         """Calendar label of observation ``i`` (0-based)."""
         if not 0 <= i < len(self):
             raise IndexError(i)
-        return period_label(_from_abs_index(self.start_index + i, self.frequency), self.frequency)
+        return period_labels(self.start_index + i, 1, self.frequency)[0]
 
     @property
     def start_label(self) -> str:

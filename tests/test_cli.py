@@ -8,8 +8,10 @@ import pytest
 
 import cointkit.montecarlo as mc
 from cointkit.cli import RunConfig, main, parse_config_text, resolve_config
-from cointkit.errors import ConfigError, EmptyFile, GapInDates, ParseError
+from cointkit.ecm import estimate_levels
+from cointkit.errors import ConfigError, EmptyFile, GapInDates, NumericalError, ParseError
 from cointkit.ingest import ingest_csv
+from cointkit.series import TimeSeries
 
 
 def write_series_csv(path, values, start=(2000, 1), quarterly=False):
@@ -134,6 +136,15 @@ class TestIngest:
         with pytest.raises(ParseError):
             ingest_csv(str(p))
 
+    def test_dates_take_only_ascii_digits(self, tmp_path, capsys):
+        p = tmp_path / "u.csv"
+        p.write_text("date,value\n\u0661\u0669\u0668\u0665-\u0660\u0661,1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(str(p))
+        assert exc.value.line == 2
+        assert main(["ingest-check", "--input", str(p)]) == 2
+        assert _one_error_record(capsys)["error"] == "ParseError"
+
 
 def _one_error_record(capsys) -> dict:
     """The decoded record of stderr, which must be exactly one ``cointkit-error:`` line."""
@@ -142,8 +153,8 @@ def _one_error_record(capsys) -> dict:
     return json.loads(err[len("cointkit-error: ") :])
 
 
-def _only_error_line(tmp_path, argv) -> dict:
-    """The record of a fresh ``cointkit`` process that must exit 2 with one stderr line.
+def _only_error_line(tmp_path, argv, code=2) -> dict:
+    """The record of a fresh ``cointkit`` process that must exit ``code`` with one stderr line.
 
     numpy's overflow warnings would go to stderr ahead of the line.
     """
@@ -153,7 +164,7 @@ def _only_error_line(tmp_path, argv) -> dict:
         [sys.executable, "-m", "cointkit.cli", *argv],
         capture_output=True, text=True, cwd=tmp_path, env=env,
     )
-    assert proc.returncode == 2
+    assert proc.returncode == code
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("cointkit-error: ")
@@ -278,6 +289,22 @@ class TestExitCodes:
         record = _one_error_record(capsys)
         assert record["error"] == "NumericalError"
         assert record["message"].startswith(message + ": ")
+
+    def test_overflowing_total_sum_of_squares_prints_only_the_error_line(self, tmp_path):
+        # y = 1e160 x: the stage-one design and residuals are in range, squares of y are not.
+        x = np.cumsum(np.random.default_rng(1).standard_normal(120)) + 50.0
+        write_series_csv(tmp_path / "x.csv", x)
+        write_series_csv(tmp_path / "y.csv", x * 1e160)
+        record = _only_error_line(tmp_path, ["eg", "--input", "y.csv", "--input2", "x.csv"], code=3)
+        assert record["error"] == "NumericalError"
+        assert record["message"].startswith("total sum of squares overflows: ")
+
+    def test_overflowing_total_sum_of_squares_in_the_levels_regression(self):
+        # The ecm command cannot get here: its ARDL stage regresses on lags of
+        # the change in y, so a y this large overflows that design first.
+        x = np.cumsum(np.random.default_rng(1).standard_normal(120)) + 50.0
+        with pytest.raises(NumericalError, match="^total sum of squares overflows: "):
+            estimate_levels(TimeSeries((2000, 1), 12, x * 1e160), TimeSeries((2000, 1), 12, x))
 
     def test_bad_flag_choice_is_exit_one(self, tmp_path, capsys):
         pa, _ = write_walk_pair(tmp_path)

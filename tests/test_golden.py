@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 import cointkit.montecarlo as mc
+from cointkit import cli
 from cointkit.cli import main
 
 README = Path(__file__).parents[1] / "README.md"
@@ -152,6 +153,24 @@ def test_cli_command_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(ERROR_CASES))
 def test_cli_failure_matches_golden(name):
     assert _error_output(name) == _expected(f"{name}.stderr")
+
+
+def test_one_process_serves_every_case_after_a_usage_error_and_help(tmp_path):
+    """``main`` keeps one parser per process; a failed parse or ``--help`` leaves it as it was."""
+    parser = cli._build_parser()
+    code, stdout, stderr = _run_cli(["no-such-command"])
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith('cointkit-error: {"error": "ConfigError", "message": "argument command: ')
+    assert stderr.count("\n") == 1 and "no-such-command" in stderr
+    with pytest.raises(SystemExit) as info, contextlib.redirect_stdout(io.StringIO()) as out:
+        main(["--help"])
+    assert info.value.code == 0 and out.getvalue().startswith("usage: cointkit ")
+    for name in sorted(CLI_CASES):
+        for file_name, text in _cli_outputs(name, tmp_path).items():
+            assert text == _expected(file_name), file_name
+    for name in sorted(ERROR_CASES):
+        assert _error_output(name) == _expected(f"{name}.stderr"), name
+    assert cli._build_parser() is parser
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENT_CASES))

@@ -6,12 +6,15 @@ independent of the period-index codec in ``cointkit.series``.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointkit.errors import GapInDates
+from cointkit import ingest
+from cointkit.errors import DataError, GapInDates, ParseError
 from cointkit.ingest import ingest_csv
 from cointkit.series import MONTHLY, QUARTERLY
 
@@ -74,3 +77,83 @@ def test_gap_names_the_expected_period(csv_path, start, length, data, step):
         ingest_csv(str(csv_path))
     assert info.value.expected == _label(start, i)
     assert info.value.found == labels[i]
+
+
+# Ways to spoil one row of a canonical file. Some leave it valid but not
+# canonical (lower-case q, padding, quotes, a value spanning two lines);
+# the rest make it an error of each kind the row loop reports.
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+_SPOIL = {
+    "lower_q": lambda d, v, nxt, prev: f"{d.replace('Q', 'q')},{v}",
+    "pad": lambda d, v, nxt, prev: f"  {d}\t, {v} ",
+    "quote": lambda d, v, nxt, prev: f'"{d}","{v}"',
+    "multiline": lambda d, v, nxt, prev: f'{d},"{v}\n"',
+    "non_ascii_digits": lambda d, v, nxt, prev: f"{d.translate(_ARABIC_INDIC)},{v}",
+    "gap": lambda d, v, nxt, prev: f"{nxt},{v}",
+    "repeat": lambda d, v, nxt, prev: f"{prev},{v}",
+    "switch": lambda d, v, nxt, prev: f"{d[:4]}{'Q1' if '-' in d else '-01'},{v}",
+    "bad_value": lambda d, v, nxt, prev: f"{d},1.0.0",
+    "inf": lambda d, v, nxt, prev: f"{d},-inf",
+    "nan": lambda d, v, nxt, prev: f"{d},nan",
+    "blank": lambda d, v, nxt, prev: "",
+    "blank_fields": lambda d, v, nxt, prev: " , ",
+    "one_field": lambda d, v, nxt, prev: d,
+    "three_fields": lambda d, v, nxt, prev: f"{d},{v},1",
+}
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """A ``date,value`` file, canonical or spoilt in up to three rows.
+
+    Starts run up to year 9999, so some files cross into year 10000, whose
+    five-digit labels the grammar rejects.
+    """
+    frequency = draw(st.sampled_from([MONTHLY, QUARTERLY]))
+    year = draw(st.one_of(st.integers(1000, 9000), st.integers(9996, 9999)))
+    start = (frequency, year, draw(st.integers(1, frequency)))
+    n = draw(st.integers(1, 40))
+    dates = [_label(start, k) for k in range(n)]
+    values = [repr(v) for v in draw(st.lists(finite, min_size=n, max_size=n))]
+    rows = [f"{d},{v}" for d, v in zip(dates, values)]
+    spoilt = st.tuples(st.sampled_from(sorted(_SPOIL)), st.integers(0, n - 1))
+    for kind, i in draw(st.lists(spoilt, max_size=3)):
+        rows[i] = _SPOIL[kind](dates[i], values[i], _label(start, i + 1), _label(start, i - 1))
+    return "date,value\n" + "\n".join(rows) + "\n"
+
+
+def _outcome(path: str):
+    """The series read from ``path``, or the type, text and line of the error."""
+    try:
+        return ingest_csv(path)
+    except DataError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _row_loop_outcome(path: str):
+    with mock.patch.object(ingest, "_canonical", return_value=None):
+        return _outcome(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=csv_texts())
+def test_bulk_pass_agrees_with_the_row_loop(csv_path, text):
+    csv_path.write_text(text, encoding="utf-8")
+    assert _outcome(str(csv_path)) == _row_loop_outcome(str(csv_path))
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=starts, values=st.lists(finite, min_size=1, max_size=60))
+def test_canonical_files_never_reach_the_row_loop(csv_path, start, values):
+    _write(csv_path, [_label(start, k) for k in range(len(values))], values)
+    with mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row loop")):
+        series = ingest_csv(str(csv_path))
+    assert np.array_equal(series.values, np.array(values))
+
+
+@pytest.mark.parametrize("frequency, last, beyond", [(MONTHLY, "9999-12", "10000-01"), (QUARTERLY, "9999Q4", "10000Q1")])
+def test_year_10000_is_rejected_on_both_paths(csv_path, frequency, last, beyond):
+    csv_path.write_text(f"date,value\n{last},1\n{beyond},2\n", encoding="utf-8")
+    outcome = _outcome(str(csv_path))
+    assert outcome == _row_loop_outcome(str(csv_path))
+    assert outcome[0] is ParseError and outcome[2] == 3
