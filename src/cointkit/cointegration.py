@@ -20,7 +20,7 @@ import numpy as np
 
 from cointkit.critvals import LEVELS, MIN_N, SOURCE_ID, DeterministicSpec, critical_values_map
 from cointkit.ecm import _levels_regression
-from cointkit.errors import CointkitError, UsageError
+from cointkit.errors import CointkitError, UsageError, flag_setting, int_setting
 from cointkit.formats import fmt12s, significance_stars
 from cointkit.regression import OlsFit, _as_fit, _Solution
 from cointkit.series import TimeSeries, align, has_differencing, lineage_summary, log_transform
@@ -73,10 +73,9 @@ class EgSpec:
             raise UsageError(f"transform must be {LOGARITHMS!r} or {UNTRANSFORMED!r}")
         if self.normalize_on not in (NORMALIZE_FIRST, NORMALIZE_SECOND):
             raise UsageError(f"normalize_on must be {NORMALIZE_FIRST!r} or {NORMALIZE_SECOND!r}")
-        if not 0 <= int(self.lags) <= MAX_LAGS:
-            raise UsageError(f"lags must be in 0..{MAX_LAGS}, got {self.lags}")
-        object.__setattr__(self, "lags", int(self.lags))
-        object.__setattr__(self, "trend_in_stage_one", bool(self.trend_in_stage_one))
+        object.__setattr__(self, "lags", int_setting("lags", self.lags, 0, MAX_LAGS))
+        trend = flag_setting("trend_in_stage_one", self.trend_in_stage_one)
+        object.__setattr__(self, "trend_in_stage_one", trend)
 
     def to_json_dict(self) -> dict:
         return {

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from cointkit.errors import UnsupportedCombination, UsageError
+from cointkit.errors import UnsupportedCombination, UsageError, flag_setting, int_setting
 
 SOURCE_ID = "mackinnon-2010"
 LEVELS = (1, 5, 10)
@@ -39,6 +39,8 @@ class DeterministicSpec:
     trend: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "constant", flag_setting("constant", self.constant))
+        object.__setattr__(self, "trend", flag_setting("trend", self.trend))
         if self.trend and not self.constant:
             raise UsageError("a trend term requires a constant term")
 
@@ -152,7 +154,7 @@ class CriticalValueTable:
     coefficients: Mapping[tuple[str, int, int], tuple[float, float, float, float]]
 
     def _lookup(self, k: int, level: int, det: DeterministicSpec) -> tuple[float, ...]:
-        key = (det.key, int(k), int(level))
+        key = (det.key, k, level)
         if key not in self.coefficients:
             raise UnsupportedCombination(
                 f"no tabulated surface for k={k}, level={level}%, deterministic={det.label()}"
@@ -165,7 +167,6 @@ class CriticalValueTable:
 
     def value(self, k: int, n: int, level: int, det: DeterministicSpec) -> float:
         b0, b1, b2, b3 = self._lookup(k, level, det)
-        n = float(n)
         return b0 + b1 / n + b2 / n**2 + b3 / n**3
 
 
@@ -192,14 +193,17 @@ def critical_value(k: int, n: int, level: int, det: DeterministicSpec) -> float:
     ------
     UnsupportedCombination
         For out-of-range ``k``/``n``/``level`` or an untabulated pairing.
+    UsageError
+        For a ``k``, ``n`` or ``level`` that is not an integer.
     """
-    if not MIN_K <= int(k) <= MAX_K:
+    k, n, level = int_setting("k", k), int_setting("n", n), int_setting("level", level)
+    if not MIN_K <= k <= MAX_K:
         raise UnsupportedCombination(f"k must be in {MIN_K}..{MAX_K}, got {k}")
-    if int(n) < MIN_N:
+    if n < MIN_N:
         raise UnsupportedCombination(f"sample size must be >= {MIN_N}, got {n}")
-    if int(level) not in LEVELS:
+    if level not in LEVELS:
         raise UnsupportedCombination(f"level must be one of {LEVELS}, got {level}")
-    return TABLE.value(int(k), int(n), int(level), det)
+    return TABLE.value(k, n, level, det)
 
 
 def critical_values_map(k: int, n: int, det: DeterministicSpec) -> dict[int, float]:

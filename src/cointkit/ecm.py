@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cointkit.errors import SeriesTooShort, UnsupportedCombination, UsageError
+from cointkit.errors import SeriesTooShort, UnsupportedCombination, UsageError, flag_setting, int_setting
 from cointkit.formats import fmt12s
 from cointkit.regression import OlsFit, _as_fit, _lstsq, _Solution
 from cointkit.series import TimeSeries, align
@@ -45,11 +45,8 @@ class EcmSpec:
 
     def __post_init__(self):
         for name in ("seasonal_gap", "ect_lag", "ardl_control_lags"):
-            value = int(getattr(self, name))
-            if value < 1:
-                raise UsageError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "include_trend", bool(self.include_trend))
+            object.__setattr__(self, name, int_setting(name, getattr(self, name), 1))
+        object.__setattr__(self, "include_trend", flag_setting("include_trend", self.include_trend))
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,6 +138,7 @@ def estimate_levels(y: TimeSeries, x: TimeSeries, include_trend: bool = False) -
     With log inputs the slope is the long-run elasticity estimate. The
     control set contains nothing else by construction.
     """
+    include_trend = flag_setting("include_trend", include_trend)
     y_al, x_al = align(y, x)
     return _as_fit(_levels_regression(y_al.values, x_al.values, include_trend))
 

@@ -3,7 +3,16 @@
 The three error families map onto CLI exit codes: UsageError -> 1,
 DataError -> 2, NumericalError -> 3. Every other CointkitError also exits
 3; the one today is MissingGuardWarning, a broken experiment contract.
+
+Every public setting is coerced and checked by one of three rules, written
+once here: ``int_setting``, ``real_setting`` and ``flag_setting``. Each
+returns the plain Python value, so equal settings give equal configs and
+digests, or raises ``UsageError`` naming the setting.
 """
+
+import math
+
+import numpy as np
 
 
 class CointkitError(Exception):
@@ -29,6 +38,56 @@ def _rebuild(cls: type, args: tuple, attributes: dict) -> CointkitError:
 
 class UsageError(CointkitError):
     """Invalid configuration or an unsupported request."""
+
+
+def int_setting(
+    name: str, value, lo: int | None = None, hi: int | None = None, *, expected: str | None = None
+) -> int:
+    """The integer rule: ``value`` as a Python int, within ``lo``..``hi`` if given.
+
+    Takes a Python or numpy integer, or a finite float with an integral
+    value (300.0 is 300); never a bool. ``expected`` replaces every message
+    with "{name} must be {expected}".
+    """
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if isinstance(value, (float, np.floating)):
+        integral = math.isfinite(value) and value.is_integer()
+    if not integral:
+        message = f"an integer, got {value!r}" if expected is None else expected
+        raise UsageError(f"{name} must be {message}")
+    return _bounded(name, int(value), lo, hi, expected)
+
+
+def real_setting(name: str, value, lo: float | None = None, hi: float | None = None) -> float:
+    """The real rule: ``value``, a finite Python or numpy int or float, as a Python float
+    within ``lo``..``hi`` if given; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise UsageError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise UsageError(f"{name} must be finite, got {number}")
+    return _bounded(name, number, lo, hi)
+
+
+def flag_setting(name: str, value) -> bool:
+    """The flag rule: a Python or numpy bool, as a Python bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise UsageError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
+
+
+def _bounded(name: str, value, lo, hi, expected: str | None = None):
+    """``value`` if it lies in the closed range ``lo``..``hi`` (either may be None)."""
+    if (lo is None or lo <= value) and (hi is None or value <= hi):
+        return value
+    if expected:
+        raise UsageError(f"{name} must be {expected}")
+    if hi is None:
+        raise UsageError(f"{name} must be >= {lo}, got {value}")
+    raise UsageError(f"{name} must be in {lo}..{hi}, got {value}")
 
 
 class DataError(CointkitError):

@@ -2,6 +2,7 @@
 
 Dates are ``YYYY-MM`` for monthly files or ``YYYYQn`` for quarterly ones,
 in ASCII digits; rows must advance one period at a time with no gaps.
+Values are ASCII decimal or exponent notation (``_plain_value``).
 Anything malformed aborts with the 1-based line number of the offending
 row. Ingested series start with an empty transform lineage.
 
@@ -13,6 +14,7 @@ loop alone decides every error and every non-canonical row.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import re
@@ -33,8 +35,15 @@ from cointkit.series import (
 _MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
 _QUARTERLY_RE = re.compile(r"^(\d{4})[Qq]([1-4])$", re.ASCII)
 _LAST_YEAR = 9999  # the grammar's years have four digits
+_LINE_BREAK = re.compile(rb"\r\n?|\n")
 
 CSV_COLUMNS = ("name", "frequency", "start", "end", "observations", "min", "max")
+
+
+def _plain_value(text: str) -> bool:
+    """Whether ``text`` keeps to the value grammar that ``float`` alone does not
+    enforce: ASCII only (no other digits or spaces) and no ``_`` separators."""
+    return text.isascii() and "_" not in text
 
 
 def _parse_date(text: str, line: int) -> tuple[int, tuple[int, int]]:
@@ -111,16 +120,23 @@ def ingest_csv(path: str) -> TimeSeries:
     EmptyFile
         A file with no data rows.
     DataError
-        A file that cannot be opened or is not valid UTF-8.
+        A file that cannot be opened, or is not valid UTF-8 (naming the byte
+        offset in the file and its line).
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            # Each record with the physical line it ends on: a quoted value
-            # may span lines.
-            records = [(row, reader.line_num) for row in reader]
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_BREAK.split(data[: exc.start]))
+        raise DataError(f"cannot read {path}: {exc} (line {line})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        # Each record with the physical line it ends on: a quoted value may span lines.
+        records = [(row, reader.line_num) for row in reader]
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise ParseError(reader.line_num, str(exc)) from None
     if not records:
@@ -142,8 +158,8 @@ def _canonical(records: list) -> tuple[int, tuple[int, int], list[float]] | None
 
     Canonical: every record has two fields, the stripped dates are the
     labels of consecutive periods from the first one, and every value is a
-    finite float. Such records are exactly what the row loop accepts
-    unchanged, so this pass raises nothing and leaves the rest to it.
+    finite float in the value grammar. Such records are exactly what the row
+    loop accepts unchanged, so this pass raises nothing and leaves the rest to it.
     """
     try:
         columns = list(zip(*[row for row, _ in records], strict=True))
@@ -160,6 +176,8 @@ def _canonical(records: list) -> tuple[int, tuple[int, int], list[float]] | None
     if (first + len(dates) - 1) // frequency > _LAST_YEAR:
         return None
     if [d.strip() for d in dates] != period_labels(first, len(dates), frequency):
+        return None
+    if not _plain_value("".join(texts)):
         return None
     try:
         values = list(map(float, texts))
@@ -199,6 +217,8 @@ def _parse_rows(records: list, line: int) -> tuple[int, tuple[int, int], list[fl
             raise GapInDates(period_label(expected, frequency), period_label(period, frequency))
         prev_index = index
 
+        if not _plain_value(row[1]):
+            raise ParseError(line, f"value {row[1]!r} is not ASCII decimal or exponent notation")
         try:
             value = float(value_text)
         except ValueError:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -51,7 +50,15 @@ from cointkit.cointegration import (
 )
 from cointkit.critvals import LEVELS, DeterministicSpec
 from cointkit.ecm import EcmSpec, _ardl_rows, _ecm_regressions, _levels_regression
-from cointkit.errors import CointkitError, DataError, MissingGuardWarning, UsageError
+from cointkit.errors import (
+    CointkitError,
+    DataError,
+    MissingGuardWarning,
+    UsageError,
+    flag_setting,
+    int_setting,
+    real_setting,
+)
 from cointkit.series import MONTHLY, TimeSeries, iterated_difference
 from cointkit.unitroot import _adf, _adf_sample, adf_critical_values
 
@@ -99,11 +106,8 @@ def _draw_rows(n: int) -> int:
     return min(GENERATE_SIZE, max(64, _DRAW_STEPS // (n + BURN_IN)))
 
 
-def _seed(value) -> int:
-    """``value`` as an int, which must fit in 64 unsigned bits."""
-    if not 0 <= int(value) < 2**64:
-        raise UsageError("seed must be a 64-bit unsigned integer")
-    return int(value)
+# Every seed, a DGP's or an experiment's base seed, under the integer rule.
+_seed = partial(int_setting, "seed", lo=0, hi=2**64 - 1, expected="a 64-bit unsigned integer")
 
 
 # numpy's SeedSequence, run on a stack. It is O'Neill's seed_seq hash (PCG
@@ -231,14 +235,18 @@ def _replication_seeds(base_seed: int, r0: int, r1: int) -> list[int]:
     .generate_state(1, np.uint64)[0]``, bit for bit: the base seed's words,
     zero-padded to the pool size, then the spawn key's.
     """
-    base = _int_words(int(base_seed))
+    base = _int_words(base_seed)
     prefix = base + [0] * (_POOL_SIZE - len(base))
-    (seeds,) = _uint64s(_keyed_states(prefix, list(range(int(r0), int(r1))), 2))
+    (seeds,) = _uint64s(_keyed_states(prefix, list(range(r0, r1)), 2))
     return seeds
 
 
 def replication_seed(base_seed: int, r: int) -> int:
-    """The 64-bit seed of replication ``r``: a pure function of its inputs."""
+    """The 64-bit seed of replication ``r``: a pure function of its inputs.
+
+    Negative arguments raise numpy's ``ValueError``, as ``SeedSequence`` does.
+    """
+    base_seed, r = int_setting("base_seed", base_seed), int_setting("r", r)
     return _replication_seeds(base_seed, r, r + 1)[0]
 
 
@@ -287,20 +295,13 @@ class DgpSpec:
     def __post_init__(self):
         if self.kind not in _DGP_KINDS:
             raise UsageError(f"unknown DGP kind {self.kind!r}")
-        # Equal settings give equal configs and digests: 1 and 1.0, or a
-        # numpy float, are one setting.
-        for name in ("innovation_sd", "beta", "adjust"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if int(self.n) < 30:
-            raise UsageError(f"n must be >= 30, got {self.n}")
-        if not 0.0 <= self.innovation_sd < math.inf:
-            raise UsageError(f"innovation_sd must be finite and >= 0, got {self.innovation_sd}")
-        if not math.isfinite(self.beta):
-            raise UsageError(f"beta must be finite, got {self.beta}")
+        object.__setattr__(self, "n", int_setting("n", self.n, 30))
+        object.__setattr__(self, "innovation_sd", real_setting("innovation_sd", self.innovation_sd, 0))
+        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "beta", real_setting("beta", self.beta))
+        object.__setattr__(self, "adjust", real_setting("adjust", self.adjust))
         if not 0.0 < self.adjust <= 1.0:
             raise UsageError(f"adjust must be in (0, 1], got {self.adjust}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", _seed(self.seed))
 
     def to_json_dict(self) -> dict:
         """The process without its seed, which each replication replaces."""
@@ -422,8 +423,9 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
 def _config(experiment: str, **settings) -> tuple[dict, str]:
     """An experiment's configuration record, keys in the given order, and its digest.
 
-    The base seed is checked here, before any replication runs.
+    The replication count and the base seed are checked here, before any replication runs.
     """
+    settings["reps"] = int_setting("reps", settings["reps"], MIN_REPLICATIONS)
     settings["base_seed"] = _seed(settings["base_seed"])
     config = {"experiment": experiment, "prng": PRNG_ID, "burn_in": BURN_IN, **settings}
     digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
@@ -495,12 +497,11 @@ class TestConfig:
     def __post_init__(self):
         if self.kind not in _TEST_KINDS:
             raise UsageError(f"unknown test kind {self.kind!r}")
-        if int(self.lags) < 0:
-            raise UsageError("lags must be >= 0")
-        object.__setattr__(self, "lags", int(self.lags))
+        object.__setattr__(self, "lags", int_setting("lags", self.lags, 0))
+        object.__setattr__(self, "trend", flag_setting("trend", self.trend))
 
     def to_json_dict(self) -> dict:
-        out = {"kind": self.kind, "lags": self.lags, "trend": bool(self.trend)}
+        out = {"kind": self.kind, "lags": self.lags, "trend": self.trend}
         if self.kind == ADF:
             out["deterministic"] = self.det.label()
         return out
@@ -613,8 +614,7 @@ def _run_replications(block: _Block, dgp: DgpSpec, config: dict, workers: int) -
     over a module-level function.
     """
     reps, base_seed = config["reps"], config["base_seed"]
-    if reps < MIN_REPLICATIONS:
-        raise UsageError(f"replications must be >= {MIN_REPLICATIONS}, got {reps}")
+    workers = int_setting("workers", workers)
     max_workers = os.cpu_count() or 1
     if not 1 <= workers <= max_workers:
         raise UsageError(f"workers must be in 1..{max_workers} (the CPU count), got {workers}")
@@ -685,7 +685,7 @@ def run_size_experiment(
         "size",
         test=test.to_json_dict(),
         dgp=dgp.to_json_dict(),
-        reps=int(reps),
+        reps=reps,
         levels=list(LEVELS),
         base_seed=base_seed,
     )
@@ -711,16 +711,17 @@ def run_false_positive_experiment(
     every replication shares, so it runs once per block of replications,
     whose walks are differenced as whole stacks.
     """
-    if int(level) not in LEVELS:
+    level = int_setting("level", level)
+    if level not in LEVELS:
         raise UsageError(f"level must be one of {LEVELS}, got {level}")
     test = TestConfig(kind=EG_DIFFERENCES)
-    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd, 0)
+    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, n, innovation_sd, 0)
     config, digest = _config(
         "false_positive",
         test=test.to_json_dict(),
         dgp=dgp.to_json_dict(),
-        reps=int(reps),
-        level=int(level),
+        reps=reps,
+        level=level,
         levels=list(LEVELS),
         base_seed=base_seed,
     )
@@ -754,20 +755,19 @@ def run_spurious_regression_experiment(
 ) -> SpuriousSlopeResult:
     """Rate of |slope t-ratio| > threshold in levels regressions of
     independent random walks: the classic spurious-regression effect."""
-    threshold = float(threshold)
-    if not math.isfinite(threshold):
-        raise UsageError(f"threshold must be finite, got {threshold}")
-    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
+    threshold = real_setting("threshold", threshold)
+    include_trend = flag_setting("include_trend", include_trend)
+    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, n, innovation_sd)
     config, digest = _config(
         "spurious_regression",
         n=dgp.n,
         innovation_sd=dgp.innovation_sd,
         threshold=threshold,
-        include_trend=bool(include_trend),
-        reps=int(reps),
+        include_trend=include_trend,
+        reps=reps,
         base_seed=base_seed,
     )
-    slope_t = _run_replications(partial(_spurious_block, bool(include_trend)), dgp, config, workers)
+    slope_t = _run_replications(partial(_spurious_block, include_trend), dgp, config, workers)
     count = int(np.count_nonzero(np.abs(slope_t) > threshold))
     return SpuriousSlopeResult(
         replications=len(slope_t),
@@ -801,8 +801,8 @@ def run_ect_unit_root_experiment(
     near the nominal level.
     """
     spec = ecm_spec or EcmSpec(seasonal_gap=MONTHLY)
-    lags = int(lags)
-    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, int(n), innovation_sd)
+    lags = int_setting("lags", lags, 0)
+    dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, n, innovation_sd)
     config, digest = _config(
         "ect_unit_root",
         n=dgp.n,
@@ -810,7 +810,7 @@ def run_ect_unit_root_experiment(
         ecm_spec=spec.to_json_dict(),
         adf_lags=lags,
         cv_variables=2,
-        reps=int(reps),
+        reps=reps,
         levels=list(LEVELS),
         base_seed=base_seed,
     )
@@ -862,15 +862,16 @@ def run_ect_recovery_experiment(
     term is linearly redundant given the differencing identity, and its
     coefficient converges to zero regardless of the true adjustment speed.
     """
-    t_threshold = float(t_threshold)
-    if not math.isfinite(t_threshold):
-        raise UsageError(f"t_threshold must be finite, got {t_threshold}")
-    band = tuple(map(float, band))
-    if len(band) != 2 or not all(map(math.isfinite, band)) or not band[0] < band[1]:
-        raise UsageError(f"band must be two finite bounds with lo < hi, got {band}")
-    lo, hi = band
+    t_threshold = real_setting("t_threshold", t_threshold)
+    try:
+        bounds = tuple(real_setting("band", bound) for bound in band)
+    except (TypeError, UsageError):  # not iterable, or a bound that is not a finite real
+        bounds = ()
+    if len(bounds) != 2 or not bounds[0] < bounds[1]:
+        raise UsageError(f"band must be two finite bounds with lo < hi, got {band!r}")
+    band = lo, hi = bounds
     spec = ecm_spec or EcmSpec(seasonal_gap=1)
-    dgp = DgpSpec(COINTEGRATED_PAIR, int(n), innovation_sd, beta=beta, adjust=adjust)
+    dgp = DgpSpec(COINTEGRATED_PAIR, n, innovation_sd, beta=beta, adjust=adjust)
     config, digest = _config(
         "ect_recovery",
         n=dgp.n,
@@ -880,7 +881,7 @@ def run_ect_recovery_experiment(
         ecm_spec=spec.to_json_dict(),
         band=list(band),
         t_threshold=t_threshold,
-        reps=int(reps),
+        reps=reps,
         base_seed=base_seed,
     )
     _ardl_rows(dgp.n, spec, MONTHLY)

@@ -19,6 +19,7 @@ from cointkit.errors import (
     NoOverlap,
     SeriesTooShort,
     UsageError,
+    int_setting,
 )
 
 MONTHLY = 12
@@ -139,7 +140,13 @@ class TimeSeries:
     name: str = ""
 
     def __post_init__(self):
-        _check_start(self.start, self.frequency)
+        try:
+            year, month = self.start
+        except (TypeError, ValueError):
+            raise UsageError(f"start must be a (year, month) pair, got {self.start!r}") from None
+        start = (int_setting("start year", year), int_setting("start month", month))
+        frequency = int_setting("frequency", self.frequency)
+        _check_start(start, frequency)
         vals = np.array(self.values, dtype=float).ravel()
         if vals.size < 1:
             raise DataError("a series needs at least one observation")
@@ -147,7 +154,8 @@ class TimeSeries:
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise DataError(f"non-finite value at position {bad}")
         vals.setflags(write=False)
-        object.__setattr__(self, "start", (int(self.start[0]), int(self.start[1])))
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "frequency", frequency)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "lineage", tuple(self.lineage))
 
@@ -237,9 +245,7 @@ def seasonal_difference(x: TimeSeries, gap: int) -> TimeSeries:
     """Span-``gap`` difference x_t - x_{t-gap} (year over year when gap equals
     the frequency). The output is ``gap`` observations shorter and starts
     ``gap`` periods later."""
-    gap = int(gap)
-    if gap < 1:
-        raise UsageError(f"gap must be >= 1, got {gap}")
+    gap = int_setting("gap", gap, 1)
     if len(x) <= gap:
         raise SeriesTooShort(f"need more than {gap} observations, have {len(x)}")
     values = x.values[gap:] - x.values[:-gap]
@@ -253,9 +259,7 @@ def iterated_difference(x: TimeSeries, order: int) -> TimeSeries:
     and higher iterated differences vanish while the seasonal difference
     of any gap is constant and nonzero.
     """
-    order = int(order)
-    if order < 1:
-        raise UsageError(f"order must be >= 1, got {order}")
+    order = int_setting("order", order, 1)
     if len(x) <= order:
         raise SeriesTooShort(f"need more than {order} observations, have {len(x)}")
     values = np.diff(x.values, n=order)

@@ -20,7 +20,7 @@ from cointkit.critvals import (
     DeterministicSpec,
     critical_values_map,
 )
-from cointkit.errors import DegenerateInput, SeriesTooShort, UsageError
+from cointkit.errors import DegenerateInput, SeriesTooShort, int_setting
 from cointkit.formats import fmt12s
 from cointkit.regression import OlsFit, _as_fit, _lstsq, _rowdot, _Solution
 from cointkit.series import TimeSeries
@@ -83,9 +83,7 @@ def _degenerate(values: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
 
 def _adf_sample(m: int, lags: int) -> int:
     """The ADF sample rule: what ``m`` observations leave after differencing and ``lags`` lags."""
-    lags = int(lags)
-    if lags < 0:
-        raise UsageError(f"lags must be >= 0, got {lags}")
+    lags = int_setting("lags", lags, 0)
     n_eff = m - 1 - lags
     if n_eff < MIN_EFFECTIVE_SAMPLE:
         raise SeriesTooShort(
@@ -101,7 +99,7 @@ def _adf(x: np.ndarray, lags: int, det: DeterministicSpec) -> tuple[_Solution, i
     :func:`_adf_sample` checks the sample first, and runners call it once at
     configuration. On a stack every check covers every row; the first failure raises.
     """
-    lags = int(lags)
+    lags = int_setting("lags", lags, 0)
     m = x.shape[-1]
     n_eff = _adf_sample(m, lags)
 
@@ -175,11 +173,12 @@ def adf_test(x: TimeSeries, lags: int, det: DeterministicSpec) -> UnitRootReport
         With one-variable critical values; for samples below the table's
         minimum the surface is evaluated at its smallest supported size.
     """
+    lags = int_setting("lags", lags, 0)
     stat, n_eff, _ = adf_regression(x.values, lags, det)
     cvs = adf_critical_values(n_eff, det)
     return UnitRootReport(
         statistic=stat,
-        lags=int(lags),
+        lags=lags,
         det=det,
         n_effective=n_eff,
         critical_values=cvs,

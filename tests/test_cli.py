@@ -145,6 +145,32 @@ class TestIngest:
         assert main(["ingest-check", "--input", str(p)]) == 2
         assert _one_error_record(capsys)["error"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "value", ["\u0661\u0662", "1_000", "\u20035"], ids=["arabic-indic-digits", "underscore", "em-space"]
+    )
+    def test_values_take_only_ascii_decimal_notation(self, tmp_path, capsys, value):
+        # float() alone reads each of these; the value grammar does not.
+        p = tmp_path / "v.csv"
+        p.write_text(f"date,value\n2020-01,1\n2020-02,{value}\n2020-03,3\n", encoding="utf-8")
+        assert main(["ingest-check", "--input", str(p)]) == 2
+        record = _one_error_record(capsys)
+        assert record["error"] == "ParseError"
+        assert record["message"] == f"line 3: value {value!r} is not ASCII decimal or exponent notation"
+
+    def test_invalid_utf8_names_file_offset_and_line(self, tmp_path, capsys):
+        # Long enough that the byte lies past the decoder's first 8 KiB chunk.
+        rows = [f"{1850 + k // 12:04d}-{k % 12 + 1:02d},{k % 80}.25" for k in range(2000)]
+        data = ("date,value\n" + "\n".join(rows) + "\n").encode("ascii")
+        assert data[:12000].count(b"\n") == 865 and data[12000:12001] != b"\n"
+        p = tmp_path / "bad.csv"
+        p.write_bytes(data[:12000] + b"\xff" + data[12000:])
+        assert main(["ingest-check", "--input", str(p)]) == 2
+        record = _one_error_record(capsys)
+        assert record["error"] == "DataError"
+        assert record["message"].startswith(f"cannot read {p}: ")
+        assert "in position 12000:" in record["message"]
+        assert record["message"].endswith("(line 866)")
+
 
 def _one_error_record(capsys) -> dict:
     """The decoded record of stderr, which must be exactly one ``cointkit-error:`` line."""

@@ -93,6 +93,9 @@ _SPOIL = {
     "repeat": lambda d, v, nxt, prev: f"{prev},{v}",
     "switch": lambda d, v, nxt, prev: f"{d[:4]}{'Q1' if '-' in d else '-01'},{v}",
     "bad_value": lambda d, v, nxt, prev: f"{d},1.0.0",
+    "underscore_value": lambda d, v, nxt, prev: f"{d},1_{v}",
+    "non_ascii_value": lambda d, v, nxt, prev: f"{d},{v.translate(_ARABIC_INDIC)}",
+    "em_space_value": lambda d, v, nxt, prev: f"{d},\u2003{v}",
     "inf": lambda d, v, nxt, prev: f"{d},-inf",
     "nan": lambda d, v, nxt, prev: f"{d},nan",
     "blank": lambda d, v, nxt, prev: "",

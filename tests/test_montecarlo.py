@@ -525,16 +525,17 @@ class TestDigest:
             == mc.run_size_experiment(**kwargs).config_digest
         )
 
-    @pytest.mark.parametrize("number", [int, np.float32, np.float64])
+    @pytest.mark.parametrize("number", [int, float, np.int32, np.int64, np.float32, np.float64])
     def test_equal_settings_give_equal_digests(self, number):
-        # 1 and 1.0, or a numpy float of the same value, are one setting.
+        # 60, 60.0 and a numpy 60 are one setting, whether the setting is an
+        # integer (n, reps, lags, level, base_seed) or a real.
         def results(num):
             return [
                 mc.run_spurious_regression_experiment(
-                    n=60, reps=100, base_seed=5, threshold=num(2), innovation_sd=num(1)
+                    n=num(60), reps=num(100), base_seed=num(5), threshold=num(2), innovation_sd=num(1)
                 ),
                 mc.run_ect_recovery_experiment(
-                    n=60,
+                    n=num(60),
                     reps=100,
                     base_seed=5,
                     beta=num(1),
@@ -543,23 +544,57 @@ class TestDigest:
                     t_threshold=num(-3),
                     innovation_sd=num(1),
                 ),
-                mc.run_ect_unit_root_experiment(n=60, reps=100, base_seed=5, innovation_sd=num(1)),
+                mc.run_ect_unit_root_experiment(
+                    n=num(60), reps=100, base_seed=5, lags=num(1), innovation_sd=num(1)
+                ),
+                mc.run_false_positive_experiment(n=num(60), reps=100, level=num(5), base_seed=5),
                 mc.run_size_experiment(
-                    mc.TestConfig(kind=mc.EG_LEVELS),
-                    mc.DgpSpec(mc.COINTEGRATED_PAIR, 60, num(1), beta=num(2), adjust=num(1)),
-                    reps=100,
-                    base_seed=5,
+                    mc.TestConfig(kind=mc.EG_LEVELS, lags=num(1)),
+                    mc.DgpSpec(mc.COINTEGRATED_PAIR, num(60), num(1), beta=num(2), adjust=num(1)),
+                    reps=num(100),
+                    base_seed=num(5),
                 ),
             ]
 
         made = results(number)
-        for result, reference in zip(made, results(float)):
+        for result, reference in zip(made, results(int)):
             assert result.to_json_dict() == reference.to_json_dict()
-        spurious, recovery = made[:2]
+        spurious, recovery, unit_root, false_positive, size = made
         assert type(spurious.config["threshold"]) is type(spurious.threshold) is float
         assert type(spurious.config["innovation_sd"]) is float
         assert [type(v) for v in recovery.config["band"]] == [float, float]
         assert [type(recovery.config[k]) for k in ("beta", "adjust", "t_threshold")] == [float] * 3
+        assert [type(spurious.config[k]) for k in ("n", "reps", "base_seed")] == [int] * 3
+        assert type(unit_root.config["adf_lags"]) is type(false_positive.config["level"]) is int
+        assert type(size.config["test"]["lags"]) is type(size.config["dgp"]["n"]) is int
+
+    @pytest.mark.parametrize(
+        "run, variants",
+        [
+            (
+                partial(mc.run_spurious_regression_experiment, n=60, reps=100, base_seed=5),
+                [{}, {"n": 61}, {"reps": 101}, {"base_seed": 6}, {"threshold": 2.5},
+                 {"innovation_sd": 1.5}, {"include_trend": True}],
+            ),
+            (
+                partial(mc.run_ect_recovery_experiment, n=60, reps=100, base_seed=5),
+                [{}, {"beta": 1.5}, {"adjust": 0.5}, {"band": (-0.45, -0.1)}, {"t_threshold": -2.5},
+                 {"ecm_spec": EcmSpec(1, ect_lag=2)}],
+            ),
+            (
+                partial(mc.run_ect_unit_root_experiment, n=60, reps=100, base_seed=5),
+                [{}, {"lags": 1}, {"ecm_spec": EcmSpec(12, include_trend=True)}],
+            ),
+            (
+                partial(mc.run_false_positive_experiment, n=60, reps=100, base_seed=5),
+                [{}, {"level": 5}, {"innovation_sd": 2.0}],
+            ),
+        ],
+        ids=["spurious", "ect_recovery", "ect_unit_root", "false_positive"],
+    )
+    def test_unequal_settings_give_different_digests(self, run, variants):
+        digests = [run(**kwargs).config_digest for kwargs in variants]
+        assert len(set(digests)) == len(variants)
 
     def test_template_seed_is_not_part_of_config(self):
         a = mc.run_size_experiment(

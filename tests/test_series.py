@@ -237,3 +237,13 @@ class TestConstruction:
         x = monthly_series([1.0, 2.0, 3.0])
         with pytest.raises(UsageError):
             x.slice(2, 2)
+
+    def test_integral_float_frequency_is_the_integer(self):
+        x = TimeSeries((2000, 1), 12.0, [1.0, 2.0])
+        assert type(x.frequency) is int and x == TimeSeries((2000, 1), MONTHLY, [1.0, 2.0])
+        assert (x.start_label, x.end_label) == ("2000-01", "2000-02")
+
+    def test_non_integral_start_month_is_rejected(self):
+        # Not truncated to January.
+        with pytest.raises(UsageError, match=r"^start month must be an integer, got 1\.5$"):
+            TimeSeries((2000, 1.5), MONTHLY, [1.0])
