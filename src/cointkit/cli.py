@@ -1,11 +1,13 @@
 """Command-line front door: one command per invocation, deterministic output.
 
 Commands: ingest-check, adf, eg, grid, ecm, mc-falsepos, mc-size. Options
-can also come from a flat ``key = value`` config file (``--config PATH``);
-explicit command-line flags win over file values, and unknown file keys
-are rejected. Machine reports carry 12 significant digits; the human
-tables printed to stdout use 3 decimals and significance stars
-(*** 1%, ** 5%, * 10%).
+can also come from a flat ``key = value`` config file (``--config PATH``),
+whose lines are read as ``--key=value`` flags standing right after the
+command: one argparse parser types and checks every value from either
+source, and the last occurrence wins, so explicit flags win over file
+values. Unknown file keys are rejected. Machine reports carry 12
+significant digits; the human tables printed to stdout use 3 decimals and
+significance stars (*** 1%, ** 5%, * 10%).
 
 Exit codes: 0 success, 1 usage/config error (an unwritable --output
 included), 2 data error, 3 numerical error or a broken experiment contract
@@ -46,8 +48,6 @@ from cointkit.ingest import IngestReport, ingest_csv
 from cointkit.unitroot import adf_test
 
 OUTPUT_DIR_ENV = "COINTKIT_OUTPUT_DIR"
-
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -166,49 +166,47 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _convert(opt: Opt, raw: str) -> object:
-    if opt.type is bool:
-        if raw not in ("true", "false"):
-            raise ConfigError(f"{opt.name} must be 'true' or 'false', got {raw!r}")
-        return raw == "true"
+def _flag(text: str) -> bool:
+    """The argparse type of a bool option: ``true`` or ``false``."""
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'true', 'false')")
+    return text == "true"
+
+
+def _config_args(command: str, path: str) -> list[str]:
+    """The ``--key=value`` arguments that the config file at ``path`` stands for."""
     try:
-        value = opt.type(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse {opt.name}={raw!r} as {opt.type.__name__}") from None
-    if opt.choices and value not in opt.choices:
-        raise ConfigError(f"{opt.name} must be one of {opt.choices}, got {value!r}")
-    return value
+        with open(path, "r", encoding="utf-8") as fh:
+            file_values = parse_config_text(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    file_command = file_values.pop("command", None)
+    if file_command is not None and file_command != command:
+        raise ConfigError(f"config file is for command {file_command!r}, invoked as {command!r}")
+    names = {opt.name for opt in SCHEMAS[command]}
+    for key in file_values:
+        if key not in names:
+            raise ConfigError(f"unknown config key {key!r} for command {command!r}")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in file_values.items()]
 
 
-def resolve_config(command: str, cli_values: dict, file_text: str | None) -> RunConfig:
-    """Merge defaults, config-file values, and explicit flags (in that order)."""
-    if command not in SCHEMAS:
-        raise ConfigError(f"unknown command {command!r}")
-    schema = {opt.name: opt for opt in SCHEMAS[command]}
-    values = {opt.name: opt.default for opt in SCHEMAS[command]}
+def resolve_config(argv: list[str]) -> RunConfig:
+    """The invocation that ``argv`` and the ``--config`` file it names stand for.
 
-    if file_text is not None:
-        file_values = parse_config_text(file_text)
-        file_command = file_values.pop("command", None)
-        if file_command is not None and file_command != command:
-            raise ConfigError(
-                f"config file is for command {file_command!r}, invoked as {command!r}"
-            )
-        for key, raw in file_values.items():
-            if key not in schema:
-                raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-            values[key] = _convert(schema[key], raw)
-
-    for key, value in cli_values.items():
-        if value is not _UNSET:
-            values[key] = value
-
-    for opt in SCHEMAS[command]:
-        if opt.required and values.get(opt.name) is None:
+    One parser types and checks every value. A config file's lines are read
+    as flags placed right after the command, so an explicit flag, which
+    comes later, wins.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_args(args.command, args.config) + argv[at:])
+    values = {opt.name: getattr(args, opt.name) for opt in SCHEMAS[args.command]}
+    for opt in SCHEMAS[args.command]:
+        if opt.required and values[opt.name] is None:
             raise ConfigError(f"missing required option {opt.name!r}")
-        if opt.choices and values[opt.name] is not None and values[opt.name] not in opt.choices:
-            raise ConfigError(f"{opt.name} must be one of {opt.choices}")
-    return RunConfig(command=command, values=values)
+    return RunConfig(command=args.command, values=values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,15 +222,15 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(command, help=f"run the {command} operation")
         p.add_argument("--config", default=None, help="flat key=value config file")
         for opt in opts:
-            flag = "--" + opt.name.replace("_", "-")
-            if opt.type is bool:
-                p.add_argument(flag, dest=opt.name, default=_UNSET, choices=("true", "false"))
-            elif opt.choices:
-                p.add_argument(
-                    flag, dest=opt.name, default=_UNSET, type=opt.type, choices=opt.choices
-                )
-            else:
-                p.add_argument(flag, dest=opt.name, default=_UNSET, type=opt.type, help=opt.help)
+            p.add_argument(
+                "--" + opt.name.replace("_", "-"),
+                dest=opt.name,
+                default=opt.default,
+                type=_flag if opt.type is bool else opt.type,
+                choices=opt.choices,
+                metavar="{true,false}" if opt.type is bool else None,
+                help=opt.help,
+            )
     return parser
 
 
@@ -488,24 +486,9 @@ def _exit_code(exc: CointkitError) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cli_values = {
-            opt.name: getattr(args, opt.name) for opt in SCHEMAS[args.command]
-        }
-        for opt in SCHEMAS[args.command]:
-            if opt.type is bool and cli_values[opt.name] is not _UNSET:
-                cli_values[opt.name] = cli_values[opt.name] == "true"
-        file_text = None
-        if args.config is not None:
-            try:
-                with open(args.config, "r", encoding="utf-8") as fh:
-                    file_text = fh.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read config file: {exc}") from None
-        config = resolve_config(args.command, cli_values, file_text)
-        report, rows, human = _HANDLERS[args.command](config)
+        config = resolve_config(sys.argv[1:] if argv is None else list(argv))
+        report, rows, human = _HANDLERS[config.command](config)
         for line in human:
             print(line)
         for path in _write_outputs(config, report, rows):

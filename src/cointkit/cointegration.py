@@ -20,8 +20,8 @@ import numpy as np
 
 from cointkit.critvals import LEVELS, MIN_N, SOURCE_ID, DeterministicSpec, critical_values_map
 from cointkit.ecm import _levels_regression
-from cointkit.errors import CointkitError, UsageError, flag_setting, int_setting
-from cointkit.formats import fmt12s, significance_stars
+from cointkit.errors import CointkitError, UsageError, flag_setting, instance_setting, int_setting
+from cointkit.formats import JsonRecord, fmt12s, significance_stars
 from cointkit.regression import OlsFit, _as_fit, _Solution
 from cointkit.series import TimeSeries, align, has_differencing, lineage_summary, log_transform
 from cointkit.unitroot import _adf, _adf_sample
@@ -54,7 +54,7 @@ GRID_CSV_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class EgSpec:
+class EgSpec(JsonRecord):
     """One fully explicit Engle-Granger specification.
 
     ``normalize_on`` picks the stage-one dependent variable: ``"first"``
@@ -77,38 +77,29 @@ class EgSpec:
         trend = flag_setting("trend_in_stage_one", self.trend_in_stage_one)
         object.__setattr__(self, "trend_in_stage_one", trend)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "transform": self.transform,
-            "normalize_on": self.normalize_on,
-            "lags": self.lags,
-            "trend_in_stage_one": self.trend_in_stage_one,
-        }
-
 
 @dataclass(frozen=True)
-class GuardWarning:
+class GuardWarning(JsonRecord):
     """A diagnostic that rides along without changing any computed number."""
 
     code: str
     message: str
 
-    def to_json_dict(self) -> dict:
-        return {"code": self.code, "message": self.message}
-
 
 @dataclass(frozen=True)
-class CointegrationReport:
+class CointegrationReport(JsonRecord):
     """Everything one Engle-Granger run produced, warnings included."""
+
+    _JSON_TYPE = "cointegration_report"
 
     spec: EgSpec
     stage_one: OlsFit
     statistic: float
     critical_values: dict[int, float]
     reject_at: dict[int, bool]
-    warnings: tuple[GuardWarning, ...]
     n_effective: int
     stage_two_columns: tuple[str, ...]
+    warnings: tuple[GuardWarning, ...]
     cv_source: str = SOURCE_ID
 
     @property
@@ -118,20 +109,6 @@ class CointegrationReport:
     def to_csv_rows(self) -> list[list[str]]:
         """The GRID_CSV_COLUMNS header and this report's one row."""
         return [list(GRID_CSV_COLUMNS), _csv_row(self.spec, self, None)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "cointegration_report",
-            "spec": self.spec.to_json_dict(),
-            "stage_one": self.stage_one.to_json_dict(),
-            "statistic": self.statistic,
-            "critical_values": {str(l): self.critical_values[l] for l in LEVELS},
-            "reject_at": {str(l): self.reject_at[l] for l in LEVELS},
-            "n_effective": self.n_effective,
-            "stage_two_columns": list(self.stage_two_columns),
-            "warnings": [w.to_json_dict() for w in self.warnings],
-            "cv_source": self.cv_source,
-        }
 
 
 def _csv_row(spec: EgSpec, report: CointegrationReport | None, error: str | None) -> list[str]:
@@ -343,6 +320,8 @@ def run_spec_grid(a: TimeSeries, b: TimeSeries, grid: list[EgSpec] | None = None
     12-cell default grid.
     """
     specs = default_grid() if grid is None else list(grid)
+    for i, spec in enumerate(specs):
+        instance_setting(f"grid[{i}]", spec, EgSpec)
     if not specs:
         raise UsageError("grid must contain at least one spec")
 

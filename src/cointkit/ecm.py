@@ -22,13 +22,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from cointkit.errors import SeriesTooShort, UnsupportedCombination, UsageError, flag_setting, int_setting
-from cointkit.formats import fmt12s
+from cointkit.formats import JsonRecord, fmt12s
 from cointkit.regression import OlsFit, _as_fit, _lstsq, _Solution
 from cointkit.series import TimeSeries, align
 
 
 @dataclass(frozen=True)
-class EcmSpec:
+class EcmSpec(JsonRecord):
     """Configuration of the error-correction / ARDL stage.
 
     ``seasonal_gap`` is the differencing span of the short-run equation:
@@ -47,14 +47,6 @@ class EcmSpec:
         for name in ("seasonal_gap", "ect_lag", "ardl_control_lags"):
             object.__setattr__(self, name, int_setting(name, getattr(self, name), 1))
         object.__setattr__(self, "include_trend", flag_setting("include_trend", self.include_trend))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seasonal_gap": self.seasonal_gap,
-            "ect_lag": self.ect_lag,
-            "ardl_control_lags": self.ardl_control_lags,
-            "include_trend": self.include_trend,
-        }
 
 
 @dataclass(frozen=True)

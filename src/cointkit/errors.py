@@ -4,10 +4,11 @@ The three error families map onto CLI exit codes: UsageError -> 1,
 DataError -> 2, NumericalError -> 3. Every other CointkitError also exits
 3; the one today is MissingGuardWarning, a broken experiment contract.
 
-Every public setting is coerced and checked by one of three rules, written
-once here: ``int_setting``, ``real_setting`` and ``flag_setting``. Each
-returns the plain Python value, so equal settings give equal configs and
-digests, or raises ``UsageError`` naming the setting.
+Every public setting is coerced and checked by one of four rules, written
+once here: ``int_setting``, ``real_setting`` and ``flag_setting`` for
+numbers and flags, ``instance_setting`` for settings that take an object.
+Each returns the plain Python value, so equal settings give equal configs
+and digests, or raises ``UsageError`` naming the setting.
 """
 
 import math
@@ -77,6 +78,13 @@ def flag_setting(name: str, value) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise UsageError(f"{name} must be True or False, got {value!r}")
     return bool(value)
+
+
+def instance_setting(name: str, value, cls: type):
+    """The instance rule: ``value`` if it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise UsageError(f"{name} must be of type {cls.__name__}, got {value!r}")
+    return value
 
 
 def _bounded(name: str, value, lo, hi, expected: str | None = None):

@@ -1,10 +1,11 @@
 """CSV ingestion under the `date,value` contract.
 
 Dates are ``YYYY-MM`` for monthly files or ``YYYYQn`` for quarterly ones,
-in ASCII digits; rows must advance one period at a time with no gaps.
-Values are ASCII decimal or exponent notation (``_plain_value``).
-Anything malformed aborts with the 1-based line number of the offending
-row. Ingested series start with an empty transform lineage.
+in ASCII alone (digits and any surrounding spaces); rows must advance one
+period at a time with no gaps. Values are ASCII decimal or exponent
+notation (``_plain_value``). Anything malformed aborts with the 1-based
+line number of the offending row. Ingested series start with an empty
+transform lineage.
 
 A file already in canonical form (upper-case ``Q``, every row two fields)
 is accepted in one bulk pass; any other file is read row by row, and that
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from cointkit.errors import DataError, EmptyFile, GapInDates, ParseError
-from cointkit.formats import fmt12s
+from cointkit.formats import JsonRecord, fmt12s
 from cointkit.series import (
     MONTHLY,
     QUARTERLY,
@@ -62,8 +63,10 @@ def _parse_date(text: str, line: int) -> tuple[int, tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class IngestReport:
+class IngestReport(JsonRecord):
     """What ``ingest-check`` reports of one ingested series."""
+
+    _JSON_TYPE = "ingest_check"
 
     name: str
     frequency: int
@@ -88,18 +91,6 @@ class IngestReport:
     @property
     def frequency_label(self) -> str:
         return "monthly" if self.frequency == MONTHLY else "quarterly"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "ingest_check",
-            "name": self.name,
-            "frequency": self.frequency,
-            "start": self.start,
-            "end": self.end,
-            "observations": self.observations,
-            "min": self.min,
-            "max": self.max,
-        }
 
     def to_csv_rows(self) -> list[list[str]]:
         """The CSV_COLUMNS header and this report's one row."""
@@ -156,10 +147,11 @@ def ingest_csv(path: str) -> TimeSeries:
 def _canonical(records: list) -> tuple[int, tuple[int, int], list[float]] | None:
     """(frequency, start, values) of records in canonical form, else None.
 
-    Canonical: every record has two fields, the stripped dates are the
-    labels of consecutive periods from the first one, and every value is a
-    finite float in the value grammar. Such records are exactly what the row
-    loop accepts unchanged, so this pass raises nothing and leaves the rest to it.
+    Canonical: every record has two fields, the dates are ASCII and, once
+    stripped, the labels of consecutive periods from the first one, and
+    every value is a finite float in the value grammar. Such records are
+    exactly what the row loop accepts unchanged, so this pass raises nothing
+    and leaves the rest to it.
     """
     try:
         columns = list(zip(*[row for row, _ in records], strict=True))
@@ -177,7 +169,7 @@ def _canonical(records: list) -> tuple[int, tuple[int, int], list[float]] | None
         return None
     if [d.strip() for d in dates] != period_labels(first, len(dates), frequency):
         return None
-    if not _plain_value("".join(texts)):
+    if not "".join(dates).isascii() or not _plain_value("".join(texts)):
         return None
     try:
         values = list(map(float, texts))
@@ -203,6 +195,8 @@ def _parse_rows(records: list, line: int) -> tuple[int, tuple[int, int], list[fl
             raise ParseError(line, "blank row")
         if len(row) != 2:
             raise ParseError(line, f"expected 2 fields, got {len(row)}")
+        if not row[0].isascii():  # str.strip() would take other spaces too
+            raise ParseError(line, f"date {row[0]!r} is neither YYYY-MM nor YYYYQn")
         date_text, value_text = row[0].strip(), row[1].strip()
 
         freq, period = _parse_date(date_text, line)

@@ -34,9 +34,9 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, ClassVar
+from typing import Callable
 
 import numpy as np
 
@@ -56,9 +56,11 @@ from cointkit.errors import (
     MissingGuardWarning,
     UsageError,
     flag_setting,
+    instance_setting,
     int_setting,
     real_setting,
 )
+from cointkit.formats import JsonRecord, fmt12s
 from cointkit.series import MONTHLY, TimeSeries, iterated_difference
 from cointkit.unitroot import _adf, _adf_sample, adf_critical_values
 
@@ -432,35 +434,8 @@ def _config(experiment: str, **settings) -> tuple[dict, str]:
     return config, digest
 
 
-def _json_value(value):
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_value(v) for k, v in value.items()}
-    return value
-
-
-class _Result:
-    """The serializer shared by the experiment results.
-
-    ``to_json_dict`` gives the type tag, then each field in declaration
-    order; tuples become lists, integer keys strings, and ``None`` fields
-    are omitted.
-    """
-
-    _JSON_TYPE: ClassVar[str]
-
-    def to_json_dict(self) -> dict:
-        out = {"type": self._JSON_TYPE}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                out[f.name] = _json_value(value)
-        return out
-
-
 @dataclass(frozen=True)
-class ExperimentResult(_Result):
+class ExperimentResult(JsonRecord):
     """Rejection counts and rates per level, with reproducibility metadata."""
 
     _JSON_TYPE = "experiment_result"
@@ -476,8 +451,6 @@ class ExperimentResult(_Result):
     guard_warning_count: int | None = None
 
     def to_csv_rows(self) -> list[list[str]]:
-        from cointkit.formats import fmt12s
-
         rows = [["level", "rate", "wilson_lo", "wilson_hi"]]
         for level in LEVELS:
             lo, hi = self.wilson_interval_95[level]
@@ -499,6 +472,7 @@ class TestConfig:
             raise UsageError(f"unknown test kind {self.kind!r}")
         object.__setattr__(self, "lags", int_setting("lags", self.lags, 0))
         object.__setattr__(self, "trend", flag_setting("trend", self.trend))
+        instance_setting("det", self.det, DeterministicSpec)
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind, "lags": self.lags, "trend": self.trend}
@@ -681,6 +655,8 @@ def run_size_experiment(
     ``dgp.seed`` is ignored; replication ``r`` runs on
     ``replication_seed(base_seed, r)``. At least 100 replications.
     """
+    test = instance_setting("test", test, TestConfig)
+    dgp = instance_setting("dgp", dgp, DgpSpec)
     config, digest = _config(
         "size",
         test=test.to_json_dict(),
@@ -729,7 +705,7 @@ def run_false_positive_experiment(
 
 
 @dataclass(frozen=True)
-class SpuriousSlopeResult(_Result):
+class SpuriousSlopeResult(JsonRecord):
     """How often a levels regression of independent walks looks significant."""
 
     _JSON_TYPE = "spurious_slope_result"
@@ -800,7 +776,7 @@ def run_ect_unit_root_experiment(
     make it. Under this null the term is I(1) and rejections should sit
     near the nominal level.
     """
-    spec = ecm_spec or EcmSpec(seasonal_gap=MONTHLY)
+    spec = EcmSpec(MONTHLY) if ecm_spec is None else instance_setting("ecm_spec", ecm_spec, EcmSpec)
     lags = int_setting("lags", lags, 0)
     dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, n, innovation_sd)
     config, digest = _config(
@@ -822,7 +798,7 @@ def run_ect_unit_root_experiment(
 
 
 @dataclass(frozen=True)
-class EctRecoveryResult(_Result):
+class EctRecoveryResult(JsonRecord):
     """Distribution of estimated adjustment speed under a cointegrated DGP."""
 
     _JSON_TYPE = "ect_recovery_result"
@@ -870,7 +846,7 @@ def run_ect_recovery_experiment(
     if len(bounds) != 2 or not bounds[0] < bounds[1]:
         raise UsageError(f"band must be two finite bounds with lo < hi, got {band!r}")
     band = lo, hi = bounds
-    spec = ecm_spec or EcmSpec(seasonal_gap=1)
+    spec = EcmSpec(1) if ecm_spec is None else instance_setting("ecm_spec", ecm_spec, EcmSpec)
     dgp = DgpSpec(COINTEGRATED_PAIR, n, innovation_sd, beta=beta, adjust=adjust)
     config, digest = _config(
         "ect_recovery",

@@ -110,12 +110,8 @@ class OlsFit:
     def column_names(self) -> tuple[str, ...]:
         return tuple(self.coefficients)
 
-    @property
-    def rss(self) -> float:
-        return float(self.residuals @ self.residuals)
-
-    def to_json_dict(self, include_residuals: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "coefficients": dict(self.coefficients),
             "stderrs": dict(self.stderrs),
             "t_stats": dict(self.t_stats),
@@ -123,9 +119,6 @@ class OlsFit:
             "dof": self.dof,
             "nobs": self.nobs,
         }
-        if include_residuals:
-            out["residuals"] = [float(v) for v in self.residuals]
-        return out
 
 
 class _Solution(NamedTuple):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import cointkit.montecarlo as mc
-from cointkit.cli import RunConfig, main, parse_config_text, resolve_config
+from cointkit import cli
+from cointkit.cli import SCHEMAS, RunConfig, main, parse_config_text, resolve_config
 from cointkit.ecm import estimate_levels
 from cointkit.errors import ConfigError, EmptyFile, GapInDates, NumericalError, ParseError
 from cointkit.ingest import ingest_csv
@@ -144,6 +145,18 @@ class TestIngest:
         assert exc.value.line == 2
         assert main(["ingest-check", "--input", str(p)]) == 2
         assert _one_error_record(capsys)["error"] == "ParseError"
+
+    def test_dates_take_only_ascii_spaces(self, tmp_path, capsys):
+        # str.strip() alone removes the em space and the ideographic space.
+        p = tmp_path / "s.csv"
+        p.write_text("date,value\n\u20032020-01,5\n2020-02\u3000,6\n", encoding="utf-8")
+        assert main(["ingest-check", "--input", str(p)]) == 2
+        record = _one_error_record(capsys)
+        assert record["message"] == "line 2: date '\\u20032020-01' is neither YYYY-MM nor YYYYQn"
+        p.write_text("date,value\n2020-01,5\n2020-02\u3000,6\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            ingest_csv(str(p))
+        assert exc.value.line == 3 and exc.value.reason.startswith("date '2020-02\\u3000' is neither")
 
     @pytest.mark.parametrize(
         "value", ["\u0661\u0662", "1_000", "\u20035"], ids=["arabic-indic-digits", "underscore", "em-space"]
@@ -343,7 +356,7 @@ class TestExitCodes:
 
 
 class TestConfigFile:
-    def test_round_trip_for_every_command(self):
+    def test_round_trip_for_every_command(self, tmp_path):
         samples = {
             "ingest-check": {"input": "a.csv"},
             "adf": {"input": "a.csv", "lags": 3, "det": "constant-trend"},
@@ -362,8 +375,6 @@ class TestConfigFile:
             "mc-falsepos": {"n": 120, "reps": 500, "level": 5, "seed": 9},
             "mc-size": {"test": "adf", "dgp": "white-noise-pair", "beta": 2.5},
         }
-        from cointkit.cli import SCHEMAS
-
         for command, overrides in samples.items():
             values = {opt.name: opt.default for opt in SCHEMAS[command]}
             values.update(overrides)
@@ -371,7 +382,9 @@ class TestConfigFile:
             text = config.to_config_text()
             parsed = parse_config_text(text)
             assert parsed.pop("command") == command
-            rebuilt = resolve_config(command, {}, text)
+            cfg = tmp_path / f"{command}.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            rebuilt = resolve_config([command, "--config", str(cfg)])
             assert rebuilt == config
 
     def test_file_values_used_and_flags_override(self, tmp_path):
@@ -416,6 +429,59 @@ class TestConfigFile:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("lags = 1\nlags = 2\n")
+
+    @pytest.mark.parametrize(
+        "base, key, value, message",
+        [
+            (["eg", "--input2", "b.csv"], "lags", "x", "argument --lags: invalid int value: 'x'"),
+            (["adf"], "det", "q", "argument --det: invalid choice: 'q' (choose from "),
+            (["eg"], "trend", "yes", "argument --trend: invalid choice: 'yes' (choose from 'true', 'false')"),
+        ],
+        ids=["int", "choice", "bool"],
+    )
+    def test_bad_value_reads_the_same_from_file_and_flag(self, tmp_path, capsys, base, key, value, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        base = base + ["--input", "a.csv"]
+        assert main(base + ["--config", str(cfg)]) == 1
+        from_file = capsys.readouterr().err
+        assert main(base + [f"--{key}", value]) == 1
+        from_flag = capsys.readouterr().err
+        assert from_file == from_flag
+        assert json.loads(from_flag.split("cointkit-error: ", 1)[1])["message"].startswith(message)
+
+    def test_missing_required_option(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("input = a.csv\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="^missing required option 'input2'$"):
+            resolve_config(["eg", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("command", sorted(SCHEMAS))
+    def test_help_lists_every_option_help(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse rewraps the help
+        for opt in SCHEMAS[command]:
+            assert "--" + opt.name.replace("_", "-") in text
+            assert " ".join(opt.help.split()) in text, opt.name
+
+    def test_argv_is_parsed_once_without_a_config_file(self, tmp_path, monkeypatch):
+        pa, pb = write_walk_pair(tmp_path)
+        calls = []
+        parse_args = cli._Parser.parse_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", counted)
+        assert main(["eg", "--input", str(pa), "--input2", str(pb)]) == 0
+        assert len(calls) == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {pa}\ninput2 = {pb}\n", encoding="utf-8")
+        assert main(["eg", "--config", str(cfg)]) == 0
+        assert len(calls) == 3
 
 
 class TestOutputs:

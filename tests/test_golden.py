@@ -5,7 +5,8 @@ holds, for each case below, the exact stdout of the CLI and the JSON and CSV it
 writes with ``--format both`` (the temporary output directory shows as
 ``<out>``), the exit code and ``cointkit-error:`` stderr line of three failing
 invocations, and the ``to_json_dict()`` of the runners the CLI does not expose,
-rendered with full float precision.
+rendered with full float precision. Each successful CLI case runs twice: with
+its options as flags, and with every option read from a ``--config`` file.
 
 Both directories were written by running ``PYTHONPATH=src python
 tests/test_golden.py``, which regenerates the inputs from fixed seeds and then
@@ -105,9 +106,21 @@ def _argv(template: list[str]) -> list[str]:
     return [arg.replace("{in}", str(INPUTS)) for arg in template]
 
 
-def _cli_outputs(name: str, out_dir: Path) -> dict[str, str]:
-    """Golden file name -> text for one successful CLI case."""
+def _config_argv(argv: list[str], path: Path) -> list[str]:
+    """``argv`` with every option moved into a config file written at ``path``."""
+    command, *options = argv
+    lines = [f"command = {command}"]
+    lines += [f"{flag[2:].replace('-', '_')} = {value}" for flag, value in zip(options[::2], options[1::2])]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return [command, "--config", str(path)]
+
+
+def _cli_outputs(name: str, out_dir: Path, config: Path | None = None) -> dict[str, str]:
+    """Golden file name -> text for one successful CLI case; with ``config``,
+    every option is read from a config file written there."""
     argv = _argv(CLI_CASES[name]) + ["--output", str(out_dir / name), "--format", "both"]
+    if config is not None:
+        argv = _config_argv(argv, config)
     code, stdout, stderr = _run_cli(argv)
     assert code == 0, stderr
     return {
@@ -148,6 +161,30 @@ def _no_output_dir(monkeypatch):
 def test_cli_command_matches_golden(name, tmp_path):
     for file_name, text in _cli_outputs(name, tmp_path).items():
         assert text == _expected(file_name), file_name
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_command_from_a_config_file_matches_golden(name, tmp_path):
+    for file_name, text in _cli_outputs(name, tmp_path, tmp_path / "run.cfg").items():
+        assert text == _expected(file_name), file_name
+
+
+def test_flags_beside_a_config_file_win_and_match_golden(tmp_path):
+    """Options split between a file and flags; the flags that contradict the file win."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"command = eg\ninput = {INPUTS}/coint_x.csv\ninput2 = {INPUTS}/coint_y.csv\n"
+        "transform = untransformed\nlags = 0\ntrend = true\nformat = json\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "eg_logs_trend"
+    argv = ["eg", "--transform", "logarithms", "--config", str(cfg), "--normalize-on", "second"]
+    argv += ["--lags", "4", "--output", str(out), "--format", "both"]
+    code, stdout, stderr = _run_cli(argv)
+    assert code == 0, stderr
+    assert stdout.replace(str(tmp_path), OUT_PLACEHOLDER) == _expected("eg_logs_trend.stdout")
+    for suffix in (".json", ".csv"):
+        assert _read(out.with_suffix(suffix)) == _expected(f"eg_logs_trend{suffix}")
 
 
 @pytest.mark.parametrize("name", sorted(ERROR_CASES))

@@ -96,6 +96,7 @@ _SPOIL = {
     "underscore_value": lambda d, v, nxt, prev: f"{d},1_{v}",
     "non_ascii_value": lambda d, v, nxt, prev: f"{d},{v.translate(_ARABIC_INDIC)}",
     "em_space_value": lambda d, v, nxt, prev: f"{d},\u2003{v}",
+    "em_space_date": lambda d, v, nxt, prev: f"\u2003{d},{v}",
     "inf": lambda d, v, nxt, prev: f"{d},-inf",
     "nan": lambda d, v, nxt, prev: f"{d},nan",
     "blank": lambda d, v, nxt, prev: "",

@@ -1,10 +1,10 @@
-"""The settings contract: every public setting is coerced by one of three rules.
+"""The settings contract: every public setting is coerced by one of four rules.
 
 An integer setting takes Python or numpy integers and integral finite
 floats; a real setting takes finite Python or numpy ints and floats; a flag
-takes Python or numpy bools. Anything else, and anything out of range, is a
-``UsageError`` naming the setting: never a raw Python error, never a
-silently truncated value.
+takes Python or numpy bools; an object setting takes an instance of its
+class. Anything else, and anything out of range, is a ``UsageError`` naming
+the setting: never a raw Python error, never a silently truncated value.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cointkit.montecarlo as mc
-from cointkit.cointegration import NORMALIZE_FIRST, UNTRANSFORMED, EgSpec
+from cointkit.cointegration import NORMALIZE_FIRST, UNTRANSFORMED, EgSpec, run_spec_grid
 from cointkit.critvals import DeterministicSpec, critical_value
 from cointkit.ecm import EcmSpec, estimate_levels
 from cointkit.errors import UsageError, flag_setting, int_setting, real_setting
@@ -214,6 +214,61 @@ def test_time_series_start_must_be_a_pair():
     for start in (None, 2000, (2000,), (2000, 1, 1), "2000-01"):
         with pytest.raises(UsageError, match=r"^start must be a \(year, month\) pair"):
             TimeSeries(start, MONTHLY, [1.0])
+
+
+_TEST = mc.TestConfig(mc.EG_LEVELS)
+_WALKS = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 60)
+# Objects of the wrong class, beside values that are no objects at all.
+_NOT_OBJECTS = st.one_of(_NOT_NUMBERS, st.sampled_from([_C, _DGP_SPEC, _EG_SPEC, _TEST, EcmSpec(1)]))
+
+
+def _object(name, run, *valid):
+    return Setting(name, run, list(valid), _NOT_OBJECTS)
+
+
+OBJECT_SETTINGS = [
+    _object("TestConfig.det", lambda v: mc.TestConfig(mc.ADF, det=v), _C),
+    _object("size.test", lambda v: mc.run_size_experiment(v, _WALKS, 100, 0), _TEST),
+    _object("size.dgp", lambda v: mc.run_size_experiment(_TEST, v, 100, 0), _WALKS, _DGP_SPEC),
+    _object(
+        "ect_unit_root.ecm_spec",
+        lambda v: mc.run_ect_unit_root_experiment(60, 100, 0, ecm_spec=v),
+        None,
+        EcmSpec(1),
+    ),
+    _object(
+        "ect_recovery.ecm_spec",
+        lambda v: mc.run_ect_recovery_experiment(60, 100, 0, ecm_spec=v),
+        None,
+        EcmSpec(1),
+    ),
+    _object("run_spec_grid.grid", lambda v: run_spec_grid(_SERIES, _OTHER, [v]), _EG_SPEC),
+]
+
+
+@pytest.mark.parametrize("setting", OBJECT_SETTINGS, ids=repr)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_object_setting_runs_or_raises_usage_error(setting, data):
+    value = data.draw(setting.values, label=setting.name)
+    assert _outcome(setting, value) == setting.is_valid(value)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: mc.run_ect_unit_root_experiment(60, 100, 0, ecm_spec="x"), "ecm_spec must be of type EcmSpec, got 'x'"),
+        (lambda: mc.run_ect_recovery_experiment(60, 100, 0, ecm_spec=""), "ecm_spec must be of type EcmSpec, got ''"),
+        (lambda: mc.TestConfig(mc.ADF, det="constant"), "det must be of type DeterministicSpec, got 'constant'"),
+        (lambda: run_spec_grid(_SERIES, _OTHER, grid=[_EG_SPEC, "x"]), "grid[1] must be of type EgSpec, got 'x'"),
+    ],
+    ids=["ect_unit_root", "ect_recovery_empty_string", "det", "grid"],
+)
+def test_object_settings_name_their_class(run, message):
+    # Each of these raised AttributeError, or fell back to a default, before the instance rule.
+    with pytest.raises(UsageError) as info:
+        run()
+    assert str(info.value) == message
 
 
 def _size(**kw):
