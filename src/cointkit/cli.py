@@ -29,14 +29,9 @@ import os
 import sys
 from dataclasses import dataclass
 
+# Every analyst command reads a CSV, so ingest and its layers load here; each
+# handler imports the layers it runs, and montecarlo is the package's lazy module.
 from cointkit import montecarlo
-from cointkit.cointegration import (
-    EgSpec,
-    engle_granger_test,
-    run_spec_grid,
-)
-from cointkit.critvals import LEVELS, DeterministicSpec
-from cointkit.ecm import EcmSpec, estimate_ecm
 from cointkit.errors import (
     CointkitError,
     ConfigError,
@@ -45,7 +40,6 @@ from cointkit.errors import (
 )
 from cointkit.formats import json_dumps, significance_stars
 from cointkit.ingest import IngestReport, ingest_csv
-from cointkit.unitroot import adf_test
 
 OUTPUT_DIR_ENV = "COINTKIT_OUTPUT_DIR"
 
@@ -301,6 +295,9 @@ def _cmd_ingest_check(config: RunConfig) -> tuple[dict, list[list[str]], list[st
 
 
 def _cmd_adf(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
+    from cointkit.critvals import LEVELS, DeterministicSpec
+    from cointkit.unitroot import adf_test
+
     series = ingest_csv(config.values["input"])
     det = DeterministicSpec.from_label(config.values["det"])
     report = adf_test(series, config.values["lags"], det)
@@ -314,6 +311,9 @@ def _cmd_adf(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
 
 
 def _cmd_eg(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
+    from cointkit.cointegration import EgSpec, engle_granger_test
+    from cointkit.critvals import LEVELS
+
     a = ingest_csv(config.values["input"])
     b = ingest_csv(config.values["input2"])
     spec = EgSpec(
@@ -337,6 +337,9 @@ def _cmd_eg(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
 
 
 def _cmd_grid(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
+    from cointkit.cointegration import run_spec_grid
+    from cointkit.critvals import LEVELS
+
     a = ingest_csv(config.values["input"])
     b = ingest_csv(config.values["input2"])
     grid = run_spec_grid(a, b)
@@ -368,6 +371,9 @@ def _cmd_grid(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
 
 
 def _cmd_ecm(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
+    from cointkit.cointegration import EgSpec, engle_granger_test
+    from cointkit.ecm import EcmSpec, estimate_ecm
+
     y = ingest_csv(config.values["input"])
     x = ingest_csv(config.values["input2"])
     spec = EcmSpec(
@@ -437,6 +443,8 @@ def _cmd_mc_falsepos(config: RunConfig) -> tuple[dict, list[list[str]], list[str
 
 
 def _cmd_mc_size(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
+    from cointkit.critvals import LEVELS, DeterministicSpec
+
     test = montecarlo.TestConfig(
         kind=config.values["test"],
         lags=config.values["lags"],

@@ -22,7 +22,7 @@ from cointkit.critvals import LEVELS, MIN_N, SOURCE_ID, DeterministicSpec, criti
 from cointkit.ecm import _levels_regression
 from cointkit.errors import CointkitError, UsageError, flag_setting, instance_setting, int_setting
 from cointkit.formats import JsonRecord, fmt12s, significance_stars
-from cointkit.regression import OlsFit, _as_fit, _Solution
+from cointkit.regression import OlsFit, _as_fit, _Solution, median
 from cointkit.series import TimeSeries, align, has_differencing, lineage_summary, log_transform
 from cointkit.unitroot import _adf, _adf_sample
 
@@ -319,7 +319,10 @@ def run_spec_grid(a: TimeSeries, b: TimeSeries, grid: list[EgSpec] | None = None
     aggregates; the rest of the grid still runs. ``grid=None`` means the
     12-cell default grid.
     """
-    specs = default_grid() if grid is None else list(grid)
+    try:
+        specs = default_grid() if grid is None else list(grid)
+    except TypeError:  # not iterable
+        raise UsageError(f"grid must be a sequence of EgSpec, got {grid!r}") from None
     for i, spec in enumerate(specs):
         instance_setting(f"grid[{i}]", spec, EgSpec)
     if not specs:
@@ -343,7 +346,7 @@ def run_spec_grid(a: TimeSeries, b: TimeSeries, grid: list[EgSpec] | None = None
         cells=tuple(cells),
         min_statistic=min(stats) if stats else None,
         max_statistic=max(stats) if stats else None,
-        median_statistic=float(np.median(stats)) if stats else None,
+        median_statistic=median(stats) if stats else None,
         reject_counts=reject_counts,
         cells_ok=len(stats),
         cells_errored=len(cells) - len(stats),

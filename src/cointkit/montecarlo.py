@@ -61,6 +61,7 @@ from cointkit.errors import (
     real_setting,
 )
 from cointkit.formats import JsonRecord, fmt12s
+from cointkit.regression import median
 from cointkit.series import MONTHLY, TimeSeries, iterated_difference
 from cointkit.unitroot import _adf, _adf_sample, adf_critical_values
 
@@ -217,7 +218,7 @@ def _keyed_states(prefix: list[int], keys: list[int], n_words: int) -> np.ndarra
     words = np.array([[key >> shift & _MASK32 for key in keys] for shift in shifts], np.uint32)
     lengths = (np.arange(1, len(words) + 1)[:, None] * (words != 0)).max(axis=0, initial=1)
     out = np.empty((n_words, len(keys)), np.uint32)
-    for length in np.unique(lengths).tolist():
+    for length in sorted(set(lengths.tolist())):  # np.unique would import numpy.ma
         rows = lengths == length
         group = words[:length, rows]
         out[:, rows] = _seed_sequence(prefix + list(group), group.shape[1], n_words)
@@ -874,8 +875,8 @@ def run_ect_recovery_experiment(
         joint_count=joint,
         joint_rate=joint / len(coef),
         wilson_interval_95=wilson_interval(joint, len(coef)),
-        median_coefficient=float(np.median(coef)),
-        median_t_stat=float(np.median(t)),
+        median_coefficient=median(coef),
+        median_t_stat=median(t),
         seed=config["base_seed"],
         config=config,
         config_digest=digest,

@@ -245,3 +245,20 @@ def ols_fit(y: Sequence[float], X: DesignMatrix) -> OlsFit:
     if yv.size != X.nobs:
         raise DimensionMismatch(f"y has {yv.size} observations, design has {X.nobs}")
     return _as_fit(_lstsq(X.data, yv, X.names))
+
+
+def median(values: Sequence[float]) -> float:
+    """``float(np.median(values))``, bitwise, for a non-empty 1-D sequence.
+
+    It makes numpy's own ``np.partition`` call (the middle index or
+    indices, then -1) and takes ``np.mean`` of the middle slice, but reads
+    a NaN from the last partitioned value itself: on numpy 2, ``np.median``'s
+    NaN check imports ``numpy.ma`` on its first call, a cost paid by every
+    fresh CLI process.
+    """
+    a = np.asarray(values, dtype=float)
+    half, odd = divmod(a.size, 2)
+    part = np.partition(a, ([half] if odd else [half - 1, half]) + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[half - 1 + odd : half + 1]))

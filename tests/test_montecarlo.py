@@ -259,18 +259,59 @@ class TestStackedSeedingEqualsNumpy:
         assert mc.replication_seed(3, 0) == mc._replication_seeds(3, 0, 1)[0]
 
 
-def test_cli_import_loads_montecarlo_but_not_the_process_pool():
-    # The benchmark's tracer reads cointkit.montecarlo after importing the CLI.
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(mc.__file__))
-    code = (
-        "import sys, cointkit.cli; "
-        "print('cointkit.montecarlo' in sys.modules, 'concurrent.futures.process' in sys.modules)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
     )
-    assert proc.stdout.split() == ["True", "False"]
+
+
+def test_fresh_imports_load_only_what_they_use():
+    # The benchmark's tracer reads cointkit.montecarlo after importing the CLI.
+    # It is registered lazily: its code, which imports cointegration and
+    # hashlib, has not run. numpy 1.x imports hashlib itself (through
+    # numpy.random), so the check is on what the CLI import adds.
+    code = (
+        "import sys, numpy; before = set(sys.modules); import cointkit.cli; "
+        "print('cointkit.montecarlo' in sys.modules, *(name in set(sys.modules) - before for name in ("
+        "'cointkit.cointegration', 'hashlib', 'concurrent.futures.process')))"
+    )
+    assert _fresh_python("-c", code).stdout.split() == ["True", "False", "False", "False"]
+    # numpy >= 2 imports numpy.ma only when asked; np.median's NaN check asks.
+    if int(np.__version__.split(".")[0]) >= 2:
+        inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+        grid = _fresh_python(
+            "-X", "importtime", "-m", "cointkit.cli", "grid",
+            "--input", os.path.join(inputs, "walk_a.csv"), "--input2", os.path.join(inputs, "walk_b.csv"),
+        )
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in grid.stderr.splitlines()}
+        assert "cointkit.cointegration" in loaded and "numpy.ma" not in loaded
+    # After a bare ``import cointkit``, submodules and exports load on first
+    # use, and a pool run pickles the lazily loaded runner's arguments.
+    code = (
+        "import sys, json, cointkit as ck; "
+        "print('cointkit.regression' in sys.modules, ck.regression.__name__, ck.errors.__name__); "
+        "run = lambda workers: ck.run_size_experiment(ck.TestConfig('eg-levels'), "
+        "ck.DgpSpec('independent_random_walks', 60), reps=100, base_seed=3, workers=workers); "
+        "print(json.dumps(run(2).to_json_dict()) == json.dumps(run(1).to_json_dict()))"
+    )
+    assert _fresh_python("-c", code).stdout.split() == [
+        "False", "cointkit.regression", "cointkit.errors", "True"
+    ]
+
+
+def test_package_exports_every_name_in_all():
+    import cointkit as ck
+
+    assert ck.run_size_experiment is mc.run_size_experiment
+    star: dict = {}
+    exec("from cointkit import *", star)
+    assert set(ck.__all__) <= set(star)
+    assert all(star[name] is getattr(ck, name) for name in ck.__all__)
+    assert set(ck.__all__) <= set(dir(ck))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ck.no_such_name
 
 
 class TestWilson:

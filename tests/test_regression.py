@@ -1,10 +1,14 @@
+import math
+import struct
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cointkit.errors import DataError, DimensionMismatch, RankDeficient
-from cointkit.regression import DesignMatrix, _lstsq, ols_fit
+from cointkit.regression import DesignMatrix, _lstsq, median, ols_fit
 from helpers import exact_ols
 
 
@@ -185,3 +189,25 @@ class TestMemoryLayout:
         ):
             for field in ("beta", "resid", "stderrs", "t_stats", "rss"):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(allow_nan=False), _SPECIAL), min_size=1, max_size=64))
+@example(values=[-0.0])
+@example(values=[0.0, -0.0])
+@example(values=[-0.0, 0.0, -0.0, 0.0])
+@example(values=[math.inf, -math.inf])
+@example(values=[1.0, math.nan, 2.0])
+def test_median_is_bitwise_numpy_median(values):
+    # inf - inf in the middle pair, or an overflowing sum, warns in both.
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        expected = np.median(values)
+        got = median(values)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
+        strided = np.repeat(np.array(values), 2)[::2]  # as a column of the Monte Carlo runners
+        assert struct.pack("<d", median(strided)) == struct.pack("<d", np.median(strided))

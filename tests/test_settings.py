@@ -261,11 +261,12 @@ def test_object_setting_runs_or_raises_usage_error(setting, data):
         (lambda: mc.run_ect_recovery_experiment(60, 100, 0, ecm_spec=""), "ecm_spec must be of type EcmSpec, got ''"),
         (lambda: mc.TestConfig(mc.ADF, det="constant"), "det must be of type DeterministicSpec, got 'constant'"),
         (lambda: run_spec_grid(_SERIES, _OTHER, grid=[_EG_SPEC, "x"]), "grid[1] must be of type EgSpec, got 'x'"),
+        (lambda: run_spec_grid(_SERIES, _OTHER, grid=5), "grid must be a sequence of EgSpec, got 5"),
     ],
-    ids=["ect_unit_root", "ect_recovery_empty_string", "det", "grid"],
+    ids=["ect_unit_root", "ect_recovery_empty_string", "det", "grid", "grid_not_a_sequence"],
 )
 def test_object_settings_name_their_class(run, message):
-    # Each of these raised AttributeError, or fell back to a default, before the instance rule.
+    # Each of these raised AttributeError or TypeError, or fell back to a default, before the instance rule.
     with pytest.raises(UsageError) as info:
         run()
     assert str(info.value) == message
