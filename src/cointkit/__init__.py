@@ -159,8 +159,11 @@ def _lazy_module(name: str):
     return module
 
 
-# The benchmark's tracer and a subprocess test look cointkit.montecarlo up in
-# sys.modules after ``import cointkit.cli``, which no analyst command needs to
-# run. Registered here, before any submodule import can load it eagerly, the
-# module exists once and costs nothing until a Monte Carlo name is used.
-montecarlo = _lazy_module("montecarlo")
+# The benchmark's tracer looks these modules up in sys.modules after
+# ``import cointkit.cli``, which loads none of them: an analyst command loads
+# only the layers it runs, and a Monte Carlo experiment only the OLS core and
+# the critical values. Registered here, before any submodule import can load
+# them eagerly, each exists once and costs nothing until one of its names is used.
+cointegration, ecm, montecarlo, unitroot = map(
+    _lazy_module, ("cointegration", "ecm", "montecarlo", "unitroot")
+)

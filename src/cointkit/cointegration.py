@@ -18,20 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cointkit.critvals import LEVELS, MIN_N, SOURCE_ID, DeterministicSpec, critical_values_map
-from cointkit.ecm import _levels_regression
+# Both stages and the lag bound live in regression, and the critical-value
+# rule in critvals; their public names stay importable here.
+from cointkit.critvals import LEVELS, SOURCE_ID, eg_critical_values
 from cointkit.errors import CointkitError, UsageError, flag_setting, instance_setting, int_setting
 from cointkit.formats import JsonRecord, fmt12s, significance_stars
-from cointkit.regression import OlsFit, _as_fit, _Solution, median
+from cointkit.regression import MAX_LAGS, OlsFit, _as_fit, _eg_regressions, median
 from cointkit.series import TimeSeries, align, has_differencing, lineage_summary, log_transform
-from cointkit.unitroot import _adf, _adf_sample
 
 LOGARITHMS = "logarithms"
 UNTRANSFORMED = "untransformed"
 NORMALIZE_FIRST = "first"
 NORMALIZE_SECOND = "second"
 
-MAX_LAGS = 24
 SHORT_SAMPLE_THRESHOLD = 50
 COLLINEARITY_CONDITION_LIMIT = 1e8
 
@@ -175,34 +174,6 @@ def _collect_warnings(
     return tuple(warnings)
 
 
-def _eg_regressions(
-    dep: np.ndarray, other: np.ndarray, spec: EgSpec
-) -> tuple[_Solution, _Solution, int]:
-    """Both Engle-Granger stages on each row of (..., n) stacks of aligned levels.
-
-    Regresses ``dep`` on ``other`` (plus trend, plus intercept), then runs
-    the no-deterministics ADF on the residuals. Returns the stage-one and
-    stage-two solutions and the effective sample size; the statistic is
-    the stage-two ``t_stats[..., 0]``. ``spec.transform`` and
-    ``spec.normalize_on`` have already been applied by the caller. The
-    residuals are as long as the levels, so the ADF sample is checked first.
-    """
-    _adf_sample(dep.shape[-1], spec.lags)
-    stage_one = _levels_regression(dep, other, spec.trend_in_stage_one)
-    stage_two, n_eff = _adf(stage_one.resid, spec.lags, DeterministicSpec.none())
-    return stage_one, stage_two, n_eff
-
-
-def eg_critical_values(n_eff: int, trend_in_stage_one: bool) -> dict[int, float]:
-    """Two-variable critical values for the stage-one deterministic terms."""
-    det = (
-        DeterministicSpec.constant_trend()
-        if trend_in_stage_one
-        else DeterministicSpec.constant_only()
-    )
-    return critical_values_map(2, max(n_eff, MIN_N), det)
-
-
 def engle_granger_test(a: TimeSeries, b: TimeSeries, spec: EgSpec) -> CointegrationReport:
     """Two-step Engle-Granger test of ``a`` and ``b`` under ``spec``.
 
@@ -216,6 +187,7 @@ def engle_granger_test(a: TimeSeries, b: TimeSeries, spec: EgSpec) -> Cointegrat
     ------
     NoOverlap, FrequencyMismatch, SeriesTooShort, NonPositiveValue, DegenerateInput
     """
+    instance_setting("spec", spec, EgSpec)
     a_al, b_al = align(a, b)
     if spec.transform == LOGARITHMS:
         a_t, b_t = log_transform(a_al), log_transform(b_al)
@@ -227,7 +199,9 @@ def engle_granger_test(a: TimeSeries, b: TimeSeries, spec: EgSpec) -> Cointegrat
     else:
         dep, other = b_t, a_t
 
-    stage_one, stage_two, n_eff = _eg_regressions(dep.values, other.values, spec)
+    stage_one, stage_two, n_eff = _eg_regressions(
+        dep.values, other.values, spec.lags, spec.trend_in_stage_one
+    )
     statistic = float(stage_two.t_stats[0])
     cvs = eg_critical_values(n_eff, spec.trend_in_stage_one)
 

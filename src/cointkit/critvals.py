@@ -14,6 +14,11 @@ Reference: MacKinnon, J.G. (2010), "Critical Values for Cointegration
 Tests", Queen's Economics Department Working Paper 1227. The
 no-deterministics column retains his 1996 numbers, which were not
 re-estimated in 2010 and exist only for k = 1.
+
+:func:`adf_critical_values` and :func:`eg_critical_values` are the one
+rule by which the tests and the Monte Carlo experiments read the table:
+one or two variables, at the effective sample size or at the table's
+minimum if that is smaller.
 """
 
 from __future__ import annotations
@@ -21,7 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from cointkit.errors import UnsupportedCombination, UsageError, flag_setting, int_setting
+from cointkit.errors import (
+    UnsupportedCombination,
+    UsageError,
+    flag_setting,
+    instance_setting,
+    int_setting,
+)
 
 SOURCE_ID = "mackinnon-2010"
 LEVELS = (1, 5, 10)
@@ -194,9 +205,11 @@ def critical_value(k: int, n: int, level: int, det: DeterministicSpec) -> float:
     UnsupportedCombination
         For out-of-range ``k``/``n``/``level`` or an untabulated pairing.
     UsageError
-        For a ``k``, ``n`` or ``level`` that is not an integer.
+        For a ``k``, ``n`` or ``level`` that is not an integer, or a ``det``
+        that is not a :class:`DeterministicSpec`.
     """
     k, n, level = int_setting("k", k), int_setting("n", n), int_setting("level", level)
+    instance_setting("det", det, DeterministicSpec)
     if not MIN_K <= k <= MAX_K:
         raise UnsupportedCombination(f"k must be in {MIN_K}..{MAX_K}, got {k}")
     if n < MIN_N:
@@ -209,3 +222,18 @@ def critical_value(k: int, n: int, level: int, det: DeterministicSpec) -> float:
 def critical_values_map(k: int, n: int, det: DeterministicSpec) -> dict[int, float]:
     """All three tabulated levels at once, keyed by percent level."""
     return {level: critical_value(k, n, level, det) for level in LEVELS}
+
+
+def adf_critical_values(n_eff: int, det: DeterministicSpec) -> dict[int, float]:
+    """One-variable critical values; below the table's minimum sample, at that minimum."""
+    return critical_values_map(1, max(n_eff, MIN_N), det)
+
+
+def eg_critical_values(n_eff: int, trend_in_stage_one: bool) -> dict[int, float]:
+    """Two-variable critical values for the stage-one deterministic terms."""
+    det = (
+        DeterministicSpec.constant_trend()
+        if trend_in_stage_one
+        else DeterministicSpec.constant_only()
+    )
+    return critical_values_map(2, max(n_eff, MIN_N), det)

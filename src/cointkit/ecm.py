@@ -21,9 +21,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from cointkit.errors import SeriesTooShort, UnsupportedCombination, UsageError, flag_setting, int_setting
+from cointkit.errors import (
+    SeriesTooShort,
+    UnsupportedCombination,
+    UsageError,
+    flag_setting,
+    instance_setting,
+    int_setting,
+)
 from cointkit.formats import JsonRecord, fmt12s
-from cointkit.regression import OlsFit, _as_fit, _lstsq, _Solution
+from cointkit.regression import OlsFit, _as_fit, _levels_regression, _lstsq, _Solution
 from cointkit.series import TimeSeries, align
 
 
@@ -103,25 +110,6 @@ class AuditReport:
             "declared_but_absent": list(self.declared_but_absent),
             "is_clean": self.is_clean,
         }
-
-
-def _levels_regression(y: np.ndarray, x: np.ndarray, include_trend: bool) -> _Solution:
-    """The levels regression of each row of ``y`` on the same row of ``x``, (..., n) stacks.
-
-    The design is x, the optional trend 1..n, and the intercept, in that order.
-    """
-    n = y.shape[-1]
-    if n < 10:
-        raise SeriesTooShort(f"levels regression needs >= 10 overlapping observations, have {n}")
-    names = ["x"]
-    columns = [x]
-    if include_trend:
-        names.append("trend")
-        columns.append(np.arange(1, n + 1, dtype=float))
-    names.append("intercept")
-    columns.append(np.ones(n))
-    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
-    return _lstsq(design, y, tuple(names))
 
 
 def estimate_levels(y: TimeSeries, x: TimeSeries, include_trend: bool = False) -> OlsFit:
@@ -233,6 +221,7 @@ def estimate_ecm(
     covering the regression sample. The differencing span, the ARDL sample
     size and the extra controls are checked before either regression runs.
     """
+    instance_setting("spec", spec, EcmSpec)
     y_al, x_al = align(y, x)
     rows = _ardl_rows(len(y_al), spec, y_al.frequency)
     controls = dict(extra_controls or {})

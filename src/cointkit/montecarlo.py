@@ -26,6 +26,15 @@ or (ECT coefficient, t-ratio) for the recovery experiment. Each runner
 checks its settings at configuration, before any replication, then applies
 its critical values, threshold or band once, to the statistics of every
 replication.
+
+Of cointkit, this module imports only ``errors``, ``formats``,
+``regression`` (the stacked designs) and ``critvals`` (the critical-value
+rule) at module level. Each other layer is imported by the function that
+needs it: the ECT runners and their blocks import ``ecm`` and
+``series.MONTHLY``, the eg-differences branch of the size block imports
+``cointegration.differencing_warning`` and ``series.iterated_difference``,
+and ``generate`` imports ``series.TimeSeries``. So the size experiments on
+levels and the spurious-regression experiment load no estimator layer.
 """
 
 from __future__ import annotations
@@ -36,20 +45,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from cointkit.cointegration import (
-    NORMALIZE_FIRST,
-    UNTRANSFORMED,
-    EgSpec,
-    _eg_regressions,
-    differencing_warning,
-    eg_critical_values,
-)
-from cointkit.critvals import LEVELS, DeterministicSpec
-from cointkit.ecm import EcmSpec, _ardl_rows, _ecm_regressions, _levels_regression
+from cointkit.critvals import LEVELS, DeterministicSpec, adf_critical_values, eg_critical_values
 from cointkit.errors import (
     CointkitError,
     DataError,
@@ -61,9 +61,18 @@ from cointkit.errors import (
     real_setting,
 )
 from cointkit.formats import JsonRecord, fmt12s
-from cointkit.regression import median
-from cointkit.series import MONTHLY, TimeSeries, iterated_difference
-from cointkit.unitroot import _adf, _adf_sample, adf_critical_values
+from cointkit.regression import (
+    MAX_LAGS,
+    _adf,
+    _adf_sample,
+    _eg_regressions,
+    _levels_regression,
+    median,
+)
+
+if TYPE_CHECKING:  # imported where used, so only the ECT experiments load the ECM layer
+    from cointkit.ecm import EcmSpec
+    from cointkit.series import TimeSeries
 
 PRNG_ID = "numpy-pcg64/standard-normal"
 BURN_IN = 100
@@ -327,6 +336,8 @@ _SERIES_NAMES = {
 
 
 def _series(values: np.ndarray, name: str) -> TimeSeries:
+    from cointkit.series import MONTHLY, TimeSeries
+
     return TimeSeries(start=(2000, 1), frequency=MONTHLY, values=values, lineage=(), name=name)
 
 
@@ -401,6 +412,7 @@ def generate(dgp: DgpSpec) -> tuple[TimeSeries, TimeSeries]:
     an arbitrary fixed calendar start and empty lineage. This is the
     one-seed case of the stacked draw the runners use.
     """
+    instance_setting("dgp", dgp, DgpSpec)
     first, second = _generate_stack(dgp, [dgp.seed])
     names = _SERIES_NAMES[dgp.kind]
     return _series(first[0], names[0]), _series(second[0], names[1])
@@ -408,10 +420,10 @@ def generate(dgp: DgpSpec) -> tuple[TimeSeries, TimeSeries]:
 
 def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95 percent Wilson score interval for a binomial proportion."""
+    total = int_setting("total", total)
     if total <= 0:
         raise UsageError("total must be positive")
-    if not 0 <= successes <= total:
-        raise UsageError(f"successes must be in 0..{total}, got {successes}")
+    successes = int_setting("successes", successes, 0, total)
     z2 = _WILSON_Z**2
     phat = successes / total
     denom = 1.0 + z2 / total
@@ -482,15 +494,6 @@ class TestConfig:
         return out
 
 
-def _eg_spec(test: TestConfig) -> EgSpec:
-    return EgSpec(
-        transform=UNTRANSFORMED,
-        normalize_on=NORMALIZE_FIRST,
-        lags=test.lags,
-        trend_in_stage_one=test.trend,
-    )
-
-
 # Each block function gives the statistics of the replications whose series
 # are the rows of ``first`` and ``second``, solved as one stack, bitwise equal
 # to running the public estimator on each replication alone. Run on a stack
@@ -500,9 +503,7 @@ def _eg_spec(test: TestConfig) -> EgSpec:
 _Block = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _size_block(
-    test: TestConfig, spec: EgSpec | None, dgp: DgpSpec, first: np.ndarray, second: np.ndarray
-) -> np.ndarray:
+def _size_block(test: TestConfig, dgp: DgpSpec, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """The test statistic of each replication; on eg-differences the guard must fire.
 
     eg-differences differences both stacks whole: ``np.diff`` along the rows
@@ -519,10 +520,13 @@ def _size_block(
             first, second = np.diff(first, axis=-1), np.diff(second, axis=-1)
         _check_finite(first, second)
     if test.kind == ADF:
-        solution, _ = _adf(first, test.lags, test.det)
+        solution, _ = _adf(first, test.lags, test.det.constant, test.det.trend)
     else:
-        _, solution, _ = _eg_regressions(first, second, spec)
+        _, solution, _ = _eg_regressions(first, second, test.lags, test.trend)
     if test.kind == EG_DIFFERENCES:
+        from cointkit.cointegration import differencing_warning
+        from cointkit.series import iterated_difference
+
         pair = [
             iterated_difference(_series(values[0], name), 1)
             for values, name in zip(levels, _SERIES_NAMES[dgp.kind])
@@ -541,14 +545,20 @@ def _ect_unit_root_block(
     spec: EcmSpec, lags: int, first: np.ndarray, second: np.ndarray
 ) -> np.ndarray:
     """``estimate_ecm`` of the first walk on the second, then the ADF statistic of its ECT series."""
+    from cointkit.ecm import _ecm_regressions
+    from cointkit.series import MONTHLY
+
     levels, _ = _ecm_regressions(first, second, spec, MONTHLY)
     ect = levels.resid[:, : first.shape[1] - spec.ect_lag]
-    solution, _ = _adf(ect, lags, DeterministicSpec.none())
+    solution, _ = _adf(ect, lags, False, False)
     return solution.t_stats[:, 0]
 
 
 def _recovery_block(spec: EcmSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``estimate_ecm`` of y on x: (ECT coefficient, its t-ratio) per replication."""
+    from cointkit.ecm import _ecm_regressions
+    from cointkit.series import MONTHLY
+
     _, ardl = _ecm_regressions(y, x, spec, MONTHLY)
     col = ardl.names.index(f"ect_l{spec.ect_lag}")
     return np.stack([ardl.beta[:, col], ardl.t_stats[:, col]], axis=-1)
@@ -633,13 +643,14 @@ def _size_result(
 
     The critical values depend on the effective sample size alone, which the configuration fixes.
     """
-    spec = None if test.kind == ADF else _eg_spec(test)
+    if test.kind != ADF:
+        int_setting("lags", test.lags, 0, MAX_LAGS)  # the Engle-Granger lag bound
     n_eff = _adf_sample(dgp.n - 1 if test.kind == EG_DIFFERENCES else dgp.n, test.lags)
-    if spec is None:
+    if test.kind == ADF:
         cvs = adf_critical_values(n_eff, test.det)
     else:
         cvs = eg_critical_values(n_eff, test.trend)
-    stats = _run_replications(partial(_size_block, test, spec, dgp), dgp, config, workers)
+    stats = _run_replications(partial(_size_block, test, dgp), dgp, config, workers)
     guard_count = len(stats) if test.kind == EG_DIFFERENCES else 0
     return _rejection_result(stats, cvs, config, digest, guard_count)
 
@@ -777,6 +788,9 @@ def run_ect_unit_root_experiment(
     make it. Under this null the term is I(1) and rejections should sit
     near the nominal level.
     """
+    from cointkit.ecm import EcmSpec, _ardl_rows
+    from cointkit.series import MONTHLY
+
     spec = EcmSpec(MONTHLY) if ecm_spec is None else instance_setting("ecm_spec", ecm_spec, EcmSpec)
     lags = int_setting("lags", lags, 0)
     dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, n, innovation_sd)
@@ -839,6 +853,9 @@ def run_ect_recovery_experiment(
     term is linearly redundant given the differencing identity, and its
     coefficient converges to zero regardless of the true adjustment speed.
     """
+    from cointkit.ecm import EcmSpec, _ardl_rows
+    from cointkit.series import MONTHLY
+
     t_threshold = real_setting("t_threshold", t_threshold)
     try:
         bounds = tuple(real_setting("band", bound) for bound in band)

@@ -5,6 +5,19 @@ error-correction estimators. Robust/HAC covariance is deliberately out of
 scope; the tests built on top compare t-ratios against tabulations that
 assume classical errors.
 
+It also holds every stacked design that more than one layer runs, so the
+Monte Carlo runners need no estimator module:
+
+- :func:`_levels_regression`, y on x, optional trend and intercept: the
+  long-run equation of ``ecm``, Engle-Granger stage one and the spurious
+  regression experiment;
+- :func:`_adf`, the augmented Dickey-Fuller regression, with its sample
+  rule :func:`_adf_sample` (``MIN_EFFECTIVE_SAMPLE``) and degeneracy screen
+  :func:`_degenerate`: ``unitroot``, Engle-Granger stage two and the ECT
+  unit-root experiment;
+- :func:`_eg_regressions`, both Engle-Granger stages, with the lag bound
+  ``MAX_LAGS``: ``cointegration`` and the size experiments.
+
 One kernel, :func:`_lstsq`, solves either one ``(n, k)`` design or a
 stack ``(..., n, k)`` of them; :func:`ols_fit` is its one-design case
 and the Monte Carlo runners pass it blocks of replications. A slice's
@@ -33,9 +46,23 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from cointkit.errors import DataError, DimensionMismatch, NumericalError, RankDeficient
+from cointkit.errors import (
+    DataError,
+    DegenerateInput,
+    DimensionMismatch,
+    NumericalError,
+    RankDeficient,
+    SeriesTooShort,
+    instance_setting,
+    int_setting,
+)
 
 _EPS = np.finfo(float).eps
+
+MIN_EFFECTIVE_SAMPLE = 10
+MAX_LAGS = 24
+
+LEVEL_COLUMN = "level_lag1"
 
 
 @dataclass(frozen=True)
@@ -241,10 +268,114 @@ def ols_fit(y: Sequence[float], X: DesignMatrix) -> OlsFit:
         If a squared column norm, the residual sum of squares or the total
         sum of squares overflows.
     """
+    instance_setting("X", X, DesignMatrix)
     yv = np.asarray(y, dtype=float).ravel()
     if yv.size != X.nobs:
         raise DimensionMismatch(f"y has {yv.size} observations, design has {X.nobs}")
     return _as_fit(_lstsq(X.data, yv, X.names))
+
+
+def _levels_regression(y: np.ndarray, x: np.ndarray, include_trend: bool) -> _Solution:
+    """The levels regression of each row of ``y`` on the same row of ``x``, (..., n) stacks.
+
+    The design is x, the optional trend 1..n, and the intercept, in that order.
+    """
+    n = y.shape[-1]
+    if n < 10:
+        raise SeriesTooShort(f"levels regression needs >= 10 overlapping observations, have {n}")
+    names = ["x"]
+    columns = [x]
+    if include_trend:
+        names.append("trend")
+        columns.append(np.arange(1, n + 1, dtype=float))
+    names.append("intercept")
+    columns.append(np.ones(n))
+    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    return _lstsq(design, y, tuple(names))
+
+
+def _degenerate(values: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
+    """Per row of a stack: is the largest |residual| negligible against the series scale?"""
+    scale = np.fmax(1.0, np.abs(values).max(axis=-1))
+    return np.abs(dx_resid).max(axis=-1, initial=0.0) <= 1e-12 * scale
+
+
+def _adf_sample(m: int, lags: int) -> int:
+    """The ADF sample rule: what ``m`` observations leave after differencing and ``lags`` lags."""
+    lags = int_setting("lags", lags, 0)
+    n_eff = m - 1 - lags
+    if n_eff < MIN_EFFECTIVE_SAMPLE:
+        raise SeriesTooShort(
+            f"effective sample {n_eff} after differencing and {lags} lags; need >= {MIN_EFFECTIVE_SAMPLE}"
+        )
+    return n_eff
+
+
+def _adf(x: np.ndarray, lags: int, constant: bool, trend: bool) -> tuple[_Solution, int]:
+    """The ADF regression of each row of ``x`` (..., m), and the effective sample size.
+
+    ``constant`` and ``trend`` are the deterministic terms, a
+    ``DeterministicSpec``'s fields. The statistic is ``t_stats[..., 0]``,
+    the t-ratio on the lagged level. :func:`_adf_sample` checks the sample
+    first, and runners call it once at configuration. On a stack every
+    check covers every row; the first failure raises.
+    """
+    lags = int_setting("lags", lags, 0)
+    m = x.shape[-1]
+    n_eff = _adf_sample(m, lags)
+
+    dx = np.diff(x, axis=-1)
+    y = dx[..., lags:]
+
+    # Zero innovation variance (e.g. an exact deterministic path) must fail
+    # typed, not produce an unbounded t-ratio or a spurious rank error.
+    probe = y
+    if constant:
+        probe = probe - _rowdot(probe, np.ones(n_eff))[..., None] / n_eff
+    if trend:
+        t_probe = np.arange(n_eff, dtype=float) - (n_eff - 1) / 2.0
+        denom = float(t_probe @ t_probe)
+        if denom > 0.0:
+            probe = probe - (_rowdot(probe, t_probe) / denom)[..., None] * t_probe
+    if _degenerate(x, probe).any():
+        raise DegenerateInput()
+
+    names = [LEVEL_COLUMN]
+    columns = [x[..., lags:-1]]
+    for i in range(1, lags + 1):
+        names.append(f"diff_lag{i}")
+        columns.append(dx[..., lags - i : m - 1 - i])
+    if constant:
+        names.append("intercept")
+        columns.append(np.ones(n_eff))
+    if trend:
+        # Indexed by position in the input series; the intercept absorbs the offset.
+        names.append("trend")
+        columns.append(np.arange(lags + 1, m, dtype=float))
+    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
+
+    sol = _lstsq(design, y, tuple(names))
+    if _degenerate(x, sol.resid).any():
+        raise DegenerateInput()
+    return sol, n_eff
+
+
+def _eg_regressions(
+    dep: np.ndarray, other: np.ndarray, lags: int, trend: bool
+) -> tuple[_Solution, _Solution, int]:
+    """Both Engle-Granger stages on each row of (..., n) stacks of aligned levels.
+
+    Regresses ``dep`` on ``other`` (plus ``trend``, plus intercept), then
+    runs the no-deterministics ADF with ``lags`` lags on the residuals.
+    Returns the stage-one and stage-two solutions and the effective sample
+    size; the statistic is the stage-two ``t_stats[..., 0]``. Any transform
+    and the choice of ``dep`` have already been applied by the caller. The
+    residuals are as long as the levels, so the ADF sample is checked first.
+    """
+    _adf_sample(dep.shape[-1], lags)
+    stage_one = _levels_regression(dep, other, trend)
+    stage_two, n_eff = _adf(stage_one.resid, lags, False, False)
+    return stage_one, stage_two, n_eff
 
 
 def median(values: Sequence[float]) -> float:

@@ -13,21 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cointkit.critvals import (
-    LEVELS,
-    MIN_N,
-    SOURCE_ID,
-    DeterministicSpec,
-    critical_values_map,
-)
-from cointkit.errors import DegenerateInput, SeriesTooShort, int_setting
+# The stacked ADF regression and its sample rule live in regression, and the
+# critical-value rule in critvals; their public names stay importable here.
+from cointkit.critvals import LEVELS, SOURCE_ID, DeterministicSpec, adf_critical_values
+from cointkit.errors import instance_setting, int_setting
 from cointkit.formats import fmt12s
-from cointkit.regression import OlsFit, _as_fit, _lstsq, _rowdot, _Solution
+from cointkit.regression import LEVEL_COLUMN, MIN_EFFECTIVE_SAMPLE, OlsFit, _adf, _as_fit
 from cointkit.series import TimeSeries
-
-MIN_EFFECTIVE_SAMPLE = 10
-
-LEVEL_COLUMN = "level_lag1"
 
 CSV_COLUMNS = (
     "statistic",
@@ -75,83 +67,15 @@ class UnitRootReport:
         return [list(CSV_COLUMNS), row]
 
 
-def _degenerate(values: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
-    """Per row of a stack: is the largest |residual| negligible against the series scale?"""
-    scale = np.fmax(1.0, np.abs(values).max(axis=-1))
-    return np.abs(dx_resid).max(axis=-1, initial=0.0) <= 1e-12 * scale
-
-
-def _adf_sample(m: int, lags: int) -> int:
-    """The ADF sample rule: what ``m`` observations leave after differencing and ``lags`` lags."""
-    lags = int_setting("lags", lags, 0)
-    n_eff = m - 1 - lags
-    if n_eff < MIN_EFFECTIVE_SAMPLE:
-        raise SeriesTooShort(
-            f"effective sample {n_eff} after differencing and {lags} lags; need >= {MIN_EFFECTIVE_SAMPLE}"
-        )
-    return n_eff
-
-
-def _adf(x: np.ndarray, lags: int, det: DeterministicSpec) -> tuple[_Solution, int]:
-    """The ADF regression of each row of ``x`` (..., m), and the effective sample size.
-
-    The statistic is ``t_stats[..., 0]``, the t-ratio on the lagged level.
-    :func:`_adf_sample` checks the sample first, and runners call it once at
-    configuration. On a stack every check covers every row; the first failure raises.
-    """
-    lags = int_setting("lags", lags, 0)
-    m = x.shape[-1]
-    n_eff = _adf_sample(m, lags)
-
-    dx = np.diff(x, axis=-1)
-    y = dx[..., lags:]
-
-    # Zero innovation variance (e.g. an exact deterministic path) must fail
-    # typed, not produce an unbounded t-ratio or a spurious rank error.
-    probe = y
-    if det.constant:
-        probe = probe - _rowdot(probe, np.ones(n_eff))[..., None] / n_eff
-    if det.trend:
-        t_probe = np.arange(n_eff, dtype=float) - (n_eff - 1) / 2.0
-        denom = float(t_probe @ t_probe)
-        if denom > 0.0:
-            probe = probe - (_rowdot(probe, t_probe) / denom)[..., None] * t_probe
-    if _degenerate(x, probe).any():
-        raise DegenerateInput()
-
-    names = [LEVEL_COLUMN]
-    columns = [x[..., lags:-1]]
-    for i in range(1, lags + 1):
-        names.append(f"diff_lag{i}")
-        columns.append(dx[..., lags - i : m - 1 - i])
-    if det.constant:
-        names.append("intercept")
-        columns.append(np.ones(n_eff))
-    if det.trend:
-        # Indexed by position in the input series; the intercept absorbs the offset.
-        names.append("trend")
-        columns.append(np.arange(lags + 1, m, dtype=float))
-    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
-
-    sol = _lstsq(design, y, tuple(names))
-    if _degenerate(x, sol.resid).any():
-        raise DegenerateInput()
-    return sol, n_eff
-
-
 def adf_regression(values: np.ndarray, lags: int, det: DeterministicSpec) -> tuple[float, int, OlsFit]:
     """ADF statistic, effective sample size, and the underlying fit.
 
     Operates on a bare value array, such as a regression residual; this is
     the one-series case of the stacked regression the Monte Carlo runners use.
     """
-    sol, n_eff = _adf(np.asarray(values, dtype=float).ravel(), lags, det)
+    instance_setting("det", det, DeterministicSpec)
+    sol, n_eff = _adf(np.asarray(values, dtype=float).ravel(), lags, det.constant, det.trend)
     return float(sol.t_stats[0]), n_eff, _as_fit(sol)
-
-
-def adf_critical_values(n_eff: int, det: DeterministicSpec) -> dict[int, float]:
-    """One-variable critical values; below the table's minimum sample, at that minimum."""
-    return critical_values_map(1, max(n_eff, MIN_N), det)
 
 
 def adf_test(x: TimeSeries, lags: int, det: DeterministicSpec) -> UnitRootReport:

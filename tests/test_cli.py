@@ -273,13 +273,13 @@ class TestExitCodes:
         assert record["error"] == "DegenerateInput"
 
     def test_missing_guard_is_exit_three(self, monkeypatch, capsys):
-        monkeypatch.setattr(mc, "differencing_warning", lambda a, b: None)
+        monkeypatch.setattr("cointkit.cointegration.differencing_warning", lambda a, b: None)
         assert main(["mc-falsepos", "--n", "60", "--reps", "100"]) == 3
         record = json.loads(capsys.readouterr().err.split("cointkit-error: ", 1)[1])
         assert record["error"] == "MissingGuardWarning"
 
     def test_replication_error_names_replication_and_seed(self, monkeypatch, capsys):
-        monkeypatch.setattr(mc, "differencing_warning", lambda a, b: None)
+        monkeypatch.setattr("cointkit.cointegration.differencing_warning", lambda a, b: None)
         assert main(["mc-falsepos", "--n", "60", "--reps", "100", "--seed", "4"]) == 3
         record = json.loads(capsys.readouterr().err.split("cointkit-error: ", 1)[1])
         assert list(record) == ["error", "message", "replication", "seed"]

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cointkit.cointegration as coint
 import cointkit.montecarlo as mc
 from cointkit.cli import main
 from cointkit.cointegration import (
@@ -22,7 +23,6 @@ from cointkit.cointegration import (
     UNTRANSFORMED,
     WARN_DIFFERENCED,
     EgSpec,
-    _eg_regressions,
     engle_granger_test,
 )
 from cointkit.critvals import LEVELS, DeterministicSpec
@@ -34,8 +34,9 @@ from cointkit.errors import (
     SeriesTooShort,
     UsageError,
 )
+from cointkit.regression import _adf, _eg_regressions
 from cointkit.series import ITERATED_DIFF, MONTHLY, TimeSeries, TransformTag, iterated_difference
-from cointkit.unitroot import _adf, adf_regression, adf_test
+from cointkit.unitroot import adf_regression, adf_test
 
 
 class TestDgp:
@@ -267,26 +268,66 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_fresh_imports_load_only_what_they_use():
-    # The benchmark's tracer reads cointkit.montecarlo after importing the CLI.
-    # It is registered lazily: its code, which imports cointegration and
-    # hashlib, has not run. numpy 1.x imports hashlib itself (through
-    # numpy.random), so the check is on what the CLI import adds.
-    code = (
-        "import sys, numpy; before = set(sys.modules); import cointkit.cli; "
-        "print('cointkit.montecarlo' in sys.modules, *(name in set(sys.modules) - before for name in ("
-        "'cointkit.cointegration', 'hashlib', 'concurrent.futures.process')))"
+def _fresh_run(code: str) -> tuple[list[str], list[str]]:
+    """``code``'s stdout lines in a fresh interpreter, and the cointkit submodules whose code ran.
+
+    LazyLoader puts a module in sys.modules before its code runs, and
+    ``-X importtime`` never logs that code, so a module counts as run once
+    its class is no longer the lazy one.
+    """
+    code += (
+        "\nimport importlib.util, sys"
+        "\nprint(*sorted(name.split('.', 1)[1] for name, m in sys.modules.items()"
+        " if name.startswith('cointkit.') and type(m) is not importlib.util._LazyModule))"
     )
-    assert _fresh_python("-c", code).stdout.split() == ["True", "False", "False", "False"]
-    # numpy >= 2 imports numpy.ma only when asked; np.median's NaN check asks.
+    *lines, executed = _fresh_python("-c", code).stdout.splitlines()
+    return lines, executed.split()
+
+
+def test_fresh_imports_load_only_what_they_use():
+    # The CLI registers montecarlo and the estimator layers without running
+    # them. numpy 1.x imports hashlib itself (through numpy.random), so the
+    # check is on what the CLI import adds.
+    lines, executed = _fresh_run(
+        "import sys, numpy; before = set(sys.modules); import cointkit.cli; "
+        "print(*(name in set(sys.modules) - before for name in ('hashlib', 'concurrent.futures.process')))"
+    )
+    assert lines == ["False False"]
+    assert executed == ["cli", "errors", "formats", "ingest", "series"]
+    # A size experiment runs on the OLS core and the critical values alone.
+    _, executed = _fresh_run(
+        "import numpy, cointkit as ck; ck.run_size_experiment(ck.TestConfig('eg-levels', lags=12), "
+        "ck.DgpSpec('independent_random_walks', 60), reps=100, base_seed=0)"
+    )
+    assert executed == ["critvals", "errors", "formats", "montecarlo", "regression"]
+    # The ECT recovery experiment runs the ECM layer, but no Engle-Granger or ADF layer.
+    _, executed = _fresh_run(
+        "import numpy, cointkit as ck; ck.run_ect_recovery_experiment(60, 100, 0, ecm_spec=ck.EcmSpec(1))"
+    )
+    assert "ecm" in executed and "cointegration" not in executed and "unitroot" not in executed
+    # eg and grid run no ECM code. numpy >= 2 imports numpy.ma only when asked,
+    # and np.median's NaN check asks.
+    inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+    pair = ["--input", os.path.join(inputs, "walk_a.csv"), "--input2", os.path.join(inputs, "walk_b.csv")]
+    lines, executed = _fresh_run(
+        "import sys; from cointkit.cli import main; "
+        f"codes = [main([command, *{pair!r}]) for command in ('eg', 'grid')]; "
+        "print(codes, 'numpy.ma' in sys.modules)"
+    )
+    assert lines[-1].startswith("[0, 0] ")
     if int(np.__version__.split(".")[0]) >= 2:
-        inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
-        grid = _fresh_python(
-            "-X", "importtime", "-m", "cointkit.cli", "grid",
-            "--input", os.path.join(inputs, "walk_a.csv"), "--input2", os.path.join(inputs, "walk_b.csv"),
-        )
-        loaded = {line.rsplit("|", 1)[-1].strip() for line in grid.stderr.splitlines()}
-        assert "cointkit.cointegration" in loaded and "numpy.ma" not in loaded
+        assert lines[-1] == "[0, 0] False"
+    assert "cointegration" in executed and "ecm" not in executed
+    # The benchmark's tracer finds every module it patches in sys.modules
+    # after importing the CLI and reading a Monte Carlo name.
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+    lines, _ = _fresh_run(
+        f"import sys; sys.path.insert(0, {perfbench!r}); import tracer, cointkit.cli, cointkit.montecarlo; "
+        "cointkit.montecarlo.PRNG_ID; "
+        "named = {t[0] for targets in (*tracer.FUNCTIONS.values(), *tracer.METHODS.values()) for t in targets}; "
+        "print(sorted(named)); print(sorted(named - set(sys.modules)))"
+    )
+    assert "'cointkit.unitroot'" in lines[0] and lines[1] == "[]"
     # After a bare ``import cointkit``, submodules and exports load on first
     # use, and a pool run pickles the lazily loaded runner's arguments.
     code = (
@@ -346,7 +387,7 @@ class TestFalsePositiveExperiment:
             mc.run_false_positive_experiment(n=50, reps=100, level=2, base_seed=7)
 
     def test_missing_guard_fails_loudly(self, monkeypatch):
-        monkeypatch.setattr(mc, "differencing_warning", lambda a, b: None)
+        monkeypatch.setattr(coint, "differencing_warning", lambda a, b: None)
         with pytest.raises(MissingGuardWarning) as caught:
             mc.run_false_positive_experiment(n=50, reps=100, level=1, base_seed=7)
         assert caught.value.replication == 0
@@ -356,7 +397,7 @@ class TestFalsePositiveExperiment:
         # The guard reads lineage alone, which every replication of a block
         # shares, so a block builds the same few series whatever its size.
         guards, built = [], []
-        real_guard, real_init = mc.differencing_warning, TimeSeries.__post_init__
+        real_guard, real_init = coint.differencing_warning, TimeSeries.__post_init__
 
         def differencing_warning(a, b):
             guards.append((a.lineage, b.lineage))
@@ -366,7 +407,7 @@ class TestFalsePositiveExperiment:
             built.append(len(series.values))
             real_init(series)
 
-        monkeypatch.setattr(mc, "differencing_warning", differencing_warning)
+        monkeypatch.setattr(coint, "differencing_warning", differencing_warning)
         monkeypatch.setattr(TimeSeries, "__post_init__", post_init)
         monkeypatch.setattr(mc, "BLOCK_SIZE", block_size)
         result = mc.run_false_positive_experiment(n=50, reps=100, level=1, base_seed=7)
@@ -497,8 +538,7 @@ def _split_block(name, n):
     walks = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, n)
     if name in (mc.EG_LEVELS, mc.EG_DIFFERENCES, mc.ADF):
         test = mc.TestConfig(kind=name, lags=1)
-        spec = None if name == mc.ADF else mc._eg_spec(test)
-        return partial(mc._size_block, test, spec, walks), walks
+        return partial(mc._size_block, test, walks), walks
     if name == "spurious":
         return partial(mc._spurious_block, False), walks
     if name == "ect-unit-root":
@@ -894,7 +934,7 @@ def _size_outcome(test, dgp, base_seed, r):
         a, b = iterated_difference(a, 1), iterated_difference(b, 1)
     if test.kind == mc.ADF:
         return adf_test(a, test.lags, test.det)
-    report = engle_granger_test(a, b, mc._eg_spec(test))
+    report = engle_granger_test(a, b, EgSpec(UNTRANSFORMED, NORMALIZE_FIRST, test.lags, test.trend))
     if test.kind == mc.EG_DIFFERENCES and not any(w.code == WARN_DIFFERENCED for w in report.warnings):
         raise MissingGuardWarning(r)
     return report
@@ -927,7 +967,7 @@ class TestStackedEqualsScalar:
             scalar = [adf_test(a, test.lags, det).statistic for a, _ in pairs]
 
             def stacked(rows):
-                solution, _ = _adf(np.stack([a.values for a, _ in rows]), test.lags, det)
+                solution, _ = _adf(np.stack([a.values for a, _ in rows]), test.lags, det.constant, det.trend)
                 return solution.t_stats[:, 0]
 
         else:
@@ -937,15 +977,14 @@ class TestStackedEqualsScalar:
             def stacked(rows):
                 first = np.stack([a.values for a, _ in rows])
                 second = np.stack([b.values for _, b in rows])
-                return _eg_regressions(first, second, spec)[1].t_stats[:, 0]
+                return _eg_regressions(first, second, test.lags, deterministic)[1].t_stats[:, 0]
 
         for size in (40, 17, 1):
             pieces = [stacked(pairs[i : i + size]) for i in range(0, len(pairs), size)]
             assert np.concatenate(pieces).tolist() == scalar
 
         reports = [_size_outcome(test, dgp, 5, r) for r in range(100)]
-        spec = None if kind == mc.ADF else mc._eg_spec(test)
-        block = partial(mc._size_block, test, spec, dgp)
+        block = partial(mc._size_block, test, dgp)
         blocked = mc._run_replications(block, dgp, {"reps": 100, "base_seed": 5}, 1)
         assert blocked.tolist() == [report.statistic for report in reports]
         result = mc.run_size_experiment(test, dgp, reps=100, base_seed=5)

@@ -20,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cointkit.montecarlo as mc
-from cointkit.cointegration import NORMALIZE_FIRST, UNTRANSFORMED, EgSpec, run_spec_grid
-from cointkit.critvals import DeterministicSpec, critical_value
-from cointkit.ecm import EcmSpec, estimate_levels
+from cointkit.cointegration import NORMALIZE_FIRST, UNTRANSFORMED, EgSpec, engle_granger_test, run_spec_grid
+from cointkit.critvals import DeterministicSpec, critical_value, critical_values_map
+from cointkit.ecm import EcmSpec, estimate_ecm, estimate_levels
 from cointkit.errors import UsageError, flag_setting, int_setting, real_setting
+from cointkit.regression import DesignMatrix, _adf_sample, ols_fit
 from cointkit.series import MONTHLY, TimeSeries, iterated_difference, seasonal_difference
-from cointkit.unitroot import _adf_sample, adf_regression, adf_test
+from cointkit.unitroot import adf_regression, adf_test
 from helpers import monthly_series
 
 
@@ -190,6 +191,8 @@ CONSTRUCTORS = [
     _int("critical_value.k", lambda v: critical_value(v, 100, 5, _C), 2, (0, 7)),
     _int("critical_value.n", lambda v: critical_value(2, v, 5, _C), 100, (19, -100)),
     _int("critical_value.level", lambda v: critical_value(2, 100, v, _C), 5, (2, 0)),
+    _int("wilson_interval.successes", lambda v: mc.wilson_interval(v, 10), 3, (-1, 11)),
+    _int("wilson_interval.total", lambda v: mc.wilson_interval(3, v), 10, (2, 0, -10)),
 ]
 
 
@@ -216,8 +219,32 @@ def test_time_series_start_must_be_a_pair():
             TimeSeries(start, MONTHLY, [1.0])
 
 
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: mc.wilson_interval(1.5, 10), "successes must be an integer, got 1.5"),
+        (lambda: mc.wilson_interval("a", 10), "successes must be an integer, got 'a'"),
+        (lambda: mc.wilson_interval(True, 10), "successes must be an integer, got True"),
+        (lambda: mc.wilson_interval(3, 10.5), "total must be an integer, got 10.5"),
+        (lambda: mc.wilson_interval(11, 10), "successes must be in 0..10, got 11"),
+        (lambda: mc.wilson_interval(0, 0), "total must be positive"),
+    ],
+    ids=["fraction", "string", "bool", "fractional_total", "too_many", "no_total"],
+)
+def test_wilson_interval_counts_are_integers(run, message):
+    # Each of the first four returned an interval or raised TypeError before the integer rule.
+    with pytest.raises(UsageError) as info:
+        run()
+    assert str(info.value) == message
+
+
+def test_wilson_interval_takes_integral_twins():
+    assert mc.wilson_interval(np.int64(3), 10.0) == mc.wilson_interval(3, 10)
+
+
 _TEST = mc.TestConfig(mc.EG_LEVELS)
 _WALKS = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 60)
+_DESIGN = DesignMatrix.from_columns([("x", _OTHER.values), ("intercept", np.ones(len(_OTHER)))])
 # Objects of the wrong class, beside values that are no objects at all.
 _NOT_OBJECTS = st.one_of(_NOT_NUMBERS, st.sampled_from([_C, _DGP_SPEC, _EG_SPEC, _TEST, EcmSpec(1)]))
 
@@ -243,6 +270,14 @@ OBJECT_SETTINGS = [
         EcmSpec(1),
     ),
     _object("run_spec_grid.grid", lambda v: run_spec_grid(_SERIES, _OTHER, [v]), _EG_SPEC),
+    _object("generate.dgp", mc.generate, _WALKS, _DGP_SPEC),
+    _object("critical_value.det", lambda v: critical_value(2, 100, 5, v), _C),
+    _object("critical_values_map.det", lambda v: critical_values_map(2, 100, v), _C),
+    _object("adf_test.det", lambda v: adf_test(_SERIES, 2, v), _C),
+    _object("adf_regression.det", lambda v: adf_regression(_SERIES.values, 2, v), _C),
+    _object("engle_granger_test.spec", lambda v: engle_granger_test(_SERIES, _OTHER, v), _EG_SPEC),
+    _object("estimate_ecm.spec", lambda v: estimate_ecm(_SERIES, _OTHER, v), EcmSpec(1)),
+    _object("ols_fit.X", lambda v: ols_fit(_SERIES.values, v), _DESIGN),
 ]
 
 
@@ -262,8 +297,30 @@ def test_object_setting_runs_or_raises_usage_error(setting, data):
         (lambda: mc.TestConfig(mc.ADF, det="constant"), "det must be of type DeterministicSpec, got 'constant'"),
         (lambda: run_spec_grid(_SERIES, _OTHER, grid=[_EG_SPEC, "x"]), "grid[1] must be of type EgSpec, got 'x'"),
         (lambda: run_spec_grid(_SERIES, _OTHER, grid=5), "grid must be a sequence of EgSpec, got 5"),
+        (lambda: mc.generate("x"), "dgp must be of type DgpSpec, got 'x'"),
+        (lambda: critical_value(2, 100, 5, "c"), "det must be of type DeterministicSpec, got 'c'"),
+        (lambda: critical_values_map(2, 100, None), "det must be of type DeterministicSpec, got None"),
+        (lambda: adf_test(_SERIES, 2, "constant"), "det must be of type DeterministicSpec, got 'constant'"),
+        (lambda: adf_regression(_SERIES.values, 2, 1), "det must be of type DeterministicSpec, got 1"),
+        (lambda: engle_granger_test(_SERIES, _OTHER, _C), f"spec must be of type EgSpec, got {_C!r}"),
+        (lambda: estimate_ecm(_SERIES, _OTHER, 12), "spec must be of type EcmSpec, got 12"),
+        (lambda: ols_fit(_SERIES.values, "x"), "X must be of type DesignMatrix, got 'x'"),
     ],
-    ids=["ect_unit_root", "ect_recovery_empty_string", "det", "grid", "grid_not_a_sequence"],
+    ids=[
+        "ect_unit_root",
+        "ect_recovery_empty_string",
+        "det",
+        "grid",
+        "grid_not_a_sequence",
+        "generate",
+        "critical_value",
+        "critical_values_map",
+        "adf_test",
+        "adf_regression",
+        "engle_granger_test",
+        "estimate_ecm",
+        "ols_fit",
+    ],
 )
 def test_object_settings_name_their_class(run, message):
     # Each of these raised AttributeError or TypeError, or fell back to a default, before the instance rule.
