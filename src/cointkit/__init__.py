@@ -67,73 +67,12 @@ _EXPORTS = {
     "seasonal_difference": "series",
     "wilson_interval": "montecarlo",
 }
-_SUBMODULES = (
-    "cli",
-    "cointegration",
-    "critvals",
-    "ecm",
-    "errors",
-    "formats",
-    "ingest",
-    "montecarlo",
-    "regression",
-    "series",
-    "unitroot",
-)
+# Every submodule: those that define an export, and three that define none.
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "errors", "formats"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "CointegrationReport",
-    "CriticalValueTable",
-    "DesignMatrix",
-    "DeterministicSpec",
-    "DgpSpec",
-    "EcmFit",
-    "EcmSpec",
-    "EctRecoveryResult",
-    "EgSpec",
-    "ExperimentResult",
-    "GridCell",
-    "GridReport",
-    "GuardWarning",
-    "IngestReport",
-    "LEVELS",
-    "OlsFit",
-    "SOURCE_ID",
-    "SpuriousSlopeResult",
-    "TABLE",
-    "TestConfig",
-    "TimeSeries",
-    "TransformTag",
-    "UnitRootReport",
-    "adf_test",
-    "align",
-    "audit_controls",
-    "critical_value",
-    "critical_values_map",
-    "default_grid",
-    "engle_granger_test",
-    "errors",
-    "estimate_ecm",
-    "estimate_levels",
-    "generate",
-    "has_differencing",
-    "ingest_csv",
-    "iterated_difference",
-    "log_transform",
-    "ols_fit",
-    "replication_seed",
-    "run_ect_recovery_experiment",
-    "run_ect_unit_root_experiment",
-    "run_false_positive_experiment",
-    "run_size_experiment",
-    "run_spec_grid",
-    "run_spurious_regression_experiment",
-    "seasonal_difference",
-    "wilson_interval",
-]
+__all__ = sorted([*_EXPORTS, "errors"])
 
 
 def __getattr__(name: str):

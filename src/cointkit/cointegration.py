@@ -293,6 +293,8 @@ def run_spec_grid(a: TimeSeries, b: TimeSeries, grid: list[EgSpec] | None = None
     aggregates; the rest of the grid still runs. ``grid=None`` means the
     12-cell default grid.
     """
+    instance_setting("a", a, TimeSeries)  # before the grid, which records a cell's UsageError
+    instance_setting("b", b, TimeSeries)
     try:
         specs = default_grid() if grid is None else list(grid)
     except TypeError:  # not iterable

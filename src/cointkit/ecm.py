@@ -17,7 +17,7 @@ caveat when a companion cointegration test cannot reject.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,6 +118,8 @@ def estimate_levels(y: TimeSeries, x: TimeSeries, include_trend: bool = False) -
     With log inputs the slope is the long-run elasticity estimate. The
     control set contains nothing else by construction.
     """
+    instance_setting("y", y, TimeSeries)
+    instance_setting("x", x, TimeSeries)
     include_trend = flag_setting("include_trend", include_trend)
     y_al, x_al = align(y, x)
     return _as_fit(_levels_regression(y_al.values, x_al.values, include_trend))
@@ -222,15 +224,20 @@ def estimate_ecm(
     size and the extra controls are checked before either regression runs.
     """
     instance_setting("spec", spec, EcmSpec)
+    instance_setting("y", y, TimeSeries)
+    instance_setting("x", x, TimeSeries)
+    if extra_controls is not None:
+        instance_setting("extra_controls", extra_controls, Mapping)
+    controls = dict(extra_controls or {})
     y_al, x_al = align(y, x)
     rows = _ardl_rows(len(y_al), spec, y_al.frequency)
-    controls = dict(extra_controls or {})
     builtin = set(manifest_for(spec))
     for name in controls:
         if name in builtin:
             raise UsageError(f"extra control name {name!r} collides with a built-in regressor")
     extras = []
     for name, series in controls.items():
+        instance_setting(f"extra_controls[{name!r}]", series, TimeSeries)
         if series.frequency != y_al.frequency:
             raise UnsupportedCombination(
                 f"extra control {name!r} has frequency {series.frequency}, need {y_al.frequency}"
@@ -273,8 +280,8 @@ def audit_controls(fit, declared: list[str]) -> AuditReport:
     elif isinstance(fit, OlsFit):
         actual = list(fit.column_names)
     else:
-        actual = [str(name) for name in fit]
-    declared_list = [str(name) for name in declared]
+        actual = [str(name) for name in instance_setting("fit", fit, Iterable)]
+    declared_list = [str(name) for name in instance_setting("declared", declared, Iterable)]
     declared_set = set(declared_list)
     actual_set = set(actual)
     return AuditReport(

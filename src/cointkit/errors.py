@@ -8,7 +8,9 @@ Every public setting is coerced and checked by one of four rules, written
 once here: ``int_setting``, ``real_setting`` and ``flag_setting`` for
 numbers and flags, ``instance_setting`` for settings that take an object.
 Each returns the plain Python value, so equal settings give equal configs
-and digests, or raises ``UsageError`` naming the setting.
+and digests, or raises ``UsageError`` naming the setting. Numeric data
+(series values, regressors, a dependent variable) is read by ``float_data``,
+which raises ``DataError`` for values that are no numbers.
 """
 
 import math
@@ -100,6 +102,15 @@ def _bounded(name: str, value, lo, hi, expected: str | None = None):
 
 class DataError(CointkitError):
     """Malformed, inconsistent, or insufficient input data."""
+
+
+def float_data(name: str, values) -> np.ndarray:
+    """``values`` as a new float array; anything numpy cannot read as numbers
+    raises ``DataError`` naming ``name``."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} must be numeric: {exc}") from None
 
 
 class NumericalError(CointkitError):

@@ -21,7 +21,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from cointkit.errors import DataError, EmptyFile, GapInDates, ParseError
+from cointkit.errors import DataError, EmptyFile, GapInDates, ParseError, instance_setting
 from cointkit.formats import JsonRecord, fmt12s
 from cointkit.series import (
     MONTHLY,
@@ -100,10 +100,14 @@ class IngestReport(JsonRecord):
 
 
 def ingest_csv(path: str) -> TimeSeries:
-    """Read one series from a CSV file.
+    """Read one series from the CSV file at ``path``, a ``str`` or an
+    ``os.PathLike`` that gives one.
 
     Raises
     ------
+    UsageError
+        A ``path`` of any other type, before anything is opened: an int
+        would be read as an open file descriptor, and closed.
     ParseError
         Malformed header, date, or value, with the offending line number.
     GapInDates
@@ -114,6 +118,9 @@ def ingest_csv(path: str) -> TimeSeries:
         A file that cannot be opened, or is not valid UTF-8 (naming the byte
         offset in the file and its line).
     """
+    if isinstance(path, os.PathLike):
+        path = os.fspath(path)
+    instance_setting("path", path, str)
     try:
         with open(path, "rb") as fh:
             data = fh.read()

@@ -39,7 +39,6 @@ levels and the spurious-regression experiment load no estimator layer.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -124,10 +123,10 @@ _seed = partial(int_setting, "seed", lo=0, hi=2**64 - 1, expected="a 64-bit unsi
 
 # numpy's SeedSequence, run on a stack. It is O'Neill's seed_seq hash (PCG
 # report HMC-CS-2014-0905) over a pool of four uint32 words, and numpy keeps
-# its output stable across releases. Its multipliers advance the same way
-# whatever the entropy, so they depend only on the number of entropy words:
-# every row of one length hashes with the same constants, one ufunc call per
-# step for the whole stack.
+# its output stable across releases. _seed_sequence follows numpy's
+# mix_entropy and generate_state loops step for step, with one running hash
+# constant; the constant advances the same way whatever the entropy, so each
+# loop over pool words is one ufunc call for the whole stack.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -137,43 +136,15 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-@functools.cache
-def _multipliers(init: int, mult: int, count: int) -> tuple[int, ...]:
-    """``init * mult**k mod 2**32`` for k = 0..count."""
-    out = [init]
+def _hashmix(value, const: int, count: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """numpy's ``hashmix`` of ``value`` run ``count`` times from hash constant
+    ``const``, one step per row of the result; and the constant it leaves."""
+    consts = [const]
     for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return tuple(out)
-
-
-@functools.cache
-def _pool_constants(words: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The (xor, multiply) columns of each pool hashing step, for ``words`` entropy words.
-
-    Step 0 hashes the four initial pool words; steps 1-4 hash pool word
-    ``src`` into the three others (column ``src`` is 0, and its result
-    unused); each later step hashes one more entropy word into all four.
-    """
-    slots = [range(_POOL_SIZE)]
-    slots += [[d for d in range(_POOL_SIZE) if d != src] for src in range(_POOL_SIZE)]
-    slots += [range(_POOL_SIZE)] * max(words - _POOL_SIZE, 0)
-    consts = iter(_multipliers(_INIT_A, _MULT_A, sum(map(len, slots))))
-    steps = []
-    xor = next(consts)
-    for step in slots:
-        xors, mults = [0] * _POOL_SIZE, [0] * _POOL_SIZE
-        for dst in step:
-            xors[dst] = xor
-            mults[dst] = xor = next(consts)
-        columns = np.array([xors, mults], np.uint32)[:, :, None]
-        columns.setflags(write=False)  # shared by every caller through the cache
-        steps.append(tuple(columns))
-    return tuple(steps)
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, np.uint32)[:, None]
+    value = (value ^ column[:-1]) * column[1:]
+    return value ^ (value >> 16), consts[-1]
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -188,20 +159,24 @@ def _seed_sequence(entropy: list, rows: int, n_words: int) -> np.ndarray:
     shared by every row, or a (rows,) uint32 array. Arrays stay arrays, so
     the arithmetic wraps silently as numpy's uint32 does.
     """
-    start, *steps = _pool_constants(len(entropy))
+    # mix_entropy: hash the pool words, a missing entropy word as 0 ...
     pool = np.zeros((_POOL_SIZE, rows), np.uint32)
     for i, word in enumerate(entropy[:_POOL_SIZE]):
         pool[i] = word
-    pool = _hashmix(pool, *start)
+    pool, const = _hashmix(pool, _INIT_A, _POOL_SIZE)
+    # ... hash each pool word into the other three ...
     for src in range(_POOL_SIZE):
-        kept = pool[src]
-        pool = _mix(pool, _hashmix(kept, *steps[src]))
-        pool[src] = kept
-    for word, consts in zip(entropy[_POOL_SIZE:], steps[_POOL_SIZE:]):
-        pool = _mix(pool, _hashmix(word, *consts))
-    mults = np.array(_multipliers(_INIT_B, _MULT_B, n_words), np.uint32)[:, None]
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        hashed, const = _hashmix(pool[src], const, len(dst))
+        pool[dst] = _mix(pool[dst], hashed)
+    # ... and each further entropy word into all four.
+    for word in entropy[_POOL_SIZE:]:
+        hashed, const = _hashmix(word, const, _POOL_SIZE)
+        pool = _mix(pool, hashed)
+    # generate_state: the cycled pool, hashed with the second constant.
     cycled = np.tile(pool, (-(-n_words // _POOL_SIZE), 1))[:n_words]
-    return _hashmix(cycled, mults[:-1], mults[1:])
+    state, _ = _hashmix(cycled, _INIT_B, n_words, _MULT_B)
+    return state
 
 
 def _int_words(value: int) -> list[int]:

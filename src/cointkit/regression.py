@@ -53,6 +53,7 @@ from cointkit.errors import (
     NumericalError,
     RankDeficient,
     SeriesTooShort,
+    float_data,
     instance_setting,
     int_setting,
 )
@@ -73,7 +74,7 @@ class DesignMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=float)
+        data = float_data("design matrix", self.data)
         if data.ndim != 2:
             raise DataError("design matrix must be two-dimensional")
         n, k = data.shape
@@ -95,7 +96,7 @@ class DesignMatrix:
         pairs = list(columns)
         if not pairs:
             raise DataError("design matrix needs at least one column")
-        arrays = [np.asarray(vals, dtype=float).ravel() for _, vals in pairs]
+        arrays = [float_data(f"column {name!r}", vals).ravel() for name, vals in pairs]
         lengths = {a.size for a in arrays}
         if len(lengths) != 1:
             raise DimensionMismatch(f"column lengths differ: {sorted(lengths)}")
@@ -269,7 +270,7 @@ def ols_fit(y: Sequence[float], X: DesignMatrix) -> OlsFit:
         sum of squares overflows.
     """
     instance_setting("X", X, DesignMatrix)
-    yv = np.asarray(y, dtype=float).ravel()
+    yv = float_data("y", y).ravel()
     if yv.size != X.nobs:
         raise DimensionMismatch(f"y has {yv.size} observations, design has {X.nobs}")
     return _as_fit(_lstsq(X.data, yv, X.names))

@@ -19,6 +19,8 @@ from cointkit.errors import (
     NoOverlap,
     SeriesTooShort,
     UsageError,
+    float_data,
+    instance_setting,
     int_setting,
 )
 
@@ -50,10 +52,9 @@ class TransformTag:
             raise UsageError(f"unknown transform kind {self.kind!r}")
         if self.kind == LOG and self.param is not None:
             raise UsageError("log transform takes no parameter")
-        if self.kind != LOG and (self.param is None or self.param < 1):
-            raise UsageError(f"{self.kind} parameter must be >= 1")
-        if self.applied_at < 1:
-            raise UsageError("applied_at is a 1-based step index")
+        if self.kind != LOG:
+            object.__setattr__(self, "param", int_setting(f"{self.kind} param", self.param, 1))
+        object.__setattr__(self, "applied_at", int_setting("applied_at", self.applied_at, 1))
 
     @property
     def is_differencing(self) -> bool:
@@ -147,7 +148,7 @@ class TimeSeries:
         start = (int_setting("start year", year), int_setting("start month", month))
         frequency = int_setting("frequency", self.frequency)
         _check_start(start, frequency)
-        vals = np.array(self.values, dtype=float).ravel()
+        vals = float_data("values", self.values).ravel()
         if vals.size < 1:
             raise DataError("a series needs at least one observation")
         if not np.all(np.isfinite(vals)):
@@ -234,6 +235,7 @@ def log_transform(x: TimeSeries) -> TimeSeries:
     NonPositiveValue
         Carrying the position of the first offending value.
     """
+    instance_setting("x", x, TimeSeries)
     nonpos = np.flatnonzero(x.values <= 0.0)
     if nonpos.size:
         i = int(nonpos[0])
@@ -245,6 +247,7 @@ def seasonal_difference(x: TimeSeries, gap: int) -> TimeSeries:
     """Span-``gap`` difference x_t - x_{t-gap} (year over year when gap equals
     the frequency). The output is ``gap`` observations shorter and starts
     ``gap`` periods later."""
+    instance_setting("x", x, TimeSeries)
     gap = int_setting("gap", gap, 1)
     if len(x) <= gap:
         raise SeriesTooShort(f"need more than {gap} observations, have {len(x)}")
@@ -259,6 +262,7 @@ def iterated_difference(x: TimeSeries, order: int) -> TimeSeries:
     and higher iterated differences vanish while the seasonal difference
     of any gap is constant and nonzero.
     """
+    instance_setting("x", x, TimeSeries)
     order = int_setting("order", order, 1)
     if len(x) <= order:
         raise SeriesTooShort(f"need more than {order} observations, have {len(x)}")
@@ -276,6 +280,8 @@ def align(a: TimeSeries, b: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
     NoOverlap
         If the date ranges do not intersect.
     """
+    instance_setting("a", a, TimeSeries)
+    instance_setting("b", b, TimeSeries)
     if a.frequency != b.frequency:
         raise FrequencyMismatch(a.frequency, b.frequency)
     lo = max(a.start_index, b.start_index)
@@ -291,6 +297,7 @@ def align(a: TimeSeries, b: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
 
 def has_differencing(x: TimeSeries) -> bool:
     """True when any lineage tag is a differencing operation."""
+    instance_setting("x", x, TimeSeries)
     return any(tag.is_differencing for tag in x.lineage)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 # The stacked ADF regression and its sample rule live in regression, and the
 # critical-value rule in critvals; their public names stay importable here.
 from cointkit.critvals import LEVELS, SOURCE_ID, DeterministicSpec, adf_critical_values
-from cointkit.errors import instance_setting, int_setting
+from cointkit.errors import float_data, instance_setting, int_setting
 from cointkit.formats import fmt12s
 from cointkit.regression import LEVEL_COLUMN, MIN_EFFECTIVE_SAMPLE, OlsFit, _adf, _as_fit
 from cointkit.series import TimeSeries
@@ -74,7 +74,7 @@ def adf_regression(values: np.ndarray, lags: int, det: DeterministicSpec) -> tup
     the one-series case of the stacked regression the Monte Carlo runners use.
     """
     instance_setting("det", det, DeterministicSpec)
-    sol, n_eff = _adf(np.asarray(values, dtype=float).ravel(), lags, det.constant, det.trend)
+    sol, n_eff = _adf(float_data("values", values).ravel(), lags, det.constant, det.trend)
     return float(sol.t_stats[0]), n_eff, _as_fit(sol)
 
 
@@ -97,6 +97,7 @@ def adf_test(x: TimeSeries, lags: int, det: DeterministicSpec) -> UnitRootReport
         With one-variable critical values; for samples below the table's
         minimum the surface is evaluated at its smallest supported size.
     """
+    instance_setting("x", x, TimeSeries)
     lags = int_setting("lags", lags, 0)
     stat, n_eff, _ = adf_regression(x.values, lags, det)
     cvs = adf_critical_values(n_eff, det)

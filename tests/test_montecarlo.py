@@ -575,6 +575,30 @@ class TestSplitInvariance:
         assert chunk.shape == alone.shape
         assert chunk.tobytes() == alone.tobytes()
 
+    @pytest.mark.parametrize("name", [mc.EG_LEVELS, "ect-recovery"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        base_seed=_UINT64,
+        generate_size=st.integers(1, 40),
+        reps=st.integers(1, 120),
+        cuts=st.lists(st.integers(1, 119), max_size=4),
+    )
+    def test_chunks_at_any_cuts_concatenate_to_one_chunk(
+        self, name, base_seed, generate_size, reps, cuts
+    ):
+        # What --workers rests on, at cuts that need not be block multiples
+        # and base seeds that no golden uses.
+        block, dgp = _split_block(name, 40)
+        if name == mc.EG_LEVELS:  # with two lags, as the size experiments mostly run it
+            block = partial(mc._size_block, mc.TestConfig(mc.EG_LEVELS, lags=2), dgp)
+        bounds = sorted({0, reps, *(cut for cut in cuts if cut < reps)})
+        with mock.patch.object(mc, "GENERATE_SIZE", generate_size):
+            whole = mc._outcome_chunk(block, dgp, base_seed, 0, reps)
+            chunks = [mc._outcome_chunk(block, dgp, base_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        joined = np.concatenate(chunks)
+        assert joined.shape == whole.shape
+        assert joined.tobytes() == whole.tobytes()
+
 
 class TestDigest:
     def test_digest_changes_with_any_field(self):

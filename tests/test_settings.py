@@ -5,11 +5,15 @@ floats; a real setting takes finite Python or numpy ints and floats; a flag
 takes Python or numpy bools; an object setting takes an instance of its
 class. Anything else, and anything out of range, is a ``UsageError`` naming
 the setting: never a raw Python error, never a silently truncated value.
+Numeric data that numpy cannot read as numbers is a ``DataError`` naming
+the argument.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pathlib
 from dataclasses import replace
 from functools import partial
 from unittest import mock
@@ -22,10 +26,21 @@ from hypothesis import strategies as st
 import cointkit.montecarlo as mc
 from cointkit.cointegration import NORMALIZE_FIRST, UNTRANSFORMED, EgSpec, engle_granger_test, run_spec_grid
 from cointkit.critvals import DeterministicSpec, critical_value, critical_values_map
-from cointkit.ecm import EcmSpec, estimate_ecm, estimate_levels
-from cointkit.errors import UsageError, flag_setting, int_setting, real_setting
+from cointkit.ecm import EcmSpec, audit_controls, estimate_ecm, estimate_levels
+from cointkit.errors import DataError, UsageError, flag_setting, int_setting, real_setting
+from cointkit.ingest import ingest_csv
 from cointkit.regression import DesignMatrix, _adf_sample, ols_fit
-from cointkit.series import MONTHLY, TimeSeries, iterated_difference, seasonal_difference
+from cointkit.series import (
+    ITERATED_DIFF,
+    MONTHLY,
+    TimeSeries,
+    TransformTag,
+    align,
+    has_differencing,
+    iterated_difference,
+    log_transform,
+    seasonal_difference,
+)
 from cointkit.unitroot import adf_regression, adf_test
 from helpers import monthly_series
 
@@ -245,6 +260,7 @@ def test_wilson_interval_takes_integral_twins():
 _TEST = mc.TestConfig(mc.EG_LEVELS)
 _WALKS = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, 60)
 _DESIGN = DesignMatrix.from_columns([("x", _OTHER.values), ("intercept", np.ones(len(_OTHER)))])
+_POSITIVE = monthly_series(np.exp(_SERIES.values))
 # Objects of the wrong class, beside values that are no objects at all.
 _NOT_OBJECTS = st.one_of(_NOT_NUMBERS, st.sampled_from([_C, _DGP_SPEC, _EG_SPEC, _TEST, EcmSpec(1)]))
 
@@ -278,6 +294,22 @@ OBJECT_SETTINGS = [
     _object("engle_granger_test.spec", lambda v: engle_granger_test(_SERIES, _OTHER, v), _EG_SPEC),
     _object("estimate_ecm.spec", lambda v: estimate_ecm(_SERIES, _OTHER, v), EcmSpec(1)),
     _object("ols_fit.X", lambda v: ols_fit(_SERIES.values, v), _DESIGN),
+    # Each function's series arguments: not one of them is a TimeSeries in _NOT_OBJECTS.
+    _object("align.b", lambda v: align(_SERIES, v), _OTHER),
+    _object("log_transform.x", log_transform, _POSITIVE),
+    _object("seasonal_difference.x", lambda v: seasonal_difference(v, 12), _SERIES),
+    _object("iterated_difference.x", lambda v: iterated_difference(v, 1), _SERIES),
+    _object("has_differencing.x", has_differencing, _SERIES),
+    _object("adf_test.x", lambda v: adf_test(v, 2, _C), _SERIES),
+    _object("engle_granger_test.a", lambda v: engle_granger_test(v, _OTHER, _EG_SPEC), _SERIES),
+    _object("run_spec_grid.b", lambda v: run_spec_grid(_SERIES, v), _OTHER),
+    _object("estimate_levels.y", lambda v: estimate_levels(v, _OTHER), _SERIES),
+    _object("estimate_ecm.x", lambda v: estimate_ecm(_SERIES, v, EcmSpec(1)), _OTHER),
+    _object(
+        "estimate_ecm.extra_controls",
+        lambda v: estimate_ecm(_SERIES, _OTHER, EcmSpec(1), {"z": v}),
+        _POSITIVE,
+    ),
 ]
 
 
@@ -327,6 +359,103 @@ def test_object_settings_name_their_class(run, message):
     with pytest.raises(UsageError) as info:
         run()
     assert str(info.value) == message
+
+
+def test_run_spec_grid_checks_its_series_before_the_grid():
+    # A wrong series raised AttributeError; checked per cell, it would fill 12 error cells.
+    with pytest.raises(UsageError, match=r"^a must be of type TimeSeries, got None$"):
+        run_spec_grid(None, _OTHER)
+
+
+@pytest.mark.parametrize(
+    "run, error, message",
+    [
+        (
+            lambda: estimate_ecm(_SERIES, _OTHER, EcmSpec(1), extra_controls=[1]),
+            UsageError,
+            "extra_controls must be of type Mapping, got [1]",
+        ),
+        (
+            lambda: estimate_ecm(_SERIES, _OTHER, EcmSpec(1), {"z": "x"}),
+            UsageError,
+            "extra_controls['z'] must be of type TimeSeries, got 'x'",
+        ),
+        (lambda: audit_controls(_DESIGN.names, 5), UsageError, "declared must be of type Iterable, got 5"),
+        (lambda: audit_controls(5, []), UsageError, "fit must be of type Iterable, got 5"),
+        (
+            lambda: TransformTag(ITERATED_DIFF, "2", 1),
+            UsageError,
+            "iterated_diff param must be an integer, got '2'",
+        ),
+        (lambda: TransformTag(ITERATED_DIFF, 2, "1"), UsageError, "applied_at must be an integer, got '1'"),
+        (
+            lambda: TimeSeries((2000, 1), MONTHLY, ["a"]),
+            DataError,
+            "values must be numeric: ",
+        ),
+        (
+            lambda: DesignMatrix.from_columns([("x", ["1", "b", "2"])]),
+            DataError,
+            "column 'x' must be numeric: ",
+        ),
+        (
+            lambda: ols_fit([{}] * len(_OTHER), _DESIGN),
+            DataError,
+            "y must be numeric: ",
+        ),
+        (
+            lambda: adf_regression(["a"] * 40, 2, _C),
+            DataError,
+            "values must be numeric: ",
+        ),
+    ],
+    ids=[
+        "estimate_ecm_controls_not_a_mapping",
+        "estimate_ecm_control_not_a_series",
+        "audit_controls_declared",
+        "audit_controls_fit",
+        "transform_tag_param",
+        "transform_tag_applied_at",
+        "time_series_values",
+        "design_matrix_from_columns",
+        "ols_fit_y",
+        "adf_regression_values",
+    ],
+)
+def test_arguments_of_the_wrong_kind_raise_typed_errors(run, error, message):
+    # Each of these raised a raw TypeError or ValueError before its check. A
+    # DataError's message ends with numpy's reason, which is not checked.
+    with pytest.raises(error) as info:
+        run()
+    assert type(info.value) is error
+    assert str(info.value) == message if error is UsageError else str(info.value).startswith(message)
+
+
+class _BytesPath:
+    def __fspath__(self):
+        return b"walk_a.csv"
+
+
+@pytest.mark.parametrize(
+    "path", [None, b"walk_a.csv", _BytesPath(), 3.0, True], ids=["none", "bytes", "bytes_fspath", "float", "bool"]
+)
+def test_ingest_csv_path_must_give_text(path):
+    with pytest.raises(UsageError, match=r"^path must be of type str, got "):
+        ingest_csv(path)
+
+
+def test_ingest_csv_leaves_a_file_descriptor_alone(tmp_path):
+    # An int path was opened as this descriptor, read and closed, then raised TypeError.
+    source = tmp_path / "walk.csv"
+    source.write_text("date,value\n2000-01,1.0\n")
+    fd = os.open(source, os.O_RDONLY)
+    try:
+        with pytest.raises(UsageError, match=r"^path must be of type str, got \d+$"):
+            ingest_csv(fd)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert ingest_csv(pathlib.Path(source)).name == ingest_csv(str(source)).name == "walk"
 
 
 def _size(**kw):
