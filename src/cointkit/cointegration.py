@@ -23,7 +23,7 @@ import numpy as np
 from cointkit.critvals import LEVELS, SOURCE_ID, eg_critical_values
 from cointkit.errors import CointkitError, UsageError, flag_setting, instance_setting, int_setting
 from cointkit.formats import JsonRecord, fmt12s, significance_stars
-from cointkit.regression import MAX_LAGS, OlsFit, _as_fit, _eg_regressions, median
+from cointkit.regression import MAX_LAGS, OlsFit, _as_fit, _eg_regressions, _Solution, median
 from cointkit.series import TimeSeries, align, has_differencing, lineage_summary, log_transform
 
 LOGARITHMS = "logarithms"
@@ -174,6 +174,37 @@ def _collect_warnings(
     return tuple(warnings)
 
 
+def _levels(a_al: TimeSeries, b_al: TimeSeries, transform: str) -> tuple[np.ndarray, np.ndarray]:
+    """The values of an aligned pair under ``transform``, first series first."""
+    if transform == LOGARITHMS:
+        a_al, b_al = log_transform(a_al), log_transform(b_al)
+    return a_al.values, b_al.values
+
+
+def _oriented(pair: tuple[np.ndarray, np.ndarray], spec: EgSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``(dependent, other)``: the pair in the order ``spec.normalize_on`` picks."""
+    first, second = pair
+    return (first, second) if spec.normalize_on == NORMALIZE_FIRST else (second, first)
+
+
+def _report(
+    a: TimeSeries, b: TimeSeries, spec: EgSpec, stage_one: _Solution, stage_two: _Solution, n_eff: int
+) -> CointegrationReport:
+    """The report of both stages, each an unstacked solution, on ``a`` and ``b`` under ``spec``."""
+    statistic = float(stage_two.t_stats[0])
+    cvs = eg_critical_values(n_eff, spec.trend_in_stage_one)
+    return CointegrationReport(
+        spec=spec,
+        stage_one=_as_fit(stage_one),
+        statistic=statistic,
+        critical_values=cvs,
+        reject_at={level: statistic < cvs[level] for level in LEVELS},
+        warnings=_collect_warnings(a, b, stage_one.design, n_eff),
+        n_effective=n_eff,
+        stage_two_columns=stage_two.names,
+    )
+
+
 def engle_granger_test(a: TimeSeries, b: TimeSeries, spec: EgSpec) -> CointegrationReport:
     """Two-step Engle-Granger test of ``a`` and ``b`` under ``spec``.
 
@@ -188,33 +219,48 @@ def engle_granger_test(a: TimeSeries, b: TimeSeries, spec: EgSpec) -> Cointegrat
     NoOverlap, FrequencyMismatch, SeriesTooShort, NonPositiveValue, DegenerateInput
     """
     instance_setting("spec", spec, EgSpec)
-    a_al, b_al = align(a, b)
-    if spec.transform == LOGARITHMS:
-        a_t, b_t = log_transform(a_al), log_transform(b_al)
-    else:
-        a_t, b_t = a_al, b_al
+    dep, other = _oriented(_levels(*align(a, b), spec.transform), spec)
+    stage_one, stage_two, n_eff = _eg_regressions(dep, other, spec.lags, spec.trend_in_stage_one)
+    return _report(a, b, spec, stage_one, stage_two, n_eff)
 
-    if spec.normalize_on == NORMALIZE_FIRST:
-        dep, other = a_t, b_t
-    else:
-        dep, other = b_t, a_t
 
-    stage_one, stage_two, n_eff = _eg_regressions(
-        dep.values, other.values, spec.lags, spec.trend_in_stage_one
-    )
-    statistic = float(stage_two.t_stats[0])
-    cvs = eg_critical_values(n_eff, spec.trend_in_stage_one)
+def _stacked_reports(
+    a: TimeSeries, b: TimeSeries, specs: list[EgSpec]
+) -> list[CointegrationReport | None]:
+    """The report of each spec, from one stacked solve per ``(lags, trend)`` group.
 
-    return CointegrationReport(
-        spec=spec,
-        stage_one=_as_fit(stage_one),
-        statistic=statistic,
-        critical_values=cvs,
-        reject_at={level: statistic < cvs[level] for level in LEVELS},
-        warnings=_collect_warnings(a, b, stage_one.design, n_eff),
-        n_effective=n_eff,
-        stage_two_columns=stage_two.names,
-    )
+    ``None`` marks a cell to run alone: its transform, its group's stacked
+    solve or its own report raised a :class:`CointkitError`. A slice of a
+    stack is bitwise the solution of its design alone, so every report here
+    equals the one :func:`engle_granger_test` gives.
+    """
+    reports: list[CointegrationReport | None] = [None] * len(specs)
+    try:
+        a_al, b_al = align(a, b)
+    except CointkitError:
+        return reports
+    levels = {}
+    for transform in dict.fromkeys(spec.transform for spec in specs):
+        try:
+            levels[transform] = _levels(a_al, b_al, transform)
+        except CointkitError:
+            pass
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, spec in enumerate(specs):
+        if spec.transform in levels:
+            groups.setdefault((spec.lags, spec.trend_in_stage_one), []).append(i)
+    for (lags, trend), cells in groups.items():
+        dep, other = zip(*(_oriented(levels[specs[i].transform], specs[i]) for i in cells))
+        try:
+            stage_one, stage_two, n_eff = _eg_regressions(np.stack(dep), np.stack(other), lags, trend)
+        except CointkitError:
+            continue
+        for row, i in enumerate(cells):
+            try:
+                reports[i] = _report(a, b, specs[i], stage_one.row(row), stage_two.row(row), n_eff)
+            except CointkitError:
+                pass
+    return reports
 
 
 @dataclass(frozen=True)
@@ -292,6 +338,12 @@ def run_spec_grid(a: TimeSeries, b: TimeSeries, grid: list[EgSpec] | None = None
     A failing cell is recorded with its error and skipped by the
     aggregates; the rest of the grid still runs. ``grid=None`` means the
     12-cell default grid.
+
+    Cells that share lags and trend are solved as one stack, one row per
+    cell, and each cell's report is bitwise the one
+    :func:`engle_granger_test` gives for it alone. A cell whose transform,
+    stack or report raises is rerun alone, so it records the error it
+    raises by itself.
     """
     instance_setting("a", a, TimeSeries)  # before the grid, which records a cell's UsageError
     instance_setting("b", b, TimeSeries)
@@ -305,9 +357,10 @@ def run_spec_grid(a: TimeSeries, b: TimeSeries, grid: list[EgSpec] | None = None
         raise UsageError("grid must contain at least one spec")
 
     cells: list[GridCell] = []
-    for spec in specs:
+    for spec, report in zip(specs, _stacked_reports(a, b, specs)):
         try:
-            report = engle_granger_test(a, b, spec)
+            if report is None:  # rerun alone, to record the error the cell raises
+                report = engle_granger_test(a, b, spec)
         except CointkitError as exc:  # recorded per-cell, grid keeps going
             cells.append(GridCell(spec=spec, report=None, error=f"{type(exc).__name__}: {exc}"))
         else:

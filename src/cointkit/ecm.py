@@ -233,6 +233,7 @@ def estimate_ecm(
     rows = _ardl_rows(len(y_al), spec, y_al.frequency)
     builtin = set(manifest_for(spec))
     for name in controls:
+        instance_setting("extra control name", name, str)
         if name in builtin:
             raise UsageError(f"extra control name {name!r} collides with a built-in regressor")
     extras = []

@@ -41,8 +41,9 @@ values it is given, never on their memory layout.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from cointkit.errors import (
     NumericalError,
     RankDeficient,
     SeriesTooShort,
+    UsageError,
     float_data,
     instance_setting,
     int_setting,
@@ -78,7 +80,7 @@ class DesignMatrix:
         if data.ndim != 2:
             raise DataError("design matrix must be two-dimensional")
         n, k = data.shape
-        names = tuple(self.names)
+        names = tuple(instance_setting("names", self.names, Iterable))
         if len(names) != k:
             raise DimensionMismatch(f"{len(names)} names for {k} columns")
         if len(set(names)) != k:
@@ -93,14 +95,21 @@ class DesignMatrix:
 
     @classmethod
     def from_columns(cls, columns: Iterable[tuple[str, Sequence[float]]]) -> "DesignMatrix":
-        pairs = list(columns)
+        pairs = list(instance_setting("columns", columns, Iterable))
         if not pairs:
             raise DataError("design matrix needs at least one column")
-        arrays = [float_data(f"column {name!r}", vals).ravel() for name, vals in pairs]
+        names, arrays = [], []
+        for i, pair in enumerate(pairs):
+            try:
+                name, vals = pair
+            except (TypeError, ValueError):
+                raise UsageError(f"columns[{i}] must be a (name, values) pair, got {pair!r}") from None
+            names.append(name)
+            arrays.append(float_data(f"column {name!r}", vals).ravel())
         lengths = {a.size for a in arrays}
         if len(lengths) != 1:
             raise DimensionMismatch(f"column lengths differ: {sorted(lengths)}")
-        return cls(names=tuple(name for name, _ in pairs), data=np.column_stack(arrays))
+        return cls(names=tuple(names), data=np.column_stack(arrays))
 
     @property
     def nobs(self) -> int:
@@ -160,6 +169,10 @@ class _Solution(NamedTuple):
     stderrs: np.ndarray  # (..., k)
     t_stats: np.ndarray  # (..., k)
     rss: np.ndarray  # (...)
+
+    def row(self, i: int) -> "_Solution":
+        """Slice ``i`` of a one-level stack, as the solution of one 2-D design."""
+        return _Solution(self.names, *(field[i] for field in self[1:]))
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

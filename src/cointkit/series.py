@@ -8,6 +8,7 @@ tell raw data apart from differenced data.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +159,10 @@ class TimeSeries:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "frequency", frequency)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "lineage", tuple(self.lineage))
+        lineage = tuple(instance_setting("lineage", self.lineage, Iterable))
+        for i, tag in enumerate(lineage):
+            instance_setting(f"lineage[{i}]", tag, TransformTag)
+        object.__setattr__(self, "lineage", lineage)
 
     def __len__(self) -> int:
         return int(self.values.size)

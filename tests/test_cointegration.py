@@ -19,6 +19,7 @@ from cointkit.cointegration import (
 )
 import cointkit.cointegration as coint
 from cointkit.errors import (
+    CointkitError,
     DataError,
     DegenerateInput,
     FrequencyMismatch,
@@ -32,7 +33,7 @@ from cointkit.series import (
     iterated_difference,
     seasonal_difference,
 )
-from helpers import monthly_series, random_walk_pair
+from helpers import exact_ols, monthly_series, random_walk_pair
 
 
 def spec(transform=UNTRANSFORMED, normalize=NORMALIZE_FIRST, lags=0, trend=False):
@@ -52,6 +53,27 @@ def cointegrated_pair(rng, n, beta=2.0, adjust=0.5, sd=1.0):
 
 
 _SCALE_PAIR = random_walk_pair(np.random.default_rng(47), 200)
+
+
+def _positive_pair(rng, n):
+    """Two independent random walks around 100, so every log cell runs."""
+    a, b = random_walk_pair(rng, n)
+    return monthly_series(100.0 + a.values, name="a"), monthly_series(100.0 + b.values, name="b")
+
+
+def _assert_cells_run_alone(grid, a, b, specs):
+    """Each grid cell holds what ``engle_granger_test`` gives for its spec alone:
+    a report with the same repr and the same residual bytes, or the same error."""
+    assert [cell.spec for cell in grid.cells] == list(specs)
+    for cell in grid.cells:
+        try:
+            alone = engle_granger_test(a, b, cell.spec)
+        except CointkitError as exc:
+            assert (cell.report, cell.error) == (None, f"{type(exc).__name__}: {exc}")
+        else:
+            assert cell.error is None
+            assert repr(cell.report) == repr(alone)
+            assert cell.report.stage_one.residuals.tobytes() == alone.stage_one.residuals.tobytes()
 
 
 class TestSpecValidation:
@@ -253,6 +275,63 @@ class TestEngleGranger:
             assert report.n_effective == 200 - 1 - lags
 
 
+def _exact_eg(a, b, eg, stage_one_resid):
+    """Both Engle-Granger stages rebuilt from raw arrays and solved in exact rationals.
+
+    Stage one regresses the dependent level on the other (Engle & Granger
+    1987), with the trend 1..n if asked and an intercept; stage two is the
+    ADF regression with no deterministic terms on ``stage_one_resid``, the
+    residuals cointkit computed. Returns the stage-one coefficients and
+    residuals, and the stage-two t-ratio on the lagged level.
+    """
+    levels = [np.log(v) if eg.transform == LOGARITHMS else v for v in (a, b)]
+    y, x = levels if eg.normalize_on == NORMALIZE_FIRST else levels[::-1]
+    n = y.size
+    rows = [[x[t]] + ([t + 1.0] if eg.trend_in_stage_one else []) + [1.0] for t in range(n)]
+    beta, _ = exact_ols(y.tolist(), rows)
+    resid = y - np.array(rows) @ np.array(beta)
+
+    e = stage_one_resid
+    de = np.diff(e)
+    lags = eg.lags
+    rows = [[e[t]] + [de[t - i] for i in range(1, lags + 1)] for t in range(lags, de.size)]
+    gamma, se = exact_ols(de[lags:].tolist(), rows)
+    return beta, resid, gamma[0] / se[0]
+
+
+class TestExactReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(30, 80),
+        eg=st.builds(
+            EgSpec,
+            st.sampled_from([LOGARITHMS, UNTRANSFORMED]),
+            st.sampled_from([NORMALIZE_FIRST, NORMALIZE_SECOND]),
+            st.integers(0, 3),
+            st.booleans(),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_both_stages_match_an_exact_solve(self, n, eg, seed):
+        a, b = _positive_pair(np.random.default_rng(seed), n)
+        # The grid cell sits in a stack beside the other three transform and
+        # normalization rows of its lags and trend.
+        specs = [
+            EgSpec(tr, norm, eg.lags, eg.trend_in_stage_one)
+            for tr in (LOGARITHMS, UNTRANSFORMED)
+            for norm in (NORMALIZE_FIRST, NORMALIZE_SECOND)
+        ]
+        cell = run_spec_grid(a, b, specs).cells[specs.index(eg)].report
+        for report in (engle_granger_test(a, b, eg), cell):
+            fit = report.stage_one
+            beta, resid, t_ratio = _exact_eg(a.values, b.values, eg, fit.residuals)
+            assert list(fit.coefficients.values()) == pytest.approx(beta, rel=1e-9)
+            scale = np.abs(resid).max()
+            assert np.abs(fit.residuals - resid).max() <= 1e-9 * scale
+            assert report.statistic == pytest.approx(t_ratio, rel=1e-9)
+            assert report.n_effective == n - 1 - eg.lags
+
+
 class TestGrid:
     def test_default_grid_is_the_twelve_cell_table(self):
         grid = default_grid()
@@ -311,23 +390,84 @@ class TestGrid:
         assert [c.spec for c in grid.cells] == specs
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(a, b, spec):
+        def broken(dep, other, lags, trend):
             raise RuntimeError("a bug, not a data problem")
 
-        monkeypatch.setattr(coint, "engle_granger_test", broken)
+        monkeypatch.setattr(coint, "_eg_regressions", broken)
         a, b = random_walk_pair(np.random.default_rng(62), 100)
         with pytest.raises(RuntimeError):
             run_spec_grid(a, b, [spec()])
 
     def test_typed_errors_become_error_cells(self, monkeypatch):
-        def bad_data(a, b, spec):
+        def bad_data(dep, other, lags, trend):
             raise DataError("cell cannot be computed")
 
-        monkeypatch.setattr(coint, "engle_granger_test", bad_data)
+        monkeypatch.setattr(coint, "_eg_regressions", bad_data)
         a, b = random_walk_pair(np.random.default_rng(63), 100)
         grid = run_spec_grid(a, b, [spec()])
         assert grid.cells_errored == 1
         assert grid.to_csv_rows()[1][9] == "error:DataError: cell cannot be computed"
+
+    def test_default_grid_solves_three_stacks(self, monkeypatch):
+        calls = []
+        solve = coint._eg_regressions
+
+        def counting(dep, other, lags, trend):
+            calls.append((dep.shape, lags, trend))
+            return solve(dep, other, lags, trend)
+
+        monkeypatch.setattr(coint, "_eg_regressions", counting)
+        x, y = _positive_pair(np.random.default_rng(64), 150)
+        grid = run_spec_grid(x, y)
+        assert grid.cells_ok == 12
+        assert calls == [((4, 150), 0, False), ((4, 150), 12, False), ((4, 150), 12, True)]
+
+    def test_cells_that_raise_in_a_stack_record_their_own_error(self):
+        rng = np.random.default_rng(65)
+        x = 100.0 + np.cumsum(rng.standard_normal(120))
+        huge = monthly_series(1e160 * x, name="huge")
+        close = monthly_series(x + 1e-8 * rng.standard_normal(120), name="close")
+        # Untransformed "second" rows overflow the design, so each stack fails as a whole.
+        full = run_spec_grid(huge, close)
+        # Here the stack succeeds and only the first cell's report overflows.
+        one_stack = [spec(), spec(transform=LOGARITHMS, normalize=NORMALIZE_SECOND)]
+        part = run_spec_grid(huge, close, one_stack)
+        for grid, specs in ((full, default_grid()), (part, one_stack)):
+            _assert_cells_run_alone(grid, huge, close, specs)
+        assert [c.ok for c in part.cells] == [False, True]
+        assert "total sum of squares overflows" in part.cells[0].error
+        assert {c.error for c in full.cells if c.spec.normalize_on == NORMALIZE_SECOND} == {
+            None,
+            "NumericalError: design overflows: squared column norms exceed the float range",
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(
+            st.builds(
+                EgSpec,
+                st.sampled_from([LOGARITHMS, UNTRANSFORMED]),
+                st.sampled_from([NORMALIZE_FIRST, NORMALIZE_SECOND]),
+                st.one_of(st.sampled_from([0, 12]), st.integers(0, 24)),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+        n_a=st.integers(20, 120),
+        n_b=st.integers(20, 120),
+        shift=st.integers(-30, 30),
+        levels=st.tuples(st.sampled_from([100.0, 0.0]), st.sampled_from([100.0, 0.0])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_grid_equals_its_cells_run_alone(self, specs, n_a, n_b, shift, levels, seed):
+        # A level of 0 makes a walk cross zero, so its log cells fail; short
+        # overlaps leave too few observations for the longer lags.
+        rng = np.random.default_rng(seed)
+        a = monthly_series(levels[0] + np.cumsum(rng.standard_normal(n_a)), name="a")
+        start_b = (2000 + (shift + 12) // 12, (shift + 12) % 12 + 1)
+        b = monthly_series(levels[1] + np.cumsum(rng.standard_normal(n_b)), start=start_b, name="b")
+        _assert_cells_run_alone(run_spec_grid(a, b, specs), a, b, specs)
 
     def test_empty_grid_rejected(self):
         rng = np.random.default_rng(60)

@@ -52,6 +52,8 @@ CLI_CASES = {
     "eg_short_sample": ["eg", "--input", "{in}/short_a.csv", "--input2", "{in}/short_b.csv"],
     # walk_a and walk_b cross zero, so the six logarithms cells are error rows
     "grid": ["grid", "--input", "{in}/walk_a.csv", "--input2", "{in}/walk_b.csv"],
+    # coint_x and coint_y stay positive, so all twelve cells succeed
+    "grid_coint": ["grid", "--input", "{in}/coint_x.csv", "--input2", "{in}/coint_y.csv"],
     "ecm": ["ecm", "--input", "{in}/coint_y.csv", "--input2", "{in}/coint_x.csv"],
     "ecm_caveat": [
         "ecm", "--input", "{in}/walk_a.csv", "--input2", "{in}/walk_b.csv", "--gap", "1",

@@ -399,6 +399,28 @@ def test_run_spec_grid_checks_its_series_before_the_grid():
             "column 'x' must be numeric: ",
         ),
         (
+            lambda: DesignMatrix.from_columns([1, 2]),
+            UsageError,
+            "columns[0] must be a (name, values) pair, got 1",
+        ),
+        (lambda: DesignMatrix.from_columns(None), UsageError, "columns must be of type Iterable, got None"),
+        (lambda: DesignMatrix(5, _DESIGN.data), UsageError, "names must be of type Iterable, got 5"),
+        (
+            lambda: TimeSeries((2000, 1), MONTHLY, [1.0], lineage=5),
+            UsageError,
+            "lineage must be of type Iterable, got 5",
+        ),
+        (
+            lambda: TimeSeries((2000, 1), MONTHLY, [1.0], lineage=("x",)),
+            UsageError,
+            "lineage[0] must be of type TransformTag, got 'x'",
+        ),
+        (
+            lambda: estimate_ecm(_SERIES, _OTHER, EcmSpec(1), {5: _POSITIVE}),
+            UsageError,
+            "extra control name must be of type str, got 5",
+        ),
+        (
             lambda: ols_fit([{}] * len(_OTHER), _DESIGN),
             DataError,
             "y must be numeric: ",
@@ -418,13 +440,21 @@ def test_run_spec_grid_checks_its_series_before_the_grid():
         "transform_tag_applied_at",
         "time_series_values",
         "design_matrix_from_columns",
+        "design_matrix_column_not_a_pair",
+        "design_matrix_columns_not_iterable",
+        "design_matrix_names",
+        "time_series_lineage",
+        "time_series_lineage_tag",
+        "estimate_ecm_control_name",
         "ols_fit_y",
         "adf_regression_values",
     ],
 )
 def test_arguments_of_the_wrong_kind_raise_typed_errors(run, error, message):
-    # Each of these raised a raw TypeError or ValueError before its check. A
-    # DataError's message ends with numpy's reason, which is not checked.
+    # Each of these raised a raw TypeError or ValueError before its check, or
+    # (a lineage tag that is no TransformTag, a control name that is no str)
+    # was accepted and failed later or leaked into a report. A DataError's
+    # message ends with numpy's reason, which is not checked.
     with pytest.raises(error) as info:
         run()
     assert type(info.value) is error
