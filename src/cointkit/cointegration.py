@@ -10,6 +10,9 @@ records a differencing transform trip a guard warning; the test still runs,
 because demonstrating what the misuse produces is itself a supported
 workflow (see the Monte Carlo experiments), but the warning travels with
 every report downstream.
+
+:func:`engle_granger_test` is the one-spec case of the grid's solve, which
+stacks the specs that share lags and trend, one row per spec, on the OLS core.
 """
 
 from __future__ import annotations
@@ -18,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Both stages and the lag bound live in regression, and the critical-value
-# rule in critvals; their public names stay importable here.
 from cointkit.critvals import LEVELS, SOURCE_ID, eg_critical_values
 from cointkit.errors import CointkitError, UsageError, flag_setting, instance_setting, int_setting
 from cointkit.formats import JsonRecord, fmt12s, significance_stars
-from cointkit.regression import MAX_LAGS, OlsFit, _as_fit, _eg_regressions, _Solution, median
+from cointkit.regression import MAX_LAGS, OlsFit, _as_fit, _eg_regressions, median
 from cointkit.series import TimeSeries, align, has_differencing, lineage_summary, log_transform
 
 LOGARITHMS = "logarithms"
@@ -174,35 +175,47 @@ def _collect_warnings(
     return tuple(warnings)
 
 
-def _levels(a_al: TimeSeries, b_al: TimeSeries, transform: str) -> tuple[np.ndarray, np.ndarray]:
-    """The values of an aligned pair under ``transform``, first series first."""
-    if transform == LOGARITHMS:
-        a_al, b_al = log_transform(a_al), log_transform(b_al)
-    return a_al.values, b_al.values
+def _reports(a: TimeSeries, b: TimeSeries, specs: list[EgSpec]) -> list[CointegrationReport]:
+    """The report of each spec on ``a`` and ``b``, one stacked solve per ``(lags, trend)`` group.
 
+    The pair is aligned once and each series transformed once per transform
+    used; each group stacks one (dependent, other) row per spec. A slice of
+    a stack is bitwise the solution of its design alone, so a report does
+    not depend on the other specs. The first :class:`CointkitError` raised
+    propagates; for one spec that is the error the spec raises alone.
+    """
+    a_al, b_al = align(a, b)
+    levels = {}
+    for transform in dict.fromkeys(spec.transform for spec in specs):
+        first, second = a_al, b_al
+        if transform == LOGARITHMS:
+            first, second = log_transform(a_al), log_transform(b_al)
+        levels[transform, NORMALIZE_FIRST] = (first.values, second.values)
+        levels[transform, NORMALIZE_SECOND] = (second.values, first.values)
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.lags, spec.trend_in_stage_one), []).append(i)
 
-def _oriented(pair: tuple[np.ndarray, np.ndarray], spec: EgSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``(dependent, other)``: the pair in the order ``spec.normalize_on`` picks."""
-    first, second = pair
-    return (first, second) if spec.normalize_on == NORMALIZE_FIRST else (second, first)
-
-
-def _report(
-    a: TimeSeries, b: TimeSeries, spec: EgSpec, stage_one: _Solution, stage_two: _Solution, n_eff: int
-) -> CointegrationReport:
-    """The report of both stages, each an unstacked solution, on ``a`` and ``b`` under ``spec``."""
-    statistic = float(stage_two.t_stats[0])
-    cvs = eg_critical_values(n_eff, spec.trend_in_stage_one)
-    return CointegrationReport(
-        spec=spec,
-        stage_one=_as_fit(stage_one),
-        statistic=statistic,
-        critical_values=cvs,
-        reject_at={level: statistic < cvs[level] for level in LEVELS},
-        warnings=_collect_warnings(a, b, stage_one.design, n_eff),
-        n_effective=n_eff,
-        stage_two_columns=stage_two.names,
-    )
+    reports: dict[int, CointegrationReport] = {}
+    for (lags, trend), cells in groups.items():
+        pairs = (levels[specs[i].transform, specs[i].normalize_on] for i in cells)
+        dep, other = (np.stack(side) for side in zip(*pairs))
+        stage_one, stage_two, n_eff = _eg_regressions(dep, other, lags, trend)
+        for row, i in enumerate(cells):
+            one, two = stage_one.row(row), stage_two.row(row)
+            statistic = float(two.t_stats[0])
+            cvs = eg_critical_values(n_eff, trend)
+            reports[i] = CointegrationReport(
+                spec=specs[i],
+                stage_one=_as_fit(one),
+                statistic=statistic,
+                critical_values=cvs,
+                reject_at={level: statistic < cvs[level] for level in LEVELS},
+                warnings=_collect_warnings(a, b, one.design, n_eff),
+                n_effective=n_eff,
+                stage_two_columns=two.names,
+            )
+    return [reports[i] for i in range(len(specs))]
 
 
 def engle_granger_test(a: TimeSeries, b: TimeSeries, spec: EgSpec) -> CointegrationReport:
@@ -212,55 +225,15 @@ def engle_granger_test(a: TimeSeries, b: TimeSeries, spec: EgSpec) -> Cointegrat
     an ADF with no constant and no trend (stage-one residuals are already
     mean zero, and detrended when the stage-one trend is on); critical
     values come from the two-variable surface matching the stage-one
-    deterministic terms.
+    deterministic terms. This is the one-spec case of the grid's stacked
+    solve.
 
     Raises
     ------
     NoOverlap, FrequencyMismatch, SeriesTooShort, NonPositiveValue, DegenerateInput
     """
     instance_setting("spec", spec, EgSpec)
-    dep, other = _oriented(_levels(*align(a, b), spec.transform), spec)
-    stage_one, stage_two, n_eff = _eg_regressions(dep, other, spec.lags, spec.trend_in_stage_one)
-    return _report(a, b, spec, stage_one, stage_two, n_eff)
-
-
-def _stacked_reports(
-    a: TimeSeries, b: TimeSeries, specs: list[EgSpec]
-) -> list[CointegrationReport | None]:
-    """The report of each spec, from one stacked solve per ``(lags, trend)`` group.
-
-    ``None`` marks a cell to run alone: its transform, its group's stacked
-    solve or its own report raised a :class:`CointkitError`. A slice of a
-    stack is bitwise the solution of its design alone, so every report here
-    equals the one :func:`engle_granger_test` gives.
-    """
-    reports: list[CointegrationReport | None] = [None] * len(specs)
-    try:
-        a_al, b_al = align(a, b)
-    except CointkitError:
-        return reports
-    levels = {}
-    for transform in dict.fromkeys(spec.transform for spec in specs):
-        try:
-            levels[transform] = _levels(a_al, b_al, transform)
-        except CointkitError:
-            pass
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for i, spec in enumerate(specs):
-        if spec.transform in levels:
-            groups.setdefault((spec.lags, spec.trend_in_stage_one), []).append(i)
-    for (lags, trend), cells in groups.items():
-        dep, other = zip(*(_oriented(levels[specs[i].transform], specs[i]) for i in cells))
-        try:
-            stage_one, stage_two, n_eff = _eg_regressions(np.stack(dep), np.stack(other), lags, trend)
-        except CointkitError:
-            continue
-        for row, i in enumerate(cells):
-            try:
-                reports[i] = _report(a, b, specs[i], stage_one.row(row), stage_two.row(row), n_eff)
-            except CointkitError:
-                pass
-    return reports
+    return _reports(a, b, [spec])[0]
 
 
 @dataclass(frozen=True)
@@ -341,9 +314,9 @@ def run_spec_grid(a: TimeSeries, b: TimeSeries, grid: list[EgSpec] | None = None
 
     Cells that share lags and trend are solved as one stack, one row per
     cell, and each cell's report is bitwise the one
-    :func:`engle_granger_test` gives for it alone. A cell whose transform,
-    stack or report raises is rerun alone, so it records the error it
-    raises by itself.
+    :func:`engle_granger_test` gives for it alone. If any transform, stack
+    or report raises, every cell is run alone through
+    :func:`engle_granger_test`, so each records what it gives by itself.
     """
     instance_setting("a", a, TimeSeries)  # before the grid, which records a cell's UsageError
     instance_setting("b", b, TimeSeries)
@@ -356,10 +329,14 @@ def run_spec_grid(a: TimeSeries, b: TimeSeries, grid: list[EgSpec] | None = None
     if not specs:
         raise UsageError("grid must contain at least one spec")
 
+    try:
+        reports: list[CointegrationReport | None] = _reports(a, b, specs)
+    except CointkitError:  # run every cell alone, so each records the error it raises
+        reports = [None] * len(specs)
     cells: list[GridCell] = []
-    for spec, report in zip(specs, _stacked_reports(a, b, specs)):
+    for spec, report in zip(specs, reports):
         try:
-            if report is None:  # rerun alone, to record the error the cell raises
+            if report is None:
                 report = engle_granger_test(a, b, spec)
         except CointkitError as exc:  # recorded per-cell, grid keeps going
             cells.append(GridCell(spec=spec, report=None, error=f"{type(exc).__name__}: {exc}"))

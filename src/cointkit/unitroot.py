@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The stacked ADF regression and its sample rule live in regression, and the
-# critical-value rule in critvals; their public names stay importable here.
 from cointkit.critvals import LEVELS, SOURCE_ID, DeterministicSpec, adf_critical_values
 from cointkit.errors import float_data, instance_setting, int_setting
 from cointkit.formats import fmt12s
@@ -99,7 +97,9 @@ def adf_test(x: TimeSeries, lags: int, det: DeterministicSpec) -> UnitRootReport
     """
     instance_setting("x", x, TimeSeries)
     lags = int_setting("lags", lags, 0)
-    stat, n_eff, _ = adf_regression(x.values, lags, det)
+    instance_setting("det", det, DeterministicSpec)
+    sol, n_eff = _adf(x.values, lags, det.constant, det.trend)
+    stat = float(sol.t_stats[0])
     cvs = adf_critical_values(n_eff, det)
     return UnitRootReport(
         statistic=stat,

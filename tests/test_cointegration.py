@@ -422,6 +422,37 @@ class TestGrid:
         assert grid.cells_ok == 12
         assert calls == [((4, 150), 0, False), ((4, 150), 12, False), ((4, 150), 12, True)]
 
+    def test_engle_granger_test_is_one_row_of_the_stacked_solve(self, monkeypatch):
+        calls = []
+        solve = coint._eg_regressions
+
+        def counting(dep, other, lags, trend):
+            calls.append((dep.shape, other.shape, lags, trend))
+            return solve(dep, other, lags, trend)
+
+        monkeypatch.setattr(coint, "_eg_regressions", counting)
+        x, y = _positive_pair(np.random.default_rng(66), 90)
+        engle_granger_test(x, y, spec(transform=LOGARITHMS, normalize=NORMALIZE_SECOND, lags=2, trend=True))
+        assert calls == [((1, 90), (1, 90), 2, True)]
+
+    def test_one_failing_cell_runs_every_cell_alone(self, monkeypatch):
+        calls = []
+        alone = coint.engle_granger_test
+
+        def counting(a, b, eg):
+            calls.append(eg)
+            return alone(a, b, eg)
+
+        monkeypatch.setattr(coint, "engle_granger_test", counting)
+        x, y = _positive_pair(np.random.default_rng(67), 30)
+        # 30 months leave 5 observations after 24 lags: only that cell fails.
+        specs = default_grid() + [spec(lags=24)]
+        grid = run_spec_grid(x, y, specs)
+        assert calls == specs
+        assert grid.cells_ok == 12
+        assert grid.cells[-1].error.startswith("SeriesTooShort: ")
+        _assert_cells_run_alone(grid, x, y, specs)
+
     def test_cells_that_raise_in_a_stack_record_their_own_error(self):
         rng = np.random.default_rng(65)
         x = 100.0 + np.cumsum(rng.standard_normal(120))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cointkit.critvals import SOURCE_ID, DeterministicSpec, critical_value
 from cointkit.errors import DegenerateInput, SeriesTooShort, UsageError
+from cointkit.regression import _adf
 from cointkit.unitroot import adf_test
 from helpers import exact_ols, monthly_series
 
@@ -159,6 +160,58 @@ class TestOracle:
         report = adf_test(monthly_series(x), lags, C)
         assert report.statistic == pytest.approx(expected_t, rel=1e-9)
         assert report.n_effective == y.size
+
+
+def _exact_adf(x, lags, det):
+    """The ADF regression rebuilt from raw arrays and solved in exact rationals.
+
+    Said & Dickey (1984): the difference of ``x`` on its lagged level,
+    ``lags`` lagged differences and the deterministic terms. Returns the
+    t-ratio on the lagged level and the number of observations.
+    """
+    dx = np.diff(x)
+    rows = [
+        [x[t - 1]]
+        + [dx[t - 1 - i] for i in range(1, lags + 1)]
+        + ([1.0] if det.constant else [])
+        # Any start will do for the trend, since the intercept absorbs the offset.
+        + ([float(t)] if det.trend else [])
+        for t in range(lags + 1, x.size)
+    ]
+    beta, se = exact_ols(dx[lags:].tolist(), rows)
+    return beta[0] / se[0], len(rows)
+
+
+class TestExactReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(30, 80),
+        lags=st.integers(0, 3),
+        det=st.sampled_from([NONE, C, CT]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_statistic_matches_an_exact_solve(self, n, lags, det, seed):
+        walks = np.cumsum(np.random.default_rng(seed).standard_normal((2, n)), axis=1)
+        t_ratio, n_obs = _exact_adf(walks[0], lags, det)
+        report = adf_test(monthly_series(walks[0]), lags, det)
+        assert report.statistic == pytest.approx(t_ratio, rel=1e-9)
+        assert report.n_effective == n_obs
+        # The same series as the first row of a two-row stack.
+        sol, n_eff = _adf(walks, lags, det.constant, det.trend)
+        assert sol.t_stats[0, 0] == pytest.approx(t_ratio, rel=1e-9)
+        assert n_eff == n_obs
+
+
+class TestLargeValues:
+    def test_statistic_where_the_fit_would_overflow(self):
+        # The squares of these values overflow, so no OlsFit (with its total
+        # sum of squares) can be built, but the ADF t-ratio is finite.
+        rng = np.random.default_rng(1)
+        x = (-1.0) ** np.arange(21) * 2.0e153 * (1 + 0.01 * rng.standard_normal(21))
+        report = adf_test(monthly_series(x), 0, NONE)
+        sol, n_eff = _adf(np.stack([x, x]), 0, False, False)
+        assert report.statistic == sol.t_stats[0, 0] == pytest.approx(-1004.315, rel=1e-6)
+        assert report.n_effective == n_eff == 20
 
 
 class TestCsvRows:
