@@ -129,16 +129,6 @@ class RunConfig:
     command: str
     values: dict
 
-    def to_config_text(self) -> str:
-        lines = [f"command = {self.command}"]
-        for opt in SCHEMAS[self.command]:
-            value = self.values.get(opt.name)
-            if value is None:
-                continue
-            text = ("true" if value else "false") if opt.type is bool else str(value)
-            lines.append(f"{opt.name} = {text}")
-        return "\n".join(lines) + "\n"
-
 
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse the flat key-value grammar: one ``key = value`` per line,

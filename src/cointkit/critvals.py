@@ -6,9 +6,11 @@ Each tabulated cell gives coefficients (b0, b1, b2, b3) of
 
 where ``b0`` is the asymptotic critical value and ``n`` the effective
 sample size of the test regression. Surfaces are keyed by the number of
-I(1) variables ``k`` (1 for a plain unit-root test, 2 for a two-variable
-cointegration residual test), the deterministic terms of the regression
-whose distribution is being tabulated, and the test level in percent.
+I(1) variables ``k``, the deterministic terms of the regression whose
+distribution is being tabulated, and the test level in percent. The table
+holds the five surfaces cointkit reads: k = 1 (ADF) with a constant, a
+constant and trend, or no terms, and k = 2 (Engle-Granger) with a
+constant or a constant and trend.
 
 Reference: MacKinnon, J.G. (2010), "Critical Values for Cointegration
 Tests", Queen's Economics Department Working Paper 1227. The
@@ -37,8 +39,6 @@ from cointkit.errors import (
 SOURCE_ID = "mackinnon-2010"
 LEVELS = (1, 5, 10)
 
-MIN_K = 1
-MAX_K = 6
 MIN_N = 20
 
 
@@ -108,18 +108,6 @@ _load(
         ((-3.89644, -10.9519, -33.527, 0.0),
          (-3.33613, -6.1101, -6.823, 0.0),
          (-3.04445, -4.2412, -2.720, 0.0)),
-        ((-4.29374, -14.4354, -33.195, 47.433),
-         (-3.74066, -8.5632, -10.852, 27.982),
-         (-3.45218, -6.2143, -3.718, 0.0)),
-        ((-4.64332, -18.1031, -37.972, 0.0),
-         (-4.09600, -11.2349, -11.175, 0.0),
-         (-3.81020, -8.3931, -4.137, 0.0)),
-        ((-4.95756, -21.8883, -45.142, 0.0),
-         (-4.41519, -14.0405, -12.575, 0.0),
-         (-4.13157, -10.7417, -3.784, 0.0)),
-        ((-5.24568, -25.6688, -57.737, 88.639),
-         (-4.70693, -16.9178, -17.492, 60.007),
-         (-4.42501, -13.1875, -5.104, 27.877)),
     ],
 )
 
@@ -132,18 +120,6 @@ _load(
         ((-4.32762, -15.4387, -35.679, 0.0),
          (-3.78057, -9.5106, -12.074, 0.0),
          (-3.49631, -7.0815, -7.538, 21.892)),
-        ((-4.66305, -18.7688, -49.793, 104.244),
-         (-4.11890, -11.8922, -19.031, 77.332),
-         (-3.83511, -9.0723, -8.504, 35.403)),
-        ((-4.96940, -22.4694, -52.599, 51.314),
-         (-4.42871, -14.5876, -18.228, 39.647),
-         (-4.14633, -11.2500, -9.873, 54.109)),
-        ((-5.25276, -26.2183, -59.631, 50.646),
-         (-4.71537, -17.3569, -22.660, 91.359),
-         (-4.43422, -13.6078, -10.238, 76.781)),
-        ((-5.51727, -29.9760, -75.222, 202.253),
-         (-4.98228, -20.3050, -25.224, 132.03),
-         (-4.70233, -16.1253, -9.836, 94.272)),
     ],
 )
 
@@ -192,7 +168,8 @@ def critical_value(k: int, n: int, level: int, det: DeterministicSpec) -> float:
     k : int
         Number of I(1) variables under the no-cointegration null; 1 for a
         plain unit-root test, 2 for a two-variable residual-based test.
-        Supported range 1..6 (1 only when ``det`` has no terms).
+        The table holds k = 1 with ``det`` constant, constant and trend, or
+        none, and k = 2 with ``det`` constant or constant and trend.
     n : int
         Effective sample size of the test regression, at least 20.
     level : int
@@ -203,19 +180,15 @@ def critical_value(k: int, n: int, level: int, det: DeterministicSpec) -> float:
     Raises
     ------
     UnsupportedCombination
-        For out-of-range ``k``/``n``/``level`` or an untabulated pairing.
+        For ``n`` below 20, or a ``(k, level, det)`` the table does not hold.
     UsageError
         For a ``k``, ``n`` or ``level`` that is not an integer, or a ``det``
         that is not a :class:`DeterministicSpec`.
     """
     k, n, level = int_setting("k", k), int_setting("n", n), int_setting("level", level)
     instance_setting("det", det, DeterministicSpec)
-    if not MIN_K <= k <= MAX_K:
-        raise UnsupportedCombination(f"k must be in {MIN_K}..{MAX_K}, got {k}")
     if n < MIN_N:
         raise UnsupportedCombination(f"sample size must be >= {MIN_N}, got {n}")
-    if level not in LEVELS:
-        raise UnsupportedCombination(f"level must be one of {LEVELS}, got {level}")
     return TABLE.value(k, n, level, det)
 
 

@@ -28,8 +28,6 @@ from cointkit.series import (
     QUARTERLY,
     TimeSeries,
     _abs_index,
-    _from_abs_index,
-    period_label,
     period_labels,
 )
 
@@ -214,8 +212,8 @@ def _parse_rows(records: list, line: int) -> tuple[int, tuple[int, int], list[fl
 
         index = _abs_index(period, frequency)
         if prev_index is not None and index != prev_index + 1:
-            expected = _from_abs_index(prev_index + 1, frequency)
-            raise GapInDates(period_label(expected, frequency), period_label(period, frequency))
+            expected, found = (period_labels(i, 1, frequency)[0] for i in (prev_index + 1, index))
+            raise GapInDates(expected, found)
         prev_index = index
 
         if not _plain_value(row[1]):

@@ -199,16 +199,18 @@ def _lstsq(A: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> _Solution:
     if not np.isfinite(y).all():
         raise DataError("dependent variable contains non-finite entries")
 
-    # Squares of values above about 1.3e154 overflow; an infinite tolerance
-    # would call every column dependent.
+    # Each |R_ii| is judged against its own column's norm (LINPACK dqrdc2's
+    # rule), so one column's units cannot make another look dependent. Squares
+    # of values above about 1.3e154 overflow; an infinite tolerance would call
+    # every column dependent.
     with np.errstate(over="ignore"):
         col_sq = np.ones(n) @ (A * A)
-    tol = n * _EPS * np.sqrt(col_sq.max(axis=-1))
+    tol = n * _EPS * np.sqrt(col_sq)
     if not np.isfinite(tol).all():
         raise NumericalError("design overflows: squared column norms exceed the float range")
 
     Q, R = np.linalg.qr(A)
-    weak = np.abs(np.diagonal(R, axis1=-2, axis2=-1)) <= tol[..., None]
+    weak = np.abs(np.diagonal(R, axis1=-2, axis2=-1)) <= tol
     if weak.any():
         raise RankDeficient(names[int(np.argwhere(weak)[0, -1])])
 
@@ -266,10 +268,11 @@ def _as_fit(sol: _Solution) -> OlsFit:
 def ols_fit(y: Sequence[float], X: DesignMatrix) -> OlsFit:
     """Least squares of ``y`` on the columns of ``X``.
 
-    Solved through a QR decomposition rather than the normal equations;
-    rank is screened against tolerance n * eps * (largest column norm),
-    and a dependent column is reported by name. This is the one-design
-    case of the stacked kernel that the Monte Carlo runners use.
+    Solved through a QR decomposition rather than the normal equations.
+    Column i is called dependent when ``|R_ii| <= n * eps * ||X_i||``, the
+    norm of its own column, so the rank screen does not depend on the units
+    of the data; a dependent column is reported by name. This is the
+    one-design case of the stacked kernel that the Monte Carlo runners use.
 
     Raises
     ------

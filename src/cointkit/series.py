@@ -111,11 +111,6 @@ def period_labels(first: int, count: int, frequency: int) -> list[str]:
     return labels[skip : skip + count]
 
 
-def period_label(start: tuple[int, int], frequency: int) -> str:
-    """Render a period as ``YYYY-MM`` (monthly) or ``YYYYQn`` (quarterly)."""
-    return period_labels(_abs_index(start, frequency), 1, frequency)[0]
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """A dated numeric sequence plus the transforms applied since ingestion.

@@ -12,9 +12,11 @@ in for it.
 """
 
 import json
+import math
 import os
 import time
 from contextlib import contextmanager
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -185,16 +187,8 @@ def test_replication_grid():
 PUBLISHED_ASYMPTOTES = {
     ("c", 1): (-3.43035, -2.86154, -2.56677),
     ("c", 2): (-3.89644, -3.33613, -3.04445),
-    ("c", 3): (-4.29374, -3.74066, -3.45218),
-    ("c", 4): (-4.64332, -4.09600, -3.81020),
-    ("c", 5): (-4.95756, -4.41519, -4.13157),
-    ("c", 6): (-5.24568, -4.70693, -4.42501),
     ("ct", 1): (-3.95877, -3.41049, -3.12705),
     ("ct", 2): (-4.32762, -3.78057, -3.49631),
-    ("ct", 3): (-4.66305, -4.11890, -3.83511),
-    ("ct", 4): (-4.96940, -4.42871, -4.14633),
-    ("ct", 5): (-5.25276, -4.71537, -4.43422),
-    ("ct", 6): (-5.51727, -4.98228, -4.70233),
     ("n", 1): (-2.56574, -1.94100, -1.61682),
 }
 
@@ -211,6 +205,51 @@ def test_critical_value_anchors():
         assert monthly == pytest.approx(-3.936, abs=0.01)
         assert quarterly == pytest.approx(-4.020, abs=0.01)
         detail["note"] = f"(monthly {monthly:.4f}, quarterly {quarterly:.4f})"
+
+
+# The five surfaces cointkit reads, each at 0 lags on independent random
+# walks: ADF on the first walk for k=1, Engle-Granger on levels for k=2.
+SURFACE_TESTS = {
+    "k=1 none": mc.TestConfig(kind=mc.ADF, det=NONE),
+    "k=1 c": mc.TestConfig(kind=mc.ADF, det=C),
+    "k=1 ct": mc.TestConfig(kind=mc.ADF, det=CT),
+    "k=2 c": mc.TestConfig(kind=mc.EG_LEVELS),
+    "k=2 ct": mc.TestConfig(kind=mc.EG_LEVELS, trend=True),
+}
+SURFACE_REPS = 20_000
+
+
+def test_critical_value_size():
+    # All 45 rates (5 surfaces x 3 sample sizes x 3 levels) are judged jointly:
+    # each must lie within a Bonferroni normal bound of its nominal level, two
+    # sided at family level 5%. Cells at the same n share draws, which
+    # Bonferroni allows and a chi-square test would not.
+    z_bound = NormalDist().inv_cdf(1 - 0.05 / 90)
+    with gate("critical-value-size") as detail:
+        start = time.perf_counter()
+        scores = {}
+        for n in (30, 91, 281):
+            for name, test in SURFACE_TESTS.items():
+                result = mc.run_size_experiment(
+                    test,
+                    mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, n),
+                    reps=SURFACE_REPS,
+                    base_seed=11,
+                    workers=min(2, os.cpu_count() or 1),
+                )
+                for level in LEVELS:
+                    p = level / 100
+                    scores[name, n, level] = (result.rejection_rate[level] - p) / math.sqrt(
+                        p * (1 - p) / SURFACE_REPS
+                    )
+        elapsed = time.perf_counter() - start
+        worst = max(scores, key=lambda cell: abs(scores[cell]))
+        detail["note"] = (
+            f"(largest |z| {abs(scores[worst]):.2f} at {worst}, bound {z_bound:.2f}, "
+            f"{elapsed:.1f}s)"
+        )
+        assert all(abs(score) <= z_bound for score in scores.values()), scores
+        assert elapsed <= 30.0
 
 
 def test_operator_distinction():

@@ -379,7 +379,13 @@ class TestConfigFile:
             values = {opt.name: opt.default for opt in SCHEMAS[command]}
             values.update(overrides)
             config = RunConfig(command=command, values=values)
-            text = config.to_config_text()
+            lines = [f"command = {command}"]
+            lines += [
+                f"{name} = {str(value).lower() if isinstance(value, bool) else value}"
+                for name, value in values.items()
+                if value is not None
+            ]
+            text = "\n".join(lines) + "\n"
             parsed = parse_config_text(text)
             assert parsed.pop("command") == command
             cfg = tmp_path / f"{command}.cfg"

@@ -188,6 +188,16 @@ class TestEngleGranger:
         ).statistic
         assert scaled == pytest.approx(base, rel=1e-12)
 
+    def test_trend_regression_on_a_regressor_in_large_units(self):
+        # Scaled by 1e12, the regressor's column norm dwarfs the trend's and
+        # the intercept's; each is judged by its own norm, so none looks
+        # dependent.
+        a, b = _SCALE_PAIR
+        eg = spec(trend=True)
+        base = engle_granger_test(a, b, eg).statistic
+        scaled = engle_granger_test(a, monthly_series(1e12 * b.values), eg).statistic
+        assert scaled == pytest.approx(base, rel=1e-12)
+
     def test_log_spec_equals_untransformed_on_exponentiated_data(self):
         rng = np.random.default_rng(46)
         a, b = random_walk_pair(rng, 200, sd=0.05)

@@ -18,7 +18,6 @@ N = DeterministicSpec.none()
 ASYMPTOTIC_SPOT_CHECKS = {
     ("c", 1): (-3.43035, -2.86154, -2.56677),
     ("c", 2): (-3.89644, -3.33613, -3.04445),
-    ("c", 3): (-4.29374, -3.74066, -3.45218),
     ("ct", 1): (-3.95877, -3.41049, -3.12705),
     ("ct", 2): (-4.32762, -3.78057, -3.49631),
     ("n", 1): (-2.56574, -1.94100, -1.61682),
@@ -55,7 +54,7 @@ class TestFiniteSample:
 
     def test_quantile_ordering(self):
         for det in (C, CT):
-            for k in range(1, 7):
+            for k in range(1, 3):
                 for n in (20, 50, 100, 1000):
                     cv1, cv5, cv10 = (critical_value(k, n, l, det) for l in LEVELS)
                     assert cv1 < cv5 < cv10
@@ -64,14 +63,14 @@ class TestFiniteSample:
         for det in (C, CT):
             for level in LEVELS:
                 for n in (20, 50, 100, 1000, 100000):
-                    values = [critical_value(k, n, level, det) for k in range(1, 7)]
+                    values = [critical_value(k, n, level, det) for k in range(1, 3)]
                     assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_values_are_finite_across_domain(self):
         import math
 
         for det in (C, CT):
-            for k in range(1, 7):
+            for k in range(1, 3):
                 for level in LEVELS:
                     for n in (20, 25, 400, 10**6):
                         assert math.isfinite(critical_value(k, n, level, det))
@@ -79,7 +78,7 @@ class TestFiniteSample:
 
 class TestValidation:
     def test_rejects_out_of_range_k(self):
-        for k in (0, 7):
+        for k in (0, 3, 7):
             with pytest.raises(UnsupportedCombination):
                 critical_value(k, 100, 5, C)
 

@@ -203,7 +203,7 @@ CONSTRUCTORS = [
     _int("adf_test.lags", lambda v: adf_test(_SERIES, v, _C), 2, (-1,)),
     _int("adf_regression.lags", lambda v: adf_regression(_SERIES.values, v, _C), 2, (-1,)),
     _int("_adf_sample.lags", lambda v: _adf_sample(40, v), 2, (-1,)),
-    _int("critical_value.k", lambda v: critical_value(v, 100, 5, _C), 2, (0, 7)),
+    _int("critical_value.k", lambda v: critical_value(v, 100, 5, _C), 2, (0, 3, 7)),
     _int("critical_value.n", lambda v: critical_value(2, v, 5, _C), 100, (19, -100)),
     _int("critical_value.level", lambda v: critical_value(2, 100, v, _C), 5, (2, 0)),
     _int("wilson_interval.successes", lambda v: mc.wilson_interval(v, 10), 3, (-1, 11)),

@@ -213,6 +213,18 @@ class TestLargeValues:
         assert report.statistic == sol.t_stats[0, 0] == pytest.approx(-1004.315, rel=1e-6)
         assert report.n_effective == n_eff == 20
 
+    @pytest.mark.parametrize("lags", [0, 12])
+    @pytest.mark.parametrize("det", [C, CT], ids=["c", "ct"])
+    def test_statistic_in_the_units_of_nominal_gdp(self, det, lags):
+        # At 2e13 (US nominal GDP in dollars is about 2.7e13) the intercept's
+        # |R_ii| lies below n * eps times the data column's norm, though the
+        # intercept is independent of it; the rank screen judges each column
+        # by its own norm.
+        x = 100 + np.cumsum(np.random.default_rng(5).standard_normal(300))
+        base = adf_test(monthly_series(x), lags, det).statistic
+        scaled = adf_test(monthly_series(x * 2e13), lags, det).statistic
+        assert scaled == pytest.approx(base, rel=1e-12)
+
 
 class TestCsvRows:
     def test_header_and_one_row_of_the_report(self):
