@@ -30,11 +30,13 @@ replication.
 Of cointkit, this module imports only ``errors``, ``formats``,
 ``regression`` (the stacked designs) and ``critvals`` (the critical-value
 rule) at module level. Each other layer is imported by the function that
-needs it: the ECT runners and their blocks import ``ecm`` and
-``series.MONTHLY``, the eg-differences branch of the size block imports
-``cointegration.differencing_warning`` and ``series.iterated_difference``,
-and ``generate`` imports ``series.TimeSeries``. So the size experiments on
-levels and the spurious-regression experiment load no estimator layer.
+needs it: the ECT runners import ``ecm`` and ``series.MONTHLY`` to check
+their settings, and only the recovery block runs the ECM kernel; the ECT
+unit-root block is the levels regression plus ADF. The eg-differences
+branch of the size block imports ``cointegration.differencing_warning``
+and ``series.iterated_difference``, and ``generate`` imports
+``series.TimeSeries``. So the size experiments on levels and the
+spurious-regression experiment load no estimator layer.
 """
 
 from __future__ import annotations
@@ -519,13 +521,12 @@ def _spurious_block(trend: bool, first: np.ndarray, second: np.ndarray) -> np.nd
 def _ect_unit_root_block(
     spec: EcmSpec, lags: int, first: np.ndarray, second: np.ndarray
 ) -> np.ndarray:
-    """``estimate_ecm`` of the first walk on the second, then the ADF statistic of its ECT series."""
-    from cointkit.ecm import _ecm_regressions
-    from cointkit.series import MONTHLY
-
-    levels, _ = _ecm_regressions(first, second, spec, MONTHLY)
+    """``estimate_levels`` of the first walk on the second, then the ADF statistic of
+    its first n - ect_lag residuals (``estimate_ecm``'s ECT series). No ARDL stage is
+    solved, and degeneracy is judged on the scale of the first walk."""
+    levels = _levels_regression(first, second, spec.include_trend)
     ect = levels.resid[:, : first.shape[1] - spec.ect_lag]
-    solution, _ = _adf(ect, lags, False, False)
+    solution, _ = _adf(ect, lags, False, False, np.abs(first).max(axis=-1))
     return solution.t_stats[:, 0]
 
 

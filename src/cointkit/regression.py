@@ -185,7 +185,9 @@ def _lstsq(A: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> _Solution:
 
     The checks below are those of :class:`DesignMatrix` and :func:`ols_fit`,
     in their order, then a :class:`NumericalError` when the design's squared
-    column norms or the residual sum of squares overflow. On a stack they
+    column norms or the residual sum of squares overflow, or when the
+    design is so small that the squares of the inverse R factor overflow
+    (values below about 1e-150). On a stack they
     raise for the first slice that fails, so a caller that needs the error
     of a given slice reruns it alone.
     """
@@ -217,13 +219,14 @@ def _lstsq(A: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> _Solution:
     beta = np.linalg.solve(R, Q.swapaxes(-1, -2) @ y[..., None])
     resid = y - (A @ beta)[..., 0]
     beta = beta[..., 0]
+    r_inv = np.linalg.inv(R)
     with np.errstate(over="ignore"):
         rss = _rowdot(resid, resid)
+        xtx_inv_diag = (r_inv * r_inv) @ np.ones(k)
     if not np.isfinite(rss).all():
         raise NumericalError("residuals overflow: their sum of squares exceeds the float range")
-
-    r_inv = np.linalg.inv(R)
-    xtx_inv_diag = (r_inv * r_inv) @ np.ones(k)
+    if not np.isfinite(xtx_inv_diag).all():
+        raise NumericalError("design underflows: squares of the inverse R factor exceed the float range")
     se = np.sqrt(rss[..., None] / (n - k) * xtx_inv_diag)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -311,9 +314,11 @@ def _levels_regression(y: np.ndarray, x: np.ndarray, include_trend: bool) -> _So
     return _lstsq(design, y, tuple(names))
 
 
-def _degenerate(values: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
-    """Per row of a stack: is the largest |residual| negligible against the series scale?"""
-    scale = np.fmax(1.0, np.abs(values).max(axis=-1))
+def _degenerate(scale: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
+    """Per row of a stack: is the largest |residual| negligible against the row's ``scale``?
+
+    ``scale`` is the largest |level| of the data, so the screen has no units.
+    """
     return np.abs(dx_resid).max(axis=-1, initial=0.0) <= 1e-12 * scale
 
 
@@ -328,7 +333,9 @@ def _adf_sample(m: int, lags: int) -> int:
     return n_eff
 
 
-def _adf(x: np.ndarray, lags: int, constant: bool, trend: bool) -> tuple[_Solution, int]:
+def _adf(
+    x: np.ndarray, lags: int, constant: bool, trend: bool, scale: np.ndarray | None = None
+) -> tuple[_Solution, int]:
     """The ADF regression of each row of ``x`` (..., m), and the effective sample size.
 
     ``constant`` and ``trend`` are the deterministic terms, a
@@ -336,10 +343,18 @@ def _adf(x: np.ndarray, lags: int, constant: bool, trend: bool) -> tuple[_Soluti
     the t-ratio on the lagged level. :func:`_adf_sample` checks the sample
     first, and runners call it once at configuration. On a stack every
     check covers every row; the first failure raises.
+
+    A row is ``DegenerateInput`` when its residuals are negligible against
+    its ``scale``, one value per row, by default its own largest |value|. When ``x``
+    is a residual series, the caller passes the scale of the levels it
+    came from: the residuals of an exact fit are rounding noise, which is
+    never negligible against itself.
     """
     lags = int_setting("lags", lags, 0)
     m = x.shape[-1]
     n_eff = _adf_sample(m, lags)
+    if scale is None:
+        scale = np.abs(x).max(axis=-1)
 
     dx = np.diff(x, axis=-1)
     y = dx[..., lags:]
@@ -354,7 +369,7 @@ def _adf(x: np.ndarray, lags: int, constant: bool, trend: bool) -> tuple[_Soluti
         denom = float(t_probe @ t_probe)
         if denom > 0.0:
             probe = probe - (_rowdot(probe, t_probe) / denom)[..., None] * t_probe
-    if _degenerate(x, probe).any():
+    if _degenerate(scale, probe).any():
         raise DegenerateInput()
 
     names = [LEVEL_COLUMN]
@@ -372,7 +387,7 @@ def _adf(x: np.ndarray, lags: int, constant: bool, trend: bool) -> tuple[_Soluti
     design = np.stack(np.broadcast_arrays(*columns), axis=-1)
 
     sol = _lstsq(design, y, tuple(names))
-    if _degenerate(x, sol.resid).any():
+    if _degenerate(scale, sol.resid).any():
         raise DegenerateInput()
     return sol, n_eff
 
@@ -388,10 +403,11 @@ def _eg_regressions(
     size; the statistic is the stage-two ``t_stats[..., 0]``. Any transform
     and the choice of ``dep`` have already been applied by the caller. The
     residuals are as long as the levels, so the ADF sample is checked first.
+    Stage two judges degeneracy on the scale of ``dep``.
     """
     _adf_sample(dep.shape[-1], lags)
     stage_one = _levels_regression(dep, other, trend)
-    stage_two, n_eff = _adf(stage_one.resid, lags, False, False)
+    stage_two, n_eff = _adf(stage_one.resid, lags, False, False, np.abs(dep).max(axis=-1))
     return stage_one, stage_two, n_eff
 
 

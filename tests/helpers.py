@@ -2,7 +2,8 @@
 
 The least-squares oracle solves the normal equations in exact rational
 arithmetic (fractions over the binary float inputs), a deliberately
-different route from the QR path in the package.
+different route from the QR path in the package. The ADF oracle builds
+its regression from raw arrays and solves it with that oracle.
 """
 
 from __future__ import annotations
@@ -52,6 +53,26 @@ def exact_ols(y, X) -> tuple[list[float], list[float]]:
     sigma2 = rss / (n - k)
     stderrs = [float(sigma2 * d) ** 0.5 for d in inv_diag]
     return [float(b) for b in beta], stderrs
+
+
+def exact_adf(x, lags, det):
+    """The ADF regression rebuilt from raw arrays and solved in exact rationals.
+
+    Said & Dickey (1984): the difference of ``x`` on its lagged level,
+    ``lags`` lagged differences and the deterministic terms. Returns the
+    t-ratio on the lagged level and the number of observations.
+    """
+    dx = np.diff(x)
+    rows = [
+        [x[t - 1]]
+        + [dx[t - 1 - i] for i in range(1, lags + 1)]
+        + ([1.0] if det.constant else [])
+        # Any start will do for the trend, since the intercept absorbs the offset.
+        + ([float(t)] if det.trend else [])
+        for t in range(lags + 1, x.size)
+    ]
+    beta, se = exact_ols(dx[lags:].tolist(), rows)
+    return beta[0] / se[0], len(rows)
 
 
 def monthly_series(values, start=(2000, 1), name="") -> TimeSeries:

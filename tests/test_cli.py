@@ -313,11 +313,13 @@ class TestExitCodes:
             ("eg", (5e161, 1.0), "residuals overflow"),
             ("ecm", (5e161, 1.0), "residuals overflow"),
             ("adf", (5e161,), "design overflows"),
+            ("adf", (1e-160,), "design underflows"),
         ],
     )
     def test_overflowing_regression_is_a_numerical_error(self, tmp_path, capsys, command, scales, message):
-        # Squares of values this large overflow: the error says so, instead of
-        # naming a column that is not dependent, and numpy warns of nothing.
+        # Squares of values this large, or of the inverse R factor of values
+        # this small, overflow: the error says so, instead of naming a column
+        # that is not dependent, and numpy warns of nothing.
         rng = np.random.default_rng(1)
         argv = [command]
         for flag, scale in zip(("--input", "--input2"), scales):
@@ -330,10 +332,13 @@ class TestExitCodes:
         assert record["message"].startswith(message + ": ")
 
     def test_overflowing_total_sum_of_squares_prints_only_the_error_line(self, tmp_path):
-        # y = 1e160 x: the stage-one design and residuals are in range, squares of y are not.
+        # y = 1e160 x + 1e152 e: the stage-one design and residuals are in range,
+        # squares of y are not. The noise e keeps the fit from being exact, which
+        # the degeneracy screen would report first.
         x = np.cumsum(np.random.default_rng(1).standard_normal(120)) + 50.0
+        e = np.random.default_rng(2).standard_normal(120)
         write_series_csv(tmp_path / "x.csv", x)
-        write_series_csv(tmp_path / "y.csv", x * 1e160)
+        write_series_csv(tmp_path / "y.csv", x * 1e160 + e * 1e152)
         record = _only_error_line(tmp_path, ["eg", "--input", "y.csv", "--input2", "x.csv"], code=3)
         assert record["error"] == "NumericalError"
         assert record["message"].startswith("total sum of squares overflows: ")

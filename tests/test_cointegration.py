@@ -18,6 +18,8 @@ from cointkit.cointegration import (
     run_spec_grid,
 )
 import cointkit.cointegration as coint
+from cointkit.critvals import DeterministicSpec
+from cointkit.ecm import EcmSpec, estimate_ecm
 from cointkit.errors import (
     CointkitError,
     DataError,
@@ -28,11 +30,13 @@ from cointkit.errors import (
     UsageError,
 )
 from cointkit.series import (
+    MONTHLY,
     QUARTERLY,
     TimeSeries,
     iterated_difference,
     seasonal_difference,
 )
+from cointkit.unitroot import adf_test
 from helpers import exact_ols, monthly_series, random_walk_pair
 
 
@@ -197,6 +201,40 @@ class TestEngleGranger:
         base = engle_granger_test(a, b, eg).statistic
         scaled = engle_granger_test(a, monthly_series(1e12 * b.values), eg).statistic
         assert scaled == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-14])
+    @pytest.mark.parametrize("trend", [False, True])
+    def test_statistic_in_small_units(self, trend, scale):
+        # Stage two judges its residuals against the dependent level's largest
+        # |value|, so a pair in small units is not called degenerate.
+        rng = np.random.default_rng(5)
+        a, b = (100 + 0.1 * np.cumsum(rng.standard_normal((2, 300)), axis=1))
+        eg = spec(trend=trend)
+        base = engle_granger_test(monthly_series(a), monthly_series(b), eg).statistic
+        scaled = engle_granger_test(monthly_series(a * scale), monthly_series(b * scale), eg).statistic
+        assert scaled == pytest.approx(base, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k_a=st.integers(-60, 60),
+        k_b=st.integers(-60, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_of_two_rescaling_is_bitwise_exact(self, k_a, k_b, seed):
+        # Scaling by 2^k is exact in every operation, so it leaves each
+        # statistic that does not depend on the units bitwise unchanged.
+        a, b = random_walk_pair(np.random.default_rng(seed), 120)
+        sa, sb = (monthly_series(s.values * 2.0**k) for s, k in ((a, k_a), (b, k_b)))
+        for det in (DeterministicSpec.none(), DeterministicSpec.constant_only(), DeterministicSpec.constant_trend()):
+            for series, scaled in ((a, sa), (b, sb)):
+                assert adf_test(scaled, 2, det).statistic == adf_test(series, 2, det).statistic
+        for normalize in (NORMALIZE_FIRST, NORMALIZE_SECOND):
+            for trend in (False, True):
+                eg = spec(normalize=normalize, lags=1, trend=trend)
+                assert engle_granger_test(sa, sb, eg).statistic == engle_granger_test(a, b, eg).statistic
+        for gap in (1, MONTHLY):
+            ecm = EcmSpec(seasonal_gap=gap)
+            assert estimate_ecm(sa, sb, ecm).ect_t_stat == estimate_ecm(a, b, ecm).ect_t_stat
 
     def test_log_spec_equals_untransformed_on_exponentiated_data(self):
         rng = np.random.default_rng(46)

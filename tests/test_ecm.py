@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cointkit.montecarlo as mc
+from cointkit.critvals import DeterministicSpec
 from cointkit.ecm import (
     EcmSpec,
+    _ecm_regressions,
     audit_controls,
     estimate_ecm,
     estimate_levels,
@@ -10,7 +15,8 @@ from cointkit.ecm import (
 )
 from cointkit.errors import SeriesTooShort, UnsupportedCombination, UsageError
 from cointkit.regression import DesignMatrix, ols_fit
-from helpers import monthly_series, random_walk_pair
+from cointkit.series import MONTHLY
+from helpers import exact_adf, exact_ols, monthly_series, random_walk_pair
 
 
 def cointegrated_pair(rng, n, beta=0.7, adjust=0.3, sd=1.0):
@@ -198,6 +204,94 @@ class TestEcmRecovery:
             fit = estimate_ecm(y, x, EcmSpec(seasonal_gap=12))
             coefs.append(fit.ect_coefficient)
         assert abs(float(np.median(coefs))) < 0.1
+
+
+def _exact_ecm(y, x, spec, extra=None):
+    """Both error-correction stages rebuilt from raw arrays and solved in exact rationals.
+
+    The levels stage regresses y_t on x_t, the trend t + 1 if asked and an
+    intercept. The ARDL stage regresses the span-``gap`` change of y on the
+    same change of x, lags 1..``ardl_control_lags`` of both changes, the
+    levels residual ``ect_lag`` periods back, ``extra`` if given, the trend
+    and an intercept, at every period where each of them exists. Returns
+    the levels coefficients and residuals, and the ARDL coefficients and
+    t-ratios.
+    """
+    n, gap, lags = y.size, spec.seasonal_gap, spec.ardl_control_lags
+
+    def trend(t):
+        return [t + 1.0] if spec.include_trend else []
+
+    rows = [[x[t]] + trend(t) + [1.0] for t in range(n)]
+    beta, _ = exact_ols(y.tolist(), rows)
+    ect = y - np.array(rows) @ np.array(beta)
+
+    def change(v, t):
+        return v[t] - v[t - gap]
+
+    dep, design = [], []
+    for t in range(max(gap + lags, spec.ect_lag), n):
+        row = [change(x, t)]
+        for j in range(1, lags + 1):
+            row += [change(y, t - j), change(x, t - j)]
+        row.append(ect[t - spec.ect_lag])
+        row += [] if extra is None else [extra[t]]
+        row += trend(t) + [1.0]
+        dep.append(change(y, t))
+        design.append(row)
+    gamma, se = exact_ols(dep, design)
+    return beta, ect, gamma, [g / s for g, s in zip(gamma, se)]
+
+
+class TestExactReference:
+    """``estimate_ecm``, a stacked ``_ecm_regressions`` and the two ECM Monte
+    Carlo blocks against the exact reference, to 1e-9 relative."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(30, 80),
+        spec=st.builds(
+            EcmSpec, st.sampled_from([1, MONTHLY]), st.integers(1, 3), st.integers(1, 3), st.booleans()
+        ),
+        extra=st.booleans(),
+        adf_lags=st.integers(0, 2),
+        stack=st.integers(1, 4),
+        row=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_both_stages_match_an_exact_solve(self, n, spec, extra, adf_lags, stack, row, seed):
+        rng = np.random.default_rng(seed)
+        ys, xs = np.cumsum(rng.standard_normal((2, stack, n)), axis=-1)
+        z = rng.standard_normal(n) if extra else None
+        row %= stack
+        y, x = ys[row], xs[row]
+        beta, ect, gamma, t_ratios = _exact_ecm(y, x, spec, z)
+        ect_name = f"ect_l{spec.ect_lag}"
+
+        controls = None if z is None else {"z": monthly_series(z)}
+        fit = estimate_ecm(monthly_series(y), monthly_series(x), spec, controls)
+        assert list(fit.levels_fit.coefficients.values()) == pytest.approx(beta, rel=1e-9)
+        assert np.abs(fit.levels_fit.residuals - ect).max() <= 1e-9 * np.abs(ect).max()
+        assert list(fit.ardl_fit.coefficients.values()) == pytest.approx(gamma, rel=1e-9)
+        assert list(fit.ardl_fit.t_stats.values()) == pytest.approx(t_ratios, rel=1e-9)
+        assert fit.ect_t_stat == pytest.approx(t_ratios[fit.control_manifest.index(ect_name)], rel=1e-9)
+
+        first = max(spec.seasonal_gap + spec.ardl_control_lags, spec.ect_lag)
+        extras = [] if z is None else [("z", np.tile(z[first:], (stack, 1)))]
+        levels, ardl = _ecm_regressions(ys, xs, spec, MONTHLY, extras)
+        assert levels.beta[row].tolist() == pytest.approx(beta, rel=1e-9)
+        assert ardl.beta[row].tolist() == pytest.approx(gamma, rel=1e-9)
+        assert ardl.t_stats[row].tolist() == pytest.approx(t_ratios, rel=1e-9)
+
+        if z is not None:  # the blocks take no extra control
+            _, _, gamma, t_ratios = _exact_ecm(y, x, spec)
+        # The recovery block regresses its second stack on its first.
+        col = manifest_for(spec).index(ect_name)
+        recovery = mc._recovery_block(spec, xs, ys)[row].tolist()
+        assert recovery == pytest.approx([gamma[col], t_ratios[col]], rel=1e-9)
+        unit_root = mc._ect_unit_root_block(spec, adf_lags, ys, xs)[row]
+        t_ratio, _ = exact_adf(ect[: n - spec.ect_lag], adf_lags, DeterministicSpec.none())
+        assert unit_root == pytest.approx(t_ratio, rel=1e-9)
 
 
 class TestAudit:

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cointkit.ecm as ecm
 import cointkit.montecarlo as mc
 from cointkit import cli
 from cointkit.cli import main
@@ -215,6 +216,16 @@ def test_one_process_serves_every_case_after_a_usage_error_and_help(tmp_path):
 @pytest.mark.parametrize("name", sorted(EXPERIMENT_CASES))
 def test_experiment_json_matches_golden(name):
     assert _experiment_output(name) == _expected(f"{name}.json")
+
+
+def test_ect_unit_root_experiment_solves_no_ardl_stage(monkeypatch):
+    """Its block is the levels regression plus ADF: the golden holds with the ECM kernel gone."""
+
+    def no_ardl_stage(*args, **kwargs):
+        raise AssertionError("the ECT unit-root experiment ran the ECM kernel")
+
+    monkeypatch.setattr(ecm, "_ecm_regressions", no_ardl_stage)
+    assert _experiment_output("ect_unit_root") == _expected("ect_unit_root.json")
 
 
 def _readme_size_rows() -> list[tuple[list[str], list[str]]]:

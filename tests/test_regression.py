@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cointkit.errors import DataError, DimensionMismatch, RankDeficient
+from cointkit.errors import DataError, DimensionMismatch, NumericalError, RankDeficient
 from cointkit.regression import DesignMatrix, _lstsq, median, ols_fit
 from helpers import exact_ols
 
@@ -42,6 +42,14 @@ class TestExamples:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ols_fit([1.0, 2.0], design(x=np.arange(3.0)))
+
+    def test_design_too_small_for_its_inverse_is_a_numerical_error(self):
+        # The squares of 1 / R_ii overflow: no infinite standard error, no warning.
+        x = np.array([1.0, 2.0, 4.0, 3.0]) * 1e-160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^design underflows: "):
+                ols_fit([1.0, 0.0, 2.0, 1.0], design(x=x))
 
 
 class TestDesignMatrix:

@@ -7,7 +7,7 @@ from cointkit.critvals import SOURCE_ID, DeterministicSpec, critical_value
 from cointkit.errors import DegenerateInput, SeriesTooShort, UsageError
 from cointkit.regression import _adf
 from cointkit.unitroot import adf_test
-from helpers import exact_ols, monthly_series
+from helpers import exact_adf, exact_ols, monthly_series
 
 C = DeterministicSpec.constant_only()
 CT = DeterministicSpec.constant_trend()
@@ -162,26 +162,6 @@ class TestOracle:
         assert report.n_effective == y.size
 
 
-def _exact_adf(x, lags, det):
-    """The ADF regression rebuilt from raw arrays and solved in exact rationals.
-
-    Said & Dickey (1984): the difference of ``x`` on its lagged level,
-    ``lags`` lagged differences and the deterministic terms. Returns the
-    t-ratio on the lagged level and the number of observations.
-    """
-    dx = np.diff(x)
-    rows = [
-        [x[t - 1]]
-        + [dx[t - 1 - i] for i in range(1, lags + 1)]
-        + ([1.0] if det.constant else [])
-        # Any start will do for the trend, since the intercept absorbs the offset.
-        + ([float(t)] if det.trend else [])
-        for t in range(lags + 1, x.size)
-    ]
-    beta, se = exact_ols(dx[lags:].tolist(), rows)
-    return beta[0] / se[0], len(rows)
-
-
 class TestExactReference:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -192,7 +172,7 @@ class TestExactReference:
     )
     def test_statistic_matches_an_exact_solve(self, n, lags, det, seed):
         walks = np.cumsum(np.random.default_rng(seed).standard_normal((2, n)), axis=1)
-        t_ratio, n_obs = _exact_adf(walks[0], lags, det)
+        t_ratio, n_obs = exact_adf(walks[0], lags, det)
         report = adf_test(monthly_series(walks[0]), lags, det)
         assert report.statistic == pytest.approx(t_ratio, rel=1e-9)
         assert report.n_effective == n_obs
@@ -223,6 +203,20 @@ class TestLargeValues:
         x = 100 + np.cumsum(np.random.default_rng(5).standard_normal(300))
         base = adf_test(monthly_series(x), lags, det).statistic
         scaled = adf_test(monthly_series(x * 2e13), lags, det).statistic
+        assert scaled == pytest.approx(base, rel=1e-12)
+
+
+class TestSmallValues:
+    @pytest.mark.parametrize("scale", [1e-12, 1e-14])
+    @pytest.mark.parametrize("lags", [0, 12])
+    @pytest.mark.parametrize("det", [NONE, C, CT], ids=["none", "c", "ct"])
+    def test_statistic_in_small_units(self, det, lags, scale):
+        # Residuals of about 1e-13 are negligible in a series of unit scale,
+        # not in one whose largest value is 1e-10: degeneracy is judged
+        # against the series' own largest |value|, with no absolute floor.
+        x = 100 + 0.1 * np.cumsum(np.random.default_rng(5).standard_normal(300))
+        base = adf_test(monthly_series(x), lags, det).statistic
+        scaled = adf_test(monthly_series(x * scale), lags, det).statistic
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
