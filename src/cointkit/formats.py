@@ -1,5 +1,12 @@
 """Shared rendering helpers: 12-significant-digit machine numbers, stars,
-and the one record rule for report JSON.
+the one record rule for report JSON, and its writer.
+
+``json_dumps`` writes report JSON in one recursive pass: it rounds each
+float to 12 significant digits as it writes (a non-finite one, such as the
+infinite t-ratio of a perfect fit, becomes null: JSON has no text for
+it), and its text is byte for byte ``json.dumps(rounded, indent=2,
+allow_nan=False)`` plus a newline, with the same ASCII string escapes,
+``repr`` of ints and floats, dict-key conversion and ``TypeError``.
 
 ``JsonRecord`` writes a record as its type tag, if it has one, then its
 fields in declaration order. The ingest and Engle-Granger reports, the
@@ -10,37 +17,14 @@ unit-root, ECM and grid reports, ``DgpSpec``, ``TestConfig``) writes its own.
 
 from __future__ import annotations
 
-import json
-import math
+from json.encoder import encode_basestring_ascii as _json_str
+from math import isfinite
 from typing import Any, ClassVar
 
 
 def fmt12s(value: float) -> str:
     """Machine string form of a float: 12 significant digits."""
     return f"{float(value):.12g}"
-
-
-def fmt12(value: float) -> float:
-    """Float rounded to the 12-significant-digit machine precision."""
-    return float(fmt12s(value))
-
-
-def round_floats(obj: Any) -> Any:
-    """Recursively round every float in a JSON-able structure to 12 digits.
-
-    Non-finite values (infinite t-ratios from perfect fits) become null:
-    JSON has no representation for them and emitting text like ``Infinity``
-    would break strict parsers.
-    """
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return fmt12(obj) if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(v) for v in obj]
-    return obj
 
 
 _PLAIN = (str, int, float)  # bools are ints; JSON takes these as they are
@@ -79,7 +63,73 @@ def _json_value(value: Any) -> Any:
 
 def json_dumps(obj: Any) -> str:
     """Deterministic JSON text: rounded floats, fixed separators, newline end."""
-    return json.dumps(round_floats(obj), indent=2, sort_keys=False, allow_nan=False) + "\n"
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj: Any, out: list[str], newline: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``; ``newline`` starts each line of its level.
+
+    Report values are mostly floats, strings and dicts, so those are tested
+    first; of the other checks, only the bools' must come before the ints'.
+    """
+    if isinstance(obj, float):
+        out.append(float.__repr__(float(f"{float(obj):.12g}")) if isfinite(obj) else "null")
+    elif isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                key = _json_key(key)
+            out.append(f"{separator}{_json_str(key)}: ")
+            _write_json(value, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for value in obj:
+            out.append(separator)
+            _write_json(value, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key: Any) -> str:
+    """``json``'s text for a dict key that is not a str. Keys are not rounded."""
+    if isinstance(key, float):
+        if isfinite(key):
+            return float.__repr__(key)
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(key))
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def significance_stars(statistic: float, critical_values: dict[int, float]) -> str:

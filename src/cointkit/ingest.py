@@ -7,9 +7,11 @@ notation (``_plain_value``). Anything malformed aborts with the 1-based
 line number of the offending row. Ingested series start with an empty
 transform lineage.
 
-A file already in canonical form (upper-case ``Q``, every row two fields)
-is accepted in one bulk pass; any other file is read row by row, and that
-loop alone decides every error and every non-canonical row.
+A file already in canonical form (header ``date,value``, one comma per
+row, upper-case ``Q``, no quotes or padding) is accepted in one bulk pass
+over its text, which splits it with ``str`` methods. The ``csv`` module
+reads only the files that pass declines, and the row loop over its
+records alone decides every error and every non-canonical row.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import contains
 
 from cointkit.errors import DataError, EmptyFile, GapInDates, ParseError, instance_setting
 from cointkit.formats import JsonRecord, fmt12s
@@ -35,6 +39,7 @@ _MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
 _QUARTERLY_RE = re.compile(r"^(\d{4})[Qq]([1-4])$", re.ASCII)
 _LAST_YEAR = 9999  # the grammar's years have four digits
 _LINE_BREAK = re.compile(rb"\r\n?|\n")
+_HEADER = "date,value\n"
 
 CSV_COLUMNS = ("name", "frequency", "start", "end", "observations", "min", "max")
 
@@ -129,52 +134,62 @@ def ingest_csv(path: str) -> TimeSeries:
     except UnicodeDecodeError as exc:
         line = len(_LINE_BREAK.split(data[: exc.start]))
         raise DataError(f"cannot read {path}: {exc} (line {line})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        # Each record with the physical line it ends on: a quoted value may span lines.
-        records = [(row, reader.line_num) for row in reader]
-    except csv.Error as exc:  # e.g. a field over the csv module's size limit
-        raise ParseError(reader.line_num, str(exc)) from None
-    if not records:
-        raise EmptyFile(path)
-    (header, header_end), *records = records
-    if [h.strip().lower() for h in header] != ["date", "value"]:
-        raise ParseError(1, f"header must be 'date,value', got {','.join(header)!r}")
-
-    parsed = _canonical(records) or _parse_rows(records, header_end + 1)
+    parsed = _canonical(text)
     if parsed is None:
-        raise EmptyFile(path)
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            # Each record with the physical line it ends on: a quoted value may span lines.
+            records = [(row, reader.line_num) for row in reader]
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ParseError(reader.line_num, str(exc)) from None
+        if not records:
+            raise EmptyFile(path)
+        (header, header_end), *records = records
+        if [h.strip().lower() for h in header] != ["date", "value"]:
+            raise ParseError(1, f"header must be 'date,value', got {','.join(header)!r}")
+        parsed = _parse_rows(records, header_end + 1)
+        if parsed is None:
+            raise EmptyFile(path)
     frequency, start, values = parsed
     name = os.path.splitext(os.path.basename(path))[0]
     return TimeSeries(start=start, frequency=frequency, values=values, lineage=(), name=name)
 
 
-def _canonical(records: list) -> tuple[int, tuple[int, int], list[float]] | None:
-    """(frequency, start, values) of records in canonical form, else None.
+def _canonical(text: str) -> tuple[int, tuple[int, int], list[float]] | None:
+    """(frequency, start, values) of a file's text in canonical form, else None.
 
-    Canonical: every record has two fields, the dates are ASCII and, once
-    stripped, the labels of consecutive periods from the first one, and
-    every value is a finite float in the value grammar. Such records are
-    exactly what the row loop accepts unchanged, so this pass raises nothing
-    and leaves the rest to it.
+    Canonical: once CRLF line ends are read as LF ones, the text holds no
+    ``"``, ``\r`` or NUL, so ``csv.reader`` would split it at each newline
+    and comma; the header line is ``date,value``; no line is blank or
+    longer than the csv module's field size limit; every row has exactly
+    one comma; the dates are the labels of consecutive periods from the
+    first one; and every value is a finite float in the value grammar.
+    Such a file is exactly one the row loop accepts unchanged, so this pass
+    raises nothing and leaves every other file to the csv module.
     """
-    try:
-        columns = list(zip(*[row for row, _ in records], strict=True))
-    except ValueError:  # records of unequal length
+    if "\r\n" in text:  # Windows line ends; csv.reader ends a record at either
+        text = text.replace("\r\n", "\n")
+    if not text.startswith(_HEADER) or '"' in text or "\r" in text or "\0" in text:
         return None
-    if len(columns) != 2:
+    body = text[len(_HEADER) :].removesuffix("\n")
+    rows = body.split("\n")
+    # One comma per row on average, and none without one (so none blank):
+    # exactly one in each.
+    if text.count(",") != len(rows) + 1 or not all(map(contains, rows, repeat(","))):
         return None
-    dates, texts = columns
+    limit = csv.field_size_limit()
+    if len(body) > limit and max(map(len, rows)) > limit:
+        return None
+    fields = body.replace("\n", ",").split(",")
+    dates, texts = fields[::2], fields[1::2]
     try:
-        frequency, start = _parse_date(dates[0].strip(), 0)
+        frequency, start = _parse_date(dates[0], 0)
     except ParseError:
         return None
     first = _abs_index(start, frequency)
     if (first + len(dates) - 1) // frequency > _LAST_YEAR:
         return None
-    if [d.strip() for d in dates] != period_labels(first, len(dates), frequency):
-        return None
-    if not "".join(dates).isascii() or not _plain_value("".join(texts)):
+    if dates != period_labels(first, len(dates), frequency) or not _plain_value(body):
         return None
     try:
         values = list(map(float, texts))

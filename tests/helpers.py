@@ -3,11 +3,14 @@
 The least-squares oracle solves the normal equations in exact rational
 arithmetic (fractions over the binary float inputs), a deliberately
 different route from the QR path in the package. The ADF oracle builds
-its regression from raw arrays and solves it with that oracle.
+its regression from raw arrays and solves it with that oracle. The JSON
+oracle is the report writer's two-pass rule: round, then ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -86,3 +89,22 @@ def random_walk_pair(rng, n, sd=1.0):
         monthly_series(np.cumsum(innov[0]), name="rw_a"),
         monthly_series(np.cumsum(innov[1]), name="rw_b"),
     )
+
+
+def round_floats(obj):
+    """``obj`` with every float rounded to 12 significant digits, a non-finite one
+    as None, tuples as lists; dict keys are kept as they are."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{float(obj):.12g}") if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    return obj
+
+
+def json_dumps_reference(obj) -> str:
+    """Report JSON by the standard library: the rule ``formats.json_dumps`` reproduces."""
+    return json.dumps(round_floats(obj), indent=2, allow_nan=False) + "\n"

@@ -6,6 +6,7 @@ independent of the period-index codec in ``cointkit.series``.
 
 from __future__ import annotations
 
+import csv
 from unittest import mock
 
 import numpy as np
@@ -79,31 +80,55 @@ def test_gap_names_the_expected_period(csv_path, start, length, data, step):
     assert info.value.found == labels[i]
 
 
-# Ways to spoil one row of a canonical file. Some leave it valid but not
-# canonical (lower-case q, padding, quotes, a value spanning two lines);
-# the rest make it an error of each kind the row loop reports.
+# Ways to spoil one row of a canonical file, each giving the row with its
+# line end. Some leave the file valid but not canonical (lower-case q,
+# padding, quotes, a value spanning two lines, a lone CR); the rest make it
+# an error of each kind the row loop reports. The text pass must decline
+# all of them, but for two line ends csv.reader splits like "\n": CRLF,
+# and no newline after the last row.
 _ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+_OVER_LIMIT = " " * csv.field_size_limit()  # pads a value past the csv module's field limit
 _SPOIL = {
-    "lower_q": lambda d, v, nxt, prev: f"{d.replace('Q', 'q')},{v}",
-    "pad": lambda d, v, nxt, prev: f"  {d}\t, {v} ",
-    "quote": lambda d, v, nxt, prev: f'"{d}","{v}"',
-    "multiline": lambda d, v, nxt, prev: f'{d},"{v}\n"',
-    "non_ascii_digits": lambda d, v, nxt, prev: f"{d.translate(_ARABIC_INDIC)},{v}",
-    "gap": lambda d, v, nxt, prev: f"{nxt},{v}",
-    "repeat": lambda d, v, nxt, prev: f"{prev},{v}",
-    "switch": lambda d, v, nxt, prev: f"{d[:4]}{'Q1' if '-' in d else '-01'},{v}",
-    "bad_value": lambda d, v, nxt, prev: f"{d},1.0.0",
-    "underscore_value": lambda d, v, nxt, prev: f"{d},1_{v}",
-    "non_ascii_value": lambda d, v, nxt, prev: f"{d},{v.translate(_ARABIC_INDIC)}",
-    "em_space_value": lambda d, v, nxt, prev: f"{d},\u2003{v}",
-    "em_space_date": lambda d, v, nxt, prev: f"\u2003{d},{v}",
-    "inf": lambda d, v, nxt, prev: f"{d},-inf",
-    "nan": lambda d, v, nxt, prev: f"{d},nan",
-    "blank": lambda d, v, nxt, prev: "",
-    "blank_fields": lambda d, v, nxt, prev: " , ",
-    "one_field": lambda d, v, nxt, prev: d,
-    "three_fields": lambda d, v, nxt, prev: f"{d},{v},1",
+    "lower_q": lambda d, v, nxt, prev: f"{d.replace('Q', 'q')},{v}\n",
+    "pad": lambda d, v, nxt, prev: f"  {d}\t, {v} \n",
+    "quote": lambda d, v, nxt, prev: f'"{d}","{v}"\n',
+    "quote_date": lambda d, v, nxt, prev: f'"{d}",{v}\n',
+    "quote_value": lambda d, v, nxt, prev: f'{d},"{v}"\n',
+    "multiline": lambda d, v, nxt, prev: f'{d},"{v}\n"\n',
+    "crlf": lambda d, v, nxt, prev: f"{d},{v}\r\n",
+    "lone_cr": lambda d, v, nxt, prev: f"{d},{v}\r",
+    "lone_cr_in_row": lambda d, v, nxt, prev: f"{d},\r{v}\n",  # float() would strip it
+    "no_newline": lambda d, v, nxt, prev: f"{d},{v}",
+    "nul": lambda d, v, nxt, prev: f"{d},{v}\0\n",
+    "over_field_limit": lambda d, v, nxt, prev: f"{d},{v}{_OVER_LIMIT}\n",
+    # As the last row, this stands for the row's period and the next one.
+    "no_comma_then_two": lambda d, v, nxt, prev: f"{d}\n{v},{nxt},{v}\n",
+    "blank_after": lambda d, v, nxt, prev: f"{d},{v}\n\n",
+    "non_ascii_digits": lambda d, v, nxt, prev: f"{d.translate(_ARABIC_INDIC)},{v}\n",
+    "gap": lambda d, v, nxt, prev: f"{nxt},{v}\n",
+    "repeat": lambda d, v, nxt, prev: f"{prev},{v}\n",
+    "switch": lambda d, v, nxt, prev: f"{d[:4]}{'Q1' if '-' in d else '-01'},{v}\n",
+    "bad_value": lambda d, v, nxt, prev: f"{d},1.0.0\n",
+    "underscore_value": lambda d, v, nxt, prev: f"{d},1_{v}\n",
+    "non_ascii_value": lambda d, v, nxt, prev: f"{d},{v.translate(_ARABIC_INDIC)}\n",
+    "em_space_value": lambda d, v, nxt, prev: f"{d},\u2003{v}\n",
+    "em_space_date": lambda d, v, nxt, prev: f"\u2003{d},{v}\n",
+    "inf": lambda d, v, nxt, prev: f"{d},-inf\n",
+    "nan": lambda d, v, nxt, prev: f"{d},nan\n",
+    "blank": lambda d, v, nxt, prev: "\n",
+    "blank_fields": lambda d, v, nxt, prev: " , \n",
+    "one_field": lambda d, v, nxt, prev: f"{d}\n",
+    "three_fields": lambda d, v, nxt, prev: f"{d},{v},1\n",
 }
+
+
+def _csv_text(start, values: list[str], spoils=()) -> str:
+    """A ``date,value`` file of ``values`` from ``start``, its rows ``(kind, index)`` spoilt."""
+    dates = [_label(start, k) for k in range(len(values))]
+    rows = [f"{d},{v}\n" for d, v in zip(dates, values)]
+    for kind, i in spoils:
+        rows[i] = _SPOIL[kind](dates[i], values[i], _label(start, i + 1), _label(start, i - 1))
+    return "date,value\n" + "".join(rows)
 
 
 @st.composite
@@ -117,13 +142,9 @@ def csv_texts(draw) -> str:
     year = draw(st.one_of(st.integers(1000, 9000), st.integers(9996, 9999)))
     start = (frequency, year, draw(st.integers(1, frequency)))
     n = draw(st.integers(1, 40))
-    dates = [_label(start, k) for k in range(n)]
     values = [repr(v) for v in draw(st.lists(finite, min_size=n, max_size=n))]
-    rows = [f"{d},{v}" for d, v in zip(dates, values)]
     spoilt = st.tuples(st.sampled_from(sorted(_SPOIL)), st.integers(0, n - 1))
-    for kind, i in draw(st.lists(spoilt, max_size=3)):
-        rows[i] = _SPOIL[kind](dates[i], values[i], _label(start, i + 1), _label(start, i - 1))
-    return "date,value\n" + "\n".join(rows) + "\n"
+    return _csv_text(start, values, draw(st.lists(spoilt, max_size=3)))
 
 
 def _outcome(path: str):
@@ -142,17 +163,53 @@ def _row_loop_outcome(path: str):
 @settings(max_examples=400, deadline=None)
 @given(text=csv_texts())
 def test_bulk_pass_agrees_with_the_row_loop(csv_path, text):
-    csv_path.write_text(text, encoding="utf-8")
+    csv_path.write_text(text, encoding="utf-8", newline="")
     assert _outcome(str(csv_path)) == _row_loop_outcome(str(csv_path))
 
 
+_READ_BY_TEXT_PASS = {("crlf", 0), ("crlf", 4), ("no_newline", 4)}
+
+
+@pytest.mark.parametrize("row", [0, 4], ids=["first_row", "last_row"])
+@pytest.mark.parametrize("kind", sorted(_SPOIL))
+def test_text_pass_declines_every_spoilt_row_but_line_ends(csv_path, kind, row):
+    # Quarterly, so that lower_q changes the row too.
+    text = _csv_text((QUARTERLY, 2000, 2), ["1.5", "-2.0", "3e-05", "4.0", "5.25"], [(kind, row)])
+    assert (ingest._canonical(text) is None) == ((kind, row) not in _READ_BY_TEXT_PASS)
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    assert _outcome(str(csv_path)) == _row_loop_outcome(str(csv_path))
+
+
+def _bulk_only(path: str):
+    """``ingest_csv(path)``, failing if the row loop or ``csv.reader`` is called."""
+    with (
+        mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row loop")),
+        mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader")),
+    ):
+        return ingest_csv(path)
+
+
 @settings(max_examples=100, deadline=None)
-@given(start=starts, values=st.lists(finite, min_size=1, max_size=60))
-def test_canonical_files_never_reach_the_row_loop(csv_path, start, values):
-    _write(csv_path, [_label(start, k) for k in range(len(values))], values)
-    with mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("row loop")):
-        series = ingest_csv(str(csv_path))
+@given(
+    start=starts,
+    values=st.lists(finite, min_size=1, max_size=60),
+    end=st.sampled_from(["\n", "\r\n"]),
+    final_end=st.booleans(),
+)
+def test_canonical_files_never_reach_the_row_loop(csv_path, start, values, end, final_end):
+    rows = [f"{_label(start, k)},{value!r}" for k, value in enumerate(values)]
+    text = end.join(["date,value", *rows]) + (end if final_end else "")
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    series = _bulk_only(str(csv_path))
     assert np.array_equal(series.values, np.array(values))
+
+
+def test_a_large_canonical_file_never_reaches_the_row_loop(csv_path):
+    # 20,000 rows: longer than the csv module's field size limit as a whole.
+    values = np.random.default_rng(0).standard_normal(20_000).tolist()
+    _write(csv_path, [_label((MONTHLY, 1000, 1), k) for k in range(len(values))], values)
+    series = _bulk_only(str(csv_path))
+    assert series.start == (1000, 1) and np.array_equal(series.values, np.array(values))
 
 
 @pytest.mark.parametrize("frequency, last, beyond", [(MONTHLY, "9999-12", "10000-01"), (QUARTERLY, "9999Q4", "10000Q1")])

@@ -318,16 +318,6 @@ def test_fresh_imports_load_only_what_they_use():
     if int(np.__version__.split(".")[0]) >= 2:
         assert lines[-1] == "[0, 0] False"
     assert "cointegration" in executed and "ecm" not in executed
-    # The benchmark's tracer finds every module it patches in sys.modules
-    # after importing the CLI and reading a Monte Carlo name.
-    perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
-    lines, _ = _fresh_run(
-        f"import sys; sys.path.insert(0, {perfbench!r}); import tracer, cointkit.cli, cointkit.montecarlo; "
-        "cointkit.montecarlo.PRNG_ID; "
-        "named = {t[0] for targets in (*tracer.FUNCTIONS.values(), *tracer.METHODS.values()) for t in targets}; "
-        "print(sorted(named)); print(sorted(named - set(sys.modules)))"
-    )
-    assert "'cointkit.unitroot'" in lines[0] and lines[1] == "[]"
     # After a bare ``import cointkit``, submodules and exports load on first
     # use, and a pool run pickles the lazily loaded runner's arguments.
     code = (
@@ -340,6 +330,25 @@ def test_fresh_imports_load_only_what_they_use():
     assert _fresh_python("-c", code).stdout.split() == [
         "False", "cointkit.regression", "cointkit.errors", "True"
     ]
+
+
+_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+
+
+@pytest.mark.skipif(
+    not os.path.exists(os.path.join(_PERFBENCH, "tracer.py")),
+    reason="the benchmark's perfbench/tracer.py is not in this tree",
+)
+def test_benchmark_tracer_finds_every_module_it_patches():
+    # The tracer looks each module it patches up in sys.modules after
+    # importing the CLI and reading a Monte Carlo name.
+    lines, _ = _fresh_run(
+        f"import sys; sys.path.insert(0, {_PERFBENCH!r}); import tracer, cointkit.cli, cointkit.montecarlo; "
+        "cointkit.montecarlo.PRNG_ID; "
+        "named = {t[0] for targets in (*tracer.FUNCTIONS.values(), *tracer.METHODS.values()) for t in targets}; "
+        "print(sorted(named)); print(sorted(named - set(sys.modules)))"
+    )
+    assert "'cointkit.unitroot'" in lines[0] and lines[1] == "[]"
 
 
 def test_package_exports_every_name_in_all():
