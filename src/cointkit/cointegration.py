@@ -147,10 +147,9 @@ def differencing_warning(a: TimeSeries, b: TimeSeries) -> GuardWarning | None:
 
 
 def _collect_warnings(
-    a: TimeSeries, b: TimeSeries, design: np.ndarray, n_effective: int
+    guard: GuardWarning | None, design: np.ndarray, n_effective: int
 ) -> tuple[GuardWarning, ...]:
     warnings: list[GuardWarning] = []
-    guard = differencing_warning(a, b)
     if guard is not None:
         warnings.append(guard)
     if n_effective < SHORT_SAMPLE_THRESHOLD:
@@ -178,13 +177,16 @@ def _collect_warnings(
 def _reports(a: TimeSeries, b: TimeSeries, specs: list[EgSpec]) -> list[CointegrationReport]:
     """The report of each spec on ``a`` and ``b``, one stacked solve per ``(lags, trend)`` group.
 
-    The pair is aligned once and each series transformed once per transform
-    used; each group stacks one (dependent, other) row per spec. A slice of
-    a stack is bitwise the solution of its design alone, so a report does
-    not depend on the other specs. The first :class:`CointkitError` raised
-    propagates; for one spec that is the error the spec raises alone.
+    The pair is aligned once, its lineage checked once by the differencing
+    guard, and each series transformed once per transform used; each group
+    stacks one (dependent, other) row per spec and reads its critical values
+    once. A slice of a stack is bitwise the solution of its design alone, so
+    a report does not depend on the other specs. The first
+    :class:`CointkitError` raised propagates; for one spec that is the error
+    the spec raises alone.
     """
     a_al, b_al = align(a, b)
+    guard = differencing_warning(a, b)
     levels = {}
     for transform in dict.fromkeys(spec.transform for spec in specs):
         first, second = a_al, b_al
@@ -201,17 +203,17 @@ def _reports(a: TimeSeries, b: TimeSeries, specs: list[EgSpec]) -> list[Cointegr
         pairs = (levels[specs[i].transform, specs[i].normalize_on] for i in cells)
         dep, other = (np.stack(side) for side in zip(*pairs))
         stage_one, stage_two, n_eff = _eg_regressions(dep, other, lags, trend)
+        cvs = eg_critical_values(n_eff, trend)
         for row, i in enumerate(cells):
             one, two = stage_one.row(row), stage_two.row(row)
             statistic = float(two.t_stats[0])
-            cvs = eg_critical_values(n_eff, trend)
             reports[i] = CointegrationReport(
                 spec=specs[i],
                 stage_one=_as_fit(one),
                 statistic=statistic,
                 critical_values=cvs,
                 reject_at={level: statistic < cvs[level] for level in LEVELS},
-                warnings=_collect_warnings(a, b, one.design, n_eff),
+                warnings=_collect_warnings(guard, one.design, n_eff),
                 n_effective=n_eff,
                 stage_two_columns=two.names,
             )

@@ -195,13 +195,5 @@ class ConfigError(UsageError):
 class MissingGuardWarning(CointkitError):
     """An experiment contract required a guard warning that did not fire."""
 
-    def __init__(self, replication: int):
-        self.replication = replication
-        super().__init__()
-
-    def __str__(self) -> str:
-        # From the attribute, which a Monte Carlo runner sets to the replication's index.
-        return (
-            f"replication {self.replication}: "
-            "differenced-input guard did not fire on differenced data"
-        )
+    def __init__(self, message: str = "differenced-input guard did not fire on differenced data"):
+        super().__init__(message)

@@ -4,8 +4,8 @@ Dates are ``YYYY-MM`` for monthly files or ``YYYYQn`` for quarterly ones,
 in ASCII alone (digits and any surrounding spaces); rows must advance one
 period at a time with no gaps. Values are ASCII decimal or exponent
 notation (``_plain_value``). Anything malformed aborts with the 1-based
-line number of the offending row. Ingested series start with an empty
-transform lineage.
+line number of the offending row. One leading UTF-8 byte-order mark is
+dropped. Ingested series start with an empty transform lineage.
 
 A file already in canonical form (header ``date,value``, one comma per
 row, upper-case ``Q``, no quotes or padding) is accepted in one bulk pass
@@ -134,6 +134,7 @@ def ingest_csv(path: str) -> TimeSeries:
     except UnicodeDecodeError as exc:
         line = len(_LINE_BREAK.split(data[: exc.start]))
         raise DataError(f"cannot read {path}: {exc} (line {line})") from None
+    text = text.removeprefix("\ufeff")  # the byte-order mark of Excel's "CSV UTF-8"
     parsed = _canonical(text)
     if parsed is None:
         reader = csv.reader(io.StringIO(text, newline=""))

@@ -33,9 +33,10 @@ rule) at module level. Each other layer is imported by the function that
 needs it: the ECT runners import ``ecm`` and ``series.MONTHLY`` to check
 their settings, and only the recovery block runs the ECM kernel; the ECT
 unit-root block is the levels regression plus ADF. The eg-differences
-branch of the size block imports ``cointegration.differencing_warning``
-and ``series.iterated_difference``, and ``generate`` imports
-``series.TimeSeries``. So the size experiments on levels and the
+size runner imports ``cointegration.differencing_warning`` and
+``series.iterated_difference`` for its one guard check, at configuration,
+and ``generate`` imports ``series.TimeSeries``; no block imports anything
+or builds a series. So the size experiments on levels and the
 spurious-regression experiment load no estimator layer.
 """
 
@@ -480,17 +481,13 @@ class TestConfig:
 _Block = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _size_block(test: TestConfig, dgp: DgpSpec, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """The test statistic of each replication; on eg-differences the guard must fire.
+def _size_block(test: TestConfig, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The test statistic of each replication.
 
     eg-differences differences both stacks whole: ``np.diff`` along the rows
     is bitwise each row's ``iterated_difference``. An overflowing difference
-    raises the ``DataError`` that ``TimeSeries`` raises for it. Every
-    replication of a block carries the same lineage, so the guard runs once,
-    on the block's first pair differenced as series; a miss raises
-    :class:`MissingGuardWarning` for that first replication.
+    raises the ``DataError`` that ``TimeSeries`` raises for it.
     """
-    levels = first, second
     if test.kind == EG_DIFFERENCES:
         # A difference of finite levels may overflow; _check_finite reports it.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -500,16 +497,6 @@ def _size_block(test: TestConfig, dgp: DgpSpec, first: np.ndarray, second: np.nd
         solution, _ = _adf(first, test.lags, test.det.constant, test.det.trend)
     else:
         _, solution, _ = _eg_regressions(first, second, test.lags, test.trend)
-    if test.kind == EG_DIFFERENCES:
-        from cointkit.cointegration import differencing_warning
-        from cointkit.series import iterated_difference
-
-        pair = [
-            iterated_difference(_series(values[0], name), 1)
-            for values, name in zip(levels, _SERIES_NAMES[dgp.kind])
-        ]
-        if differencing_warning(*pair) is None:
-            raise MissingGuardWarning(0)  # _outcome_chunk sets the replication's index
     return solution.t_stats[:, 0]
 
 
@@ -617,7 +604,10 @@ def _size_result(
 ) -> ExperimentResult:
     """Rejections of ``test`` under ``dgp``; the guard fires on every eg-differences replication.
 
-    The critical values depend on the effective sample size alone, which the configuration fixes.
+    The critical values depend on the effective sample size alone, which the
+    configuration fixes. So does the guard, which reads lineage alone: it
+    runs once, before any replication, on the DGP's two series differenced
+    once, and a miss raises :class:`MissingGuardWarning`.
     """
     if test.kind != ADF:
         int_setting("lags", test.lags, 0, MAX_LAGS)  # the Engle-Granger lag bound
@@ -626,7 +616,14 @@ def _size_result(
         cvs = adf_critical_values(n_eff, test.det)
     else:
         cvs = eg_critical_values(n_eff, test.trend)
-    stats = _run_replications(partial(_size_block, test, dgp), dgp, config, workers)
+    if test.kind == EG_DIFFERENCES:
+        from cointkit.cointegration import differencing_warning
+        from cointkit.series import iterated_difference
+
+        raw = (_series(np.zeros(2), name) for name in _SERIES_NAMES[dgp.kind])  # any values
+        if differencing_warning(*(iterated_difference(x, 1) for x in raw)) is None:
+            raise MissingGuardWarning()
+    stats = _run_replications(partial(_size_block, test), dgp, config, workers)
     guard_count = len(stats) if test.kind == EG_DIFFERENCES else 0
     return _rejection_result(stats, cvs, config, digest, guard_count)
 
@@ -672,8 +669,8 @@ def run_false_positive_experiment(
     surely: a false positive for cointegration. Every replication must trip
     the differenced-input guard; a miss raises :class:`MissingGuardWarning`
     instead of being silently counted. The guard reads lineage alone, which
-    every replication shares, so it runs once per block of replications,
-    whose walks are differenced as whole stacks.
+    every replication shares, so it runs once, before any replication is
+    drawn; the blocks difference their walks as whole stacks.
     """
     level = int_setting("level", level)
     if level not in LEVELS:

@@ -41,6 +41,7 @@ values it is given, never on their memory layout.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -237,16 +238,17 @@ def _lstsq(A: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> _Solution:
 
 def _as_fit(sol: _Solution) -> OlsFit:
     """The :class:`OlsFit` of an unstacked solution (a 2-D design)."""
-    A, y = sol.design, sol.y
+    A = sol.design
     n, k = A.shape
-    rss = float(sol.rss)
+    # TSS and RSS are taken on y scaled by a power of two into [-1, 1], which
+    # is exact, so R^2 is that of y itself and no square of y can overflow.
+    e = math.frexp(float(np.abs(sol.y).max()))[1]
+    y = np.ldexp(sol.y, -e)
+    rss = math.ldexp(float(sol.rss), -2 * e)
     # A constant non-zero column; a column sum of |A - A[0]| is zero only if every term is.
     constant = (np.ones(n) @ np.abs(A - A[0])) == 0.0
     has_intercept = bool((constant & (A[0] != 0.0)).any())
-    with np.errstate(over="ignore"):
-        tss = float(((y - y.mean()) ** 2).sum()) if has_intercept else float((y**2).sum())
-    if not np.isfinite(tss):
-        raise NumericalError("total sum of squares overflows: squares of y exceed the float range")
+    tss = float(((y - y.mean()) ** 2).sum()) if has_intercept else float((y**2).sum())
     # TSS and RSS are in squared y units, so "negligible" is judged on the
     # scale of y, whatever the scale of the regressors.
     y_tol = n * _EPS * float(np.abs(y).max())
@@ -285,8 +287,7 @@ def ols_fit(y: Sequence[float], X: DesignMatrix) -> OlsFit:
         Naming the first column that is numerically dependent on its
         predecessors.
     NumericalError
-        If a squared column norm, the residual sum of squares or the total
-        sum of squares overflows.
+        If a squared column norm or the residual sum of squares overflows.
     """
     instance_setting("X", X, DesignMatrix)
     yv = float_data("y", y).ravel()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -192,17 +193,22 @@ def _one_error_record(capsys) -> dict:
     return json.loads(err[len("cointkit-error: ") :])
 
 
+def _fresh_process(tmp_path, argv) -> subprocess.CompletedProcess:
+    """A fresh ``cointkit`` process run on ``argv`` in ``tmp_path``, its output captured."""
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "cointkit.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=env,
+    )
+
+
 def _only_error_line(tmp_path, argv, code=2) -> dict:
     """The record of a fresh ``cointkit`` process that must exit ``code`` with one stderr line.
 
     numpy's overflow warnings would go to stderr ahead of the line.
     """
-    src = os.path.dirname(os.path.dirname(mc.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cointkit.cli", *argv],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
+    proc = _fresh_process(tmp_path, argv)
     assert proc.returncode == code
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -273,17 +279,21 @@ class TestExitCodes:
         assert record["error"] == "DegenerateInput"
 
     def test_missing_guard_is_exit_three(self, monkeypatch, capsys):
+        # A configuration check, so the record names no replication.
         monkeypatch.setattr("cointkit.cointegration.differencing_warning", lambda a, b: None)
         assert main(["mc-falsepos", "--n", "60", "--reps", "100"]) == 3
         record = json.loads(capsys.readouterr().err.split("cointkit-error: ", 1)[1])
-        assert record["error"] == "MissingGuardWarning"
+        assert record == {
+            "error": "MissingGuardWarning",
+            "message": "differenced-input guard did not fire on differenced data",
+        }
 
-    def test_replication_error_names_replication_and_seed(self, monkeypatch, capsys):
-        monkeypatch.setattr("cointkit.cointegration.differencing_warning", lambda a, b: None)
-        assert main(["mc-falsepos", "--n", "60", "--reps", "100", "--seed", "4"]) == 3
+    def test_replication_error_names_replication_and_seed(self, capsys):
+        argv = ["mc-size", "--n", "60", "--reps", "100", "--seed", "4", "--sd", "1e308"]
+        assert main(argv) == 2
         record = json.loads(capsys.readouterr().err.split("cointkit-error: ", 1)[1])
         assert list(record) == ["error", "message", "replication", "seed"]
-        assert record["error"] == "MissingGuardWarning"
+        assert record["error"] == "DataError"
         assert (record["replication"], record["seed"]) == (0, mc.replication_seed(4, 0))
 
     def test_overflowing_draw_prints_only_the_error_line(self, tmp_path):
@@ -331,24 +341,27 @@ class TestExitCodes:
         assert record["error"] == "NumericalError"
         assert record["message"].startswith(message + ": ")
 
-    def test_overflowing_total_sum_of_squares_prints_only_the_error_line(self, tmp_path):
+    def test_huge_total_sum_of_squares_prints_the_report(self, tmp_path):
         # y = 1e160 x + 1e152 e: the stage-one design and residuals are in range,
-        # squares of y are not. The noise e keeps the fit from being exact, which
-        # the degeneracy screen would report first.
+        # squares of y are not, and R^2 is taken on y scaled by a power of two.
+        # The noise e keeps the fit from being exact, which the degeneracy
+        # screen would report.
         x = np.cumsum(np.random.default_rng(1).standard_normal(120)) + 50.0
         e = np.random.default_rng(2).standard_normal(120)
         write_series_csv(tmp_path / "x.csv", x)
         write_series_csv(tmp_path / "y.csv", x * 1e160 + e * 1e152)
-        record = _only_error_line(tmp_path, ["eg", "--input", "y.csv", "--input2", "x.csv"], code=3)
-        assert record["error"] == "NumericalError"
-        assert record["message"].startswith("total sum of squares overflows: ")
+        argv = ["eg", "--input", "y.csv", "--input2", "x.csv", "--format", "json", "--output", "eg"]
+        proc = _fresh_process(tmp_path, argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads((tmp_path / "eg.json").read_text(encoding="utf-8"))
+        fit = estimate_levels(ingest_csv(tmp_path / "y.csv"), ingest_csv(tmp_path / "x.csv"))
+        assert report["stage_one"]["r_squared"] == pytest.approx(fit.r_squared, rel=1e-11)
+        assert math.isfinite(report["statistic"])
 
-    def test_overflowing_total_sum_of_squares_in_the_levels_regression(self):
-        # The ecm command cannot get here: its ARDL stage regresses on lags of
-        # the change in y, so a y this large overflows that design first.
+    def test_huge_total_sum_of_squares_in_the_levels_regression(self):
         x = np.cumsum(np.random.default_rng(1).standard_normal(120)) + 50.0
-        with pytest.raises(NumericalError, match="^total sum of squares overflows: "):
-            estimate_levels(TimeSeries((2000, 1), 12, x * 1e160), TimeSeries((2000, 1), 12, x))
+        fit = estimate_levels(TimeSeries((2000, 1), 12, x * 1e160), TimeSeries((2000, 1), 12, x))
+        assert fit.r_squared == 1.0
 
     def test_bad_flag_choice_is_exit_one(self, tmp_path, capsys):
         pa, _ = write_walk_pair(tmp_path)

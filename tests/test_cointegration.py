@@ -470,6 +470,38 @@ class TestGrid:
         assert grid.cells_ok == 12
         assert calls == [((4, 150), 0, False), ((4, 150), 12, False), ((4, 150), 12, True)]
 
+    def test_guard_runs_once_per_grid_and_critical_values_once_per_stack(self, monkeypatch):
+        guards, tables = [], []
+        guard, table = coint.differencing_warning, coint.eg_critical_values
+
+        def counting_guard(a, b):
+            guards.append((a.name, b.name))
+            return guard(a, b)
+
+        def counting_table(n_eff, trend):
+            tables.append((n_eff, trend))
+            return table(n_eff, trend)
+
+        monkeypatch.setattr(coint, "differencing_warning", counting_guard)
+        monkeypatch.setattr(coint, "eg_critical_values", counting_table)
+        x, y = _positive_pair(np.random.default_rng(64), 150)
+        grid = run_spec_grid(x, y)
+        assert grid.cells_ok == 12
+        assert guards == [(x.name, y.name)]
+        assert tables == [(149, False), (137, False), (137, True)]
+        # Differenced, every cell warns; the logarithm cells fail, so every
+        # cell reruns alone, each running the guard once more.
+        guards.clear()
+        dx, dy = iterated_difference(x, 1), iterated_difference(y, 1)
+        untransformed = [cell for cell in default_grid() if cell.transform == UNTRANSFORMED]
+        grid = run_spec_grid(dx, dy, untransformed)
+        assert all(WARN_DIFFERENCED in [w.code for w in c.report.warnings] for c in grid.cells)
+        assert len(guards) == 1
+        guards.clear()
+        grid = run_spec_grid(dx, dy)
+        assert grid.cells_errored == 6
+        assert len(guards) == 1 + 12
+
     def test_engle_granger_test_is_one_row_of_the_stacked_solve(self, monkeypatch):
         calls = []
         solve = coint._eg_regressions
@@ -508,13 +540,13 @@ class TestGrid:
         close = monthly_series(x + 1e-8 * rng.standard_normal(120), name="close")
         # Untransformed "second" rows overflow the design, so each stack fails as a whole.
         full = run_spec_grid(huge, close)
-        # Here the stack succeeds and only the first cell's report overflows.
+        # Here the stack and both reports succeed: the squares of the first
+        # cell's y overflow, but R^2 is taken on y scaled by a power of two.
         one_stack = [spec(), spec(transform=LOGARITHMS, normalize=NORMALIZE_SECOND)]
         part = run_spec_grid(huge, close, one_stack)
         for grid, specs in ((full, default_grid()), (part, one_stack)):
             _assert_cells_run_alone(grid, huge, close, specs)
-        assert [c.ok for c in part.cells] == [False, True]
-        assert "total sum of squares overflows" in part.cells[0].error
+        assert [c.ok for c in part.cells] == [True, True]
         assert {c.error for c in full.cells if c.spec.normalize_on == NORMALIZE_SECOND} == {
             None,
             "NumericalError: design overflows: squared column norms exceed the float range",

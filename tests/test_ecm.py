@@ -90,6 +90,20 @@ class TestLevels:
         with pytest.raises(SeriesTooShort):
             estimate_levels(a, a)
 
+    @pytest.mark.parametrize("trend", [False, True])
+    def test_r_squared_of_y_whose_squares_overflow(self, trend):
+        # Scaled by 2**508, the total sum of squares of y exceeds the float
+        # range and its residual sum of squares does not (2**510 overflows
+        # that too). R^2 is taken on y scaled back by a power of two, which is
+        # exact.
+        rng = np.random.default_rng(76)
+        x = np.cumsum(rng.standard_normal(120)) + 50.0
+        y = 2.0 * x + 0.5 * rng.standard_normal(120)
+        fit = estimate_levels(monthly_series(y), monthly_series(x), trend)
+        huge = estimate_levels(monthly_series(y * 2.0**508), monthly_series(x), trend)
+        assert 0.0 < fit.r_squared < 1.0
+        assert huge.r_squared == fit.r_squared
+
 
 class TestEcmStructure:
     def test_control_manifest_matches_definition(self):

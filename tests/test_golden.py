@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
 import shutil
@@ -118,10 +119,12 @@ def _config_argv(argv: list[str], path: Path) -> list[str]:
     return [command, "--config", str(path)]
 
 
-def _cli_outputs(name: str, out_dir: Path, config: Path | None = None) -> dict[str, str]:
-    """Golden file name -> text for one successful CLI case; with ``config``,
-    every option is read from a config file written there."""
-    argv = _argv(CLI_CASES[name]) + ["--output", str(out_dir / name), "--format", "both"]
+def _cli_outputs(
+    name: str, out_dir: Path, config: Path | None = None, extra: tuple[str, ...] = ()
+) -> dict[str, str]:
+    """Golden file name -> text for one successful CLI case run with ``extra`` options
+    too; with ``config``, every option is read from a config file written there."""
+    argv = _argv(CLI_CASES[name]) + [*extra, "--output", str(out_dir / name), "--format", "both"]
     if config is not None:
         argv = _config_argv(argv, config)
     code, stdout, stderr = _run_cli(argv)
@@ -169,6 +172,13 @@ def test_cli_command_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_command_from_a_config_file_matches_golden(name, tmp_path):
     for file_name, text in _cli_outputs(name, tmp_path, tmp_path / "run.cfg").items():
+        assert text == _expected(file_name), file_name
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two workers need two CPUs")
+@pytest.mark.parametrize("name", ["mc_falsepos", "mc_size", "mc_size_adf_cointegrated"])
+def test_two_worker_processes_match_golden(name, tmp_path):
+    for file_name, text in _cli_outputs(name, tmp_path, extra=("--workers", "2")).items():
         assert text == _expected(file_name), file_name
 
 

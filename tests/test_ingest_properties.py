@@ -218,3 +218,27 @@ def test_year_10000_is_rejected_on_both_paths(csv_path, frequency, last, beyond)
     outcome = _outcome(str(csv_path))
     assert outcome == _row_loop_outcome(str(csv_path))
     assert outcome[0] is ParseError and outcome[2] == 3
+
+
+_BOM = "\ufeff"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(csv_texts(), st.text().filter(lambda t: not t.startswith(_BOM))))
+def test_a_leading_byte_order_mark_is_dropped(csv_path, text):
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    without = _outcome(str(csv_path))
+    csv_path.write_text(_BOM + text, encoding="utf-8", newline="")
+    assert _outcome(str(csv_path)) == without
+
+
+def test_only_one_byte_order_mark_is_dropped_and_offsets_count_it(csv_path):
+    csv_path.write_text(_BOM * 2 + "date,value\n2020-01,1\n", encoding="utf-8", newline="")
+    assert _outcome(str(csv_path)) == (
+        ParseError, "line 1: header must be 'date,value', got '\\ufeffdate,value'", 1
+    )
+    # Decode errors name the byte's offset in the file, mark included.
+    csv_path.write_bytes(_BOM.encode("utf-8") + b"date,value\n2020-01,\xff\n")
+    error_type, message, _ = _outcome(str(csv_path))
+    assert error_type is DataError
+    assert message.endswith("can't decode byte 0xff in position 22: invalid start byte (line 2)")

@@ -396,35 +396,52 @@ class TestFalsePositiveExperiment:
             mc.run_false_positive_experiment(n=50, reps=100, level=2, base_seed=7)
 
     def test_missing_guard_fails_loudly(self, monkeypatch):
+        # A configuration check: raised before any replication is drawn, so it
+        # names no replication.
+        def no_draw(*args):
+            raise AssertionError("a replication was drawn")
+
         monkeypatch.setattr(coint, "differencing_warning", lambda a, b: None)
+        monkeypatch.setattr(mc, "_generate_stack", no_draw)
         with pytest.raises(MissingGuardWarning) as caught:
             mc.run_false_positive_experiment(n=50, reps=100, level=1, base_seed=7)
-        assert caught.value.replication == 0
+        assert str(caught.value) == "differenced-input guard did not fire on differenced data"
+        assert not hasattr(caught.value, "replication")
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("block_size", [1, 16])
-    def test_guard_runs_once_per_block(self, monkeypatch, block_size):
-        # The guard reads lineage alone, which every replication of a block
-        # shares, so a block builds the same few series whatever its size.
+    def test_guard_runs_once_per_experiment(self, monkeypatch, block_size, workers):
+        # The guard reads lineage alone, which the configuration fixes, so it
+        # runs once, before any draw, and the replications build no series.
+        # Two workers run as threads, so this process sees everything they do.
         guards, built = [], []
         real_guard, real_init = coint.differencing_warning, TimeSeries.__post_init__
+        real_generate = mc._generate_stack
 
         def differencing_warning(a, b):
             guards.append((a.lineage, b.lineage))
             return real_guard(a, b)
 
         def post_init(series):
-            built.append(len(series.values))
+            built.append(series.name)
             real_init(series)
+
+        def generate_stack(dgp, seeds):
+            assert len(guards) == 1, "a replication was drawn before the guard ran"
+            return real_generate(dgp, seeds)
 
         monkeypatch.setattr(coint, "differencing_warning", differencing_warning)
         monkeypatch.setattr(TimeSeries, "__post_init__", post_init)
+        monkeypatch.setattr(mc, "_generate_stack", generate_stack)
         monkeypatch.setattr(mc, "BLOCK_SIZE", block_size)
-        result = mc.run_false_positive_experiment(n=50, reps=100, level=1, base_seed=7)
-        blocks = -(-100 // block_size)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+        result = mc.run_false_positive_experiment(
+            n=50, reps=100, level=1, base_seed=7, workers=workers
+        )
         assert result.guard_warning_count == 100
-        assert len(guards) == blocks
-        assert set(guards) == {((TransformTag(ITERATED_DIFF, 1, 1),),) * 2}
-        assert built == [50, 49, 50, 49] * blocks
+        assert guards == [((TransformTag(ITERATED_DIFF, 1, 1),),) * 2]
+        assert built == ["walk_a", "walk_a", "walk_b", "walk_b"]  # each raw, then its difference
 
 
 class TestSizeExperiment:
@@ -547,7 +564,7 @@ def _split_block(name, n):
     walks = mc.DgpSpec(mc.INDEPENDENT_RANDOM_WALKS, n)
     if name in (mc.EG_LEVELS, mc.EG_DIFFERENCES, mc.ADF):
         test = mc.TestConfig(kind=name, lags=1)
-        return partial(mc._size_block, test, walks), walks
+        return partial(mc._size_block, test), walks
     if name == "spurious":
         return partial(mc._spurious_block, False), walks
     if name == "ect-unit-root":
@@ -599,7 +616,7 @@ class TestSplitInvariance:
         # and base seeds that no golden uses.
         block, dgp = _split_block(name, 40)
         if name == mc.EG_LEVELS:  # with two lags, as the size experiments mostly run it
-            block = partial(mc._size_block, mc.TestConfig(mc.EG_LEVELS, lags=2), dgp)
+            block = partial(mc._size_block, mc.TestConfig(mc.EG_LEVELS, lags=2))
         bounds = sorted({0, reps, *(cut for cut in cuts if cut < reps)})
         with mock.patch.object(mc, "GENERATE_SIZE", generate_size):
             whole = mc._outcome_chunk(block, dgp, base_seed, 0, reps)
@@ -969,7 +986,7 @@ def _size_outcome(test, dgp, base_seed, r):
         return adf_test(a, test.lags, test.det)
     report = engle_granger_test(a, b, EgSpec(UNTRANSFORMED, NORMALIZE_FIRST, test.lags, test.trend))
     if test.kind == mc.EG_DIFFERENCES and not any(w.code == WARN_DIFFERENCED for w in report.warnings):
-        raise MissingGuardWarning(r)
+        raise MissingGuardWarning()
     return report
 
 
@@ -1017,7 +1034,7 @@ class TestStackedEqualsScalar:
             assert np.concatenate(pieces).tolist() == scalar
 
         reports = [_size_outcome(test, dgp, 5, r) for r in range(100)]
-        block = partial(mc._size_block, test, dgp)
+        block = partial(mc._size_block, test)
         blocked = mc._run_replications(block, dgp, {"reps": 100, "base_seed": 5}, 1)
         assert blocked.tolist() == [report.statistic for report in reports]
         result = mc.run_size_experiment(test, dgp, reps=100, base_seed=5)

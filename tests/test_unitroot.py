@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cointkit.critvals import SOURCE_ID, DeterministicSpec, critical_value
 from cointkit.errors import DegenerateInput, SeriesTooShort, UsageError
 from cointkit.regression import _adf
-from cointkit.unitroot import adf_test
+from cointkit.unitroot import adf_regression, adf_test
 from helpers import exact_adf, exact_ols, monthly_series
 
 C = DeterministicSpec.constant_only()
@@ -184,14 +184,17 @@ class TestExactReference:
 
 class TestLargeValues:
     def test_statistic_where_the_fit_would_overflow(self):
-        # The squares of these values overflow, so no OlsFit (with its total
-        # sum of squares) can be built, but the ADF t-ratio is finite.
+        # The squares of these values overflow, but the ADF t-ratio is finite.
         rng = np.random.default_rng(1)
         x = (-1.0) ** np.arange(21) * 2.0e153 * (1 + 0.01 * rng.standard_normal(21))
         report = adf_test(monthly_series(x), 0, NONE)
         sol, n_eff = _adf(np.stack([x, x]), 0, False, False)
         assert report.statistic == sol.t_stats[0, 0] == pytest.approx(-1004.315, rel=1e-6)
         assert report.n_effective == n_eff == 20
+        # The fit's R^2 is taken on the regressand scaled by a power of two.
+        statistic, n_eff, fit = adf_regression(x, 0, NONE)
+        assert (statistic, n_eff) == (report.statistic, 20)
+        assert 0.0 <= fit.r_squared <= 1.0
 
     @pytest.mark.parametrize("lags", [0, 12])
     @pytest.mark.parametrize("det", [C, CT], ids=["c", "ct"])
