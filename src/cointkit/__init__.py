@@ -20,7 +20,6 @@ import sys
 _EXPORTS = {
     "AuditReport": "ecm",
     "CointegrationReport": "cointegration",
-    "CriticalValueTable": "critvals",
     "DesignMatrix": "regression",
     "DeterministicSpec": "critvals",
     "DgpSpec": "montecarlo",
@@ -37,7 +36,6 @@ _EXPORTS = {
     "OlsFit": "regression",
     "SOURCE_ID": "critvals",
     "SpuriousSlopeResult": "montecarlo",
-    "TABLE": "critvals",
     "TestConfig": "montecarlo",
     "TimeSeries": "series",
     "TransformTag": "series",

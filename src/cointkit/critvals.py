@@ -1,16 +1,17 @@
 """Finite-sample critical values from the MacKinnon (2010) response surfaces.
 
-Each tabulated cell gives coefficients (b0, b1, b2, b3) of
+:data:`SURFACES` is the table, as published: each cell gives coefficients
+(b0, b1, b2, b3) of
 
     cv(n) = b0 + b1/n + b2/n^2 + b3/n^3
 
 where ``b0`` is the asymptotic critical value and ``n`` the effective
-sample size of the test regression. Surfaces are keyed by the number of
-I(1) variables ``k``, the deterministic terms of the regression whose
-distribution is being tabulated, and the test level in percent. The table
-holds the five surfaces cointkit reads: k = 1 (ADF) with a constant, a
-constant and trend, or no terms, and k = 2 (Engle-Granger) with a
-constant or a constant and trend.
+sample size of the test regression. Surfaces are keyed by the deterministic
+terms of the regression whose distribution is being tabulated and the
+number of I(1) variables ``k``; each holds one row per test level in
+``LEVELS``. The table holds the five surfaces cointkit reads: k = 1 (ADF)
+with a constant, a constant and trend, or no terms, and k = 2
+(Engle-Granger) with a constant or a constant and trend.
 
 Reference: MacKinnon, J.G. (2010), "Critical Values for Cointegration
 Tests", Queen's Economics Department Working Paper 1227. The
@@ -26,7 +27,6 @@ minimum if that is smaller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from cointkit.errors import (
     UnsupportedCombination,
@@ -89,79 +89,31 @@ class DeterministicSpec:
         return table[label]
 
 
-# (det key, k, level) -> (b0, b1, b2, b3)
-_SURFACE: dict[tuple[str, int, int], tuple[float, float, float, float]] = {}
-
-
-def _load(det: str, rows: list[tuple[tuple[float, float, float, float], ...]]) -> None:
-    for k, row in enumerate(rows, start=1):
-        for level, coeffs in zip(LEVELS, row):
-            _SURFACE[(det, k, level)] = coeffs
-
-
-_load(
-    "c",
-    [
-        ((-3.43035, -6.5393, -16.786, -79.433),
-         (-2.86154, -2.8903, -4.234, -40.040),
-         (-2.56677, -1.5384, -2.809, 0.0)),
-        ((-3.89644, -10.9519, -33.527, 0.0),
-         (-3.33613, -6.1101, -6.823, 0.0),
-         (-3.04445, -4.2412, -2.720, 0.0)),
-    ],
-)
-
-_load(
-    "ct",
-    [
-        ((-3.95877, -9.0531, -28.428, -134.155),
-         (-3.41049, -4.3904, -9.036, -45.374),
-         (-3.12705, -2.5856, -3.925, -22.380)),
-        ((-4.32762, -15.4387, -35.679, 0.0),
-         (-3.78057, -9.5106, -12.074, 0.0),
-         (-3.49631, -7.0815, -7.538, 21.892)),
-    ],
-)
-
-_load(
-    "n",
-    [
-        ((-2.56574, -2.2358, -3.627, 0.0),
-         (-1.94100, -0.2686, -3.365, 31.223),
-         (-1.61682, 0.2656, -2.714, 25.364)),
-    ],
-)
-
-
-@dataclass(frozen=True)
-class CriticalValueTable:
-    """A response-surface parameterization of test critical values."""
-
-    source: str
-    coefficients: Mapping[tuple[str, int, int], tuple[float, float, float, float]]
-
-    def _lookup(self, k: int, level: int, det: DeterministicSpec) -> tuple[float, ...]:
-        key = (det.key, k, level)
-        if key not in self.coefficients:
-            raise UnsupportedCombination(
-                f"no tabulated surface for k={k}, level={level}%, deterministic={det.label()}"
-            )
-        return self.coefficients[key]
-
-    def asymptotic(self, k: int, level: int, det: DeterministicSpec) -> float:
-        """The encoded asymptotic critical value, exactly as published."""
-        return self._lookup(k, level, det)[0]
-
-    def value(self, k: int, n: int, level: int, det: DeterministicSpec) -> float:
-        b0, b1, b2, b3 = self._lookup(k, level, det)
-        return b0 + b1 / n + b2 / n**2 + b3 / n**3
-
-
-TABLE = CriticalValueTable(source=SOURCE_ID, coefficients=_SURFACE)
+# (det key, k) -> (1% row, 5% row, 10% row), each row (b0, b1, b2, b3) as published.
+SURFACES: dict[tuple[str, int], tuple[tuple[float, float, float, float], ...]] = {
+    ("c", 1): ((-3.43035, -6.5393, -16.786, -79.433),
+               (-2.86154, -2.8903, -4.234, -40.040),
+               (-2.56677, -1.5384, -2.809, 0.0)),
+    ("c", 2): ((-3.89644, -10.9519, -33.527, 0.0),
+               (-3.33613, -6.1101, -6.823, 0.0),
+               (-3.04445, -4.2412, -2.720, 0.0)),
+    ("ct", 1): ((-3.95877, -9.0531, -28.428, -134.155),
+                (-3.41049, -4.3904, -9.036, -45.374),
+                (-3.12705, -2.5856, -3.925, -22.380)),
+    ("ct", 2): ((-4.32762, -15.4387, -35.679, 0.0),
+                (-3.78057, -9.5106, -12.074, 0.0),
+                (-3.49631, -7.0815, -7.538, 21.892)),
+    ("n", 1): ((-2.56574, -2.2358, -3.627, 0.0),
+               (-1.94100, -0.2686, -3.365, 31.223),
+               (-1.61682, 0.2656, -2.714, 25.364)),
+}
 
 
 def critical_value(k: int, n: int, level: int, det: DeterministicSpec) -> float:
     """Finite-sample critical value for ``k`` I(1) variables at sample size ``n``.
+
+    The package's one reader of :data:`SURFACES`: ``b0 + b1/n + b2/n^2 +
+    b3/n^3`` with the row of ``(det.key, k)`` at ``level``.
 
     Parameters
     ----------
@@ -189,7 +141,13 @@ def critical_value(k: int, n: int, level: int, det: DeterministicSpec) -> float:
     instance_setting("det", det, DeterministicSpec)
     if n < MIN_N:
         raise UnsupportedCombination(f"sample size must be >= {MIN_N}, got {n}")
-    return TABLE.value(k, n, level, det)
+    rows = SURFACES.get((det.key, k))
+    if rows is None or level not in LEVELS:
+        raise UnsupportedCombination(
+            f"no tabulated surface for k={k}, level={level}%, deterministic={det.label()}"
+        )
+    b0, b1, b2, b3 = rows[LEVELS.index(level)]
+    return b0 + b1 / n + b2 / n**2 + b3 / n**3
 
 
 def critical_values_map(k: int, n: int, det: DeterministicSpec) -> dict[int, float]:

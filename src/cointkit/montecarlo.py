@@ -54,7 +54,6 @@ import numpy as np
 from cointkit.critvals import LEVELS, DeterministicSpec, adf_critical_values, eg_critical_values
 from cointkit.errors import (
     CointkitError,
-    DataError,
     MissingGuardWarning,
     UsageError,
     flag_setting,
@@ -67,6 +66,8 @@ from cointkit.regression import (
     MAX_LAGS,
     _adf,
     _adf_sample,
+    _check_finite,
+    _difference,
     _eg_regressions,
     _levels_regression,
     median,
@@ -348,19 +349,6 @@ def _generate_stack(dgp: DgpSpec, seeds: list[int]) -> tuple[np.ndarray, np.ndar
     return first, second
 
 
-def _check_finite(*stacks: np.ndarray) -> None:
-    """Raises ``TimeSeries``'s error for the first non-finite value, stack by stack.
-
-    Its position is within the first row that holds one, so on a stack of
-    one it is the error ``TimeSeries`` raises for that series.
-    """
-    for values in stacks:
-        finite = np.isfinite(values)
-        if not finite.all():
-            _, position = np.argwhere(~finite)[0]
-            raise DataError(f"non-finite value at position {position}")
-
-
 def _adjusting_series(x: np.ndarray, e: np.ndarray, dgp: DgpSpec) -> None:
     """Overwrites each row of ``e`` with y_t = keep * y_{t-1} + pull * x_{t-1} + e_t, y_0 = e_0.
 
@@ -484,15 +472,10 @@ _Block = Callable[[np.ndarray, np.ndarray], np.ndarray]
 def _size_block(test: TestConfig, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """The test statistic of each replication.
 
-    eg-differences differences both stacks whole: ``np.diff`` along the rows
-    is bitwise each row's ``iterated_difference``. An overflowing difference
-    raises the ``DataError`` that ``TimeSeries`` raises for it.
+    eg-differences differences both stacks whole, by the rule ``_adf`` uses.
     """
     if test.kind == EG_DIFFERENCES:
-        # A difference of finite levels may overflow; _check_finite reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            first, second = np.diff(first, axis=-1), np.diff(second, axis=-1)
-        _check_finite(first, second)
+        first, second = _difference(first), _difference(second)
     if test.kind == ADF:
         solution, _ = _adf(first, test.lags, test.det.constant, test.det.trend)
     else:

@@ -15,6 +15,8 @@ Monte Carlo runners need no estimator module:
   rule :func:`_adf_sample` (``MIN_EFFECTIVE_SAMPLE``) and degeneracy screen
   :func:`_degenerate`: ``unitroot``, Engle-Granger stage two and the ECT
   unit-root experiment;
+- :func:`_difference`, first differences whose overflow raises a typed
+  error and no numpy warning: ``_adf`` and the eg-differences size block;
 - :func:`_eg_regressions`, both Engle-Granger stages, with the lag bound
   ``MAX_LAGS``: ``cointegration`` and the size experiments.
 
@@ -323,6 +325,32 @@ def _degenerate(scale: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
     return np.abs(dx_resid).max(axis=-1, initial=0.0) <= 1e-12 * scale
 
 
+def _check_finite(*stacks: np.ndarray) -> None:
+    """Raises ``TimeSeries``'s error for the first non-finite value, stack by stack.
+
+    Its position is within the first row that holds one, so on one series,
+    or a stack of one, it is the error ``TimeSeries`` raises for that series.
+    """
+    for values in stacks:
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise DataError(f"non-finite value at position {np.argwhere(~finite)[0][-1]}")
+
+
+def _difference(x: np.ndarray) -> np.ndarray:
+    """First differences along the last axis, bitwise each row's ``iterated_difference``.
+
+    A difference of finite values may overflow; it raises the ``DataError``
+    that ``TimeSeries`` raises for it, and numpy warns of nothing. A
+    non-finite value in ``x`` itself is named first, at its own position.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = np.diff(x, axis=-1)
+    if not np.isfinite(dx).all():
+        _check_finite(x, dx)
+    return dx
+
+
 def _adf_sample(m: int, lags: int) -> int:
     """The ADF sample rule: what ``m`` observations leave after differencing and ``lags`` lags."""
     lags = int_setting("lags", lags, 0)
@@ -357,19 +385,22 @@ def _adf(
     if scale is None:
         scale = np.abs(x).max(axis=-1)
 
-    dx = np.diff(x, axis=-1)
+    dx = _difference(x)
     y = dx[..., lags:]
 
     # Zero innovation variance (e.g. an exact deterministic path) must fail
-    # typed, not produce an unbounded t-ratio or a spurious rank error.
+    # typed, not produce an unbounded t-ratio or a spurious rank error. A sum
+    # of finite differences may overflow; the probe is then not negligible,
+    # and _lstsq reports the overflow.
     probe = y
-    if constant:
-        probe = probe - _rowdot(probe, np.ones(n_eff))[..., None] / n_eff
-    if trend:
-        t_probe = np.arange(n_eff, dtype=float) - (n_eff - 1) / 2.0
-        denom = float(t_probe @ t_probe)
-        if denom > 0.0:
-            probe = probe - (_rowdot(probe, t_probe) / denom)[..., None] * t_probe
+    with np.errstate(over="ignore", invalid="ignore"):
+        if constant:
+            probe = probe - _rowdot(probe, np.ones(n_eff))[..., None] / n_eff
+        if trend:
+            t_probe = np.arange(n_eff, dtype=float) - (n_eff - 1) / 2.0
+            denom = float(t_probe @ t_probe)
+            if denom > 0.0:
+                probe = probe - (_rowdot(probe, t_probe) / denom)[..., None] * t_probe
     if _degenerate(scale, probe).any():
         raise DegenerateInput()
 

@@ -250,7 +250,9 @@ def seasonal_difference(x: TimeSeries, gap: int) -> TimeSeries:
     gap = int_setting("gap", gap, 1)
     if len(x) <= gap:
         raise SeriesTooShort(f"need more than {gap} observations, have {len(x)}")
-    values = x.values[gap:] - x.values[:-gap]
+    # A difference of finite values may overflow; TimeSeries reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = x.values[gap:] - x.values[:-gap]
     return x._derive(values, gap, _next_tag(x, SEASONAL_DIFF, gap))
 
 
@@ -265,7 +267,9 @@ def iterated_difference(x: TimeSeries, order: int) -> TimeSeries:
     order = int_setting("order", order, 1)
     if len(x) <= order:
         raise SeriesTooShort(f"need more than {order} observations, have {len(x)}")
-    values = np.diff(x.values, n=order)
+    # A difference of finite values may overflow; TimeSeries reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.diff(x.values, n=order)
     return x._derive(values, order, _next_tag(x, ITERATED_DIFF, order))
 
 

@@ -32,7 +32,7 @@ from cointkit.cointegration import (
     EgSpec,
     engle_granger_test,
 )
-from cointkit.critvals import LEVELS, TABLE, DeterministicSpec, critical_value
+from cointkit.critvals import LEVELS, SURFACES, DeterministicSpec, critical_value
 from cointkit.regression import DesignMatrix, ols_fit
 from cointkit.series import (
     TimeSeries,
@@ -195,10 +195,10 @@ PUBLISHED_ASYMPTOTES = {
 
 def test_critical_value_anchors():
     with gate("critical-value-anchors") as detail:
-        dets = {"c": C, "ct": CT, "n": NONE}
-        for (det_key, k), expected in PUBLISHED_ASYMPTOTES.items():
-            for level, value in zip(LEVELS, expected):
-                assert TABLE.asymptotic(k, level, dets[det_key]) == value
+        assert set(SURFACES) == set(PUBLISHED_ASYMPTOTES)
+        for key, expected in PUBLISHED_ASYMPTOTES.items():
+            for row, value in zip(SURFACES[key], expected, strict=True):
+                assert row[0] == value
 
         monthly = critical_value(2, 281, 1, C)
         quarterly = critical_value(2, 91, 1, C)

@@ -113,6 +113,13 @@ class TestIngest:
         with pytest.raises(ParseError):
             ingest_csv(str(p))
 
+    def test_month_out_of_range(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_text("date,value\n2020-12,1\n2020-13,2\n", encoding="utf-8")
+        assert main(["ingest-check", "--input", str(p)]) == 2
+        record = _one_error_record(capsys)
+        assert record == {"error": "ParseError", "message": "line 3: month 13 out of range in '2020-13'"}
+
     def test_frequency_switch_mid_file(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("date,value\n2020-01,1\n2020Q2,2\n", encoding="utf-8")
@@ -302,6 +309,16 @@ class TestExitCodes:
         assert record["message"].startswith("non-finite value at position ")
         assert (record["replication"], record["seed"]) == (0, mc.replication_seed(0, 0))
 
+    @pytest.mark.parametrize("det", ["constant", "none"])
+    def test_overflowing_adf_difference_prints_only_the_error_line(self, tmp_path, det):
+        # Finite levels whose first differences overflow.
+        path = tmp_path / "alt.csv"
+        write_series_csv(path, [1.5e308, -1.5e308] * 60)
+        assert _only_error_line(tmp_path, ["adf", "--input", str(path), "--det", det]) == {
+            "error": "DataError",
+            "message": "non-finite value at position 0",
+        }
+
     @pytest.mark.parametrize("seed, position", [(0, 0), (2, 6)])
     def test_overflowing_difference_prints_only_the_error_line(self, tmp_path, seed, position):
         # Finite levels whose first differences overflow.
@@ -449,6 +466,12 @@ class TestConfigFile:
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("lags 2\n")
+
+    def test_empty_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lags = 2\n = 3\n", encoding="utf-8")
+        assert main(["adf", "--config", str(cfg), "--input", "a.csv"]) == 1
+        assert _one_error_record(capsys) == {"error": "ConfigError", "message": "config line 2: empty key"}
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -625,6 +648,26 @@ class TestCommands:
         assert main(["ecm", "--input", str(pa), "--input2", str(pb)]) == 0
         out = capsys.readouterr().out
         assert "does not reject" in out
+
+    def test_ecm_records_a_companion_test_that_could_not_run(self, tmp_path, capsys):
+        # y is 2x + 1 to within 1e-8 against levels near 1e6: the companion
+        # Engle-Granger test's residuals are negligible, so it fails typed,
+        # and the error-correction fit is still reported.
+        rng = np.random.default_rng(11)
+        x = 1e6 + np.cumsum(rng.standard_normal(240))
+        y = 2 * x + 1 + 1e-8 * rng.standard_normal(240)
+        px, py = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_series_csv(px, x.tolist())
+        write_series_csv(py, y.tolist())
+        out = tmp_path / "ecm"
+        argv = ["ecm", "--input", str(py), "--input2", str(px), "--gap", "1", "--output", str(out)]
+        assert main(argv) == 0
+        assert (
+            "warning: companion cointegration test could not be run; "
+            "the error-correction term may be undefined"
+        ) in capsys.readouterr().out.splitlines()
+        doc = json.loads((tmp_path / "ecm.json").read_text(encoding="utf-8"))
+        assert doc["cointegration_check"] == {"error": "DegenerateInput: input has zero innovation variance"}
 
     def test_ecm_no_caveat_for_cointegrated_inputs(self, tmp_path, capsys):
         py_, px = write_cointegrated_pair(tmp_path)

@@ -2,8 +2,7 @@ import pytest
 
 from cointkit.critvals import (
     LEVELS,
-    SOURCE_ID,
-    TABLE,
+    SURFACES,
     DeterministicSpec,
     critical_value,
     critical_values_map,
@@ -26,14 +25,14 @@ ASYMPTOTIC_SPOT_CHECKS = {
 
 class TestAsymptotics:
     def test_encoded_asymptotic_values_are_exact(self):
-        for (det_key, k), expected in ASYMPTOTIC_SPOT_CHECKS.items():
-            det = {"c": C, "ct": CT, "n": N}[det_key]
-            for level, value in zip(LEVELS, expected):
-                assert TABLE.asymptotic(k, level, det) == value
+        assert set(SURFACES) == set(ASYMPTOTIC_SPOT_CHECKS)
+        for key, expected in ASYMPTOTIC_SPOT_CHECKS.items():
+            for row, value in zip(SURFACES[key], expected, strict=True):
+                assert row[0] == value
 
     def test_large_sample_value_approaches_asymptote(self):
         big = critical_value(1, 10_000_000, 5, C)
-        assert big == pytest.approx(TABLE.asymptotic(1, 5, C), abs=1e-5)
+        assert big == pytest.approx(SURFACES[("c", 1)][LEVELS.index(5)][0], abs=1e-5)
 
     def test_one_variable_constant_band(self):
         # Large-sample 5% value for the demeaned single-series case.
@@ -106,4 +105,3 @@ class TestValidation:
     def test_map_covers_all_levels(self):
         cvs = critical_values_map(2, 200, C)
         assert set(cvs) == set(LEVELS)
-        assert TABLE.source == SOURCE_ID

@@ -15,7 +15,7 @@ from cointkit.ecm import (
 )
 from cointkit.errors import SeriesTooShort, UnsupportedCombination, UsageError
 from cointkit.regression import DesignMatrix, ols_fit
-from cointkit.series import MONTHLY
+from cointkit.series import MONTHLY, QUARTERLY, TimeSeries
 from helpers import exact_adf, exact_ols, monthly_series, random_walk_pair
 
 
@@ -195,6 +195,13 @@ class TestEcmStructure:
         stub = monthly_series(rng.standard_normal(30), start=(2000, 1))
         with pytest.raises(SeriesTooShort):
             estimate_ecm(y, x, EcmSpec(seasonal_gap=12), extra_controls={"z": stub})
+
+    def test_extra_control_must_share_the_frequency(self):
+        rng = np.random.default_rng(84)
+        x, y = cointegrated_pair(rng, 200)
+        quarterly = TimeSeries((2000, 1), QUARTERLY, rng.standard_normal(80))
+        with pytest.raises(UnsupportedCombination, match="^extra control 'z' has frequency 4, need 12$"):
+            estimate_ecm(y, x, EcmSpec(seasonal_gap=12), extra_controls={"z": quarterly})
 
 
 class TestEcmRecovery:

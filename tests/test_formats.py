@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointkit.formats import json_dumps
+from cointkit.formats import json_dumps, significance_stars
 from helpers import json_dumps_reference
 
 _EDGE_FLOATS = [
@@ -68,3 +68,12 @@ def test_keys_json_cannot_write_raise_the_same_error_on_both(key):
     outcome = _outcome(json_dumps, {"ok": 1.0, key: 2.0})
     assert outcome == _outcome(json_dumps_reference, {"ok": 1.0, key: 2.0})
     assert outcome[0] in (TypeError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "statistic, stars",
+    [(-4.0, "***"), (-3.0, "**"), (-2.9, "*"), (-2.0, "*"), (-1.9, ""), (-3.5, "**")],
+)
+def test_significance_stars_mark_the_strictest_level_rejected(statistic, stars):
+    # A level rejects when the statistic lies strictly below its critical value.
+    assert significance_stars(statistic, {1: -3.5, 5: -2.9, 10: -1.9}) == stars

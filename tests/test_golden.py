@@ -3,7 +3,7 @@
 ``tests/golden/inputs/`` holds small seeded CSV series. ``tests/golden/expected/``
 holds, for each case below, the exact stdout of the CLI and the JSON and CSV it
 writes with ``--format both`` (the temporary output directory shows as
-``<out>``), the exit code and ``cointkit-error:`` stderr line of three failing
+``<out>``), the exit code and ``cointkit-error:`` stderr line of four failing
 invocations, and the ``to_json_dict()`` of the runners the CLI does not expose,
 rendered with full float precision. Each successful CLI case runs twice: with
 its options as flags, and with every option read from a ``--config`` file.
@@ -86,6 +86,8 @@ ERROR_CASES = {
     ],
     "error_data": ["adf", "--input", "{in}/gap.csv"],
     "error_numerical": ["adf", "--input", "{in}/constant.csv"],
+    # finite levels whose first differences overflow: one stderr line, no numpy warning
+    "error_overflow": ["adf", "--input", "{in}/overflow.csv"],
 }
 
 EXPERIMENT_CASES = {
@@ -295,6 +297,9 @@ def _write_inputs() -> None:
     quarterly = 100.0 + np.cumsum(rng.standard_normal(30))
     _write_series(INPUTS / "quarterly.csv", (1998, 7), quarterly, quarterly=True)
     _write_series(INPUTS / "constant.csv", (2010, 1), [5.0] * 40)
+    # Finite levels, +-1.5e308 in turn, whose first differences overflow.
+    rows = [f"{2010 + i // 12}-{i % 12 + 1:02d},{'-' if i % 2 else ''}1.5e308" for i in range(120)]
+    (INPUTS / "overflow.csv").write_text("\n".join(["date,value", *rows]) + "\n", encoding="utf-8")
     (INPUTS / "gap.csv").write_text("date,value\n2020-01,1\n2020-03,2\n", encoding="utf-8")
 
 

@@ -341,12 +341,19 @@ _PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench
 )
 def test_benchmark_tracer_finds_every_module_it_patches():
     # The tracer looks each module it patches up in sys.modules after
-    # importing the CLI and reading a Monte Carlo name.
+    # importing the CLI and reading a Monte Carlo name, then each function
+    # and method it wraps, so a deletion or rename that would break
+    # ``run.py --trace 1`` fails here.
     lines, _ = _fresh_run(
-        f"import sys; sys.path.insert(0, {_PERFBENCH!r}); import tracer, cointkit.cli, cointkit.montecarlo; "
-        "cointkit.montecarlo.PRNG_ID; "
-        "named = {t[0] for targets in (*tracer.FUNCTIONS.values(), *tracer.METHODS.values()) for t in targets}; "
-        "print(sorted(named)); print(sorted(named - set(sys.modules)))"
+        f"import sys; sys.path.insert(0, {_PERFBENCH!r}); import tracer, cointkit.cli, cointkit.montecarlo\n"
+        "cointkit.montecarlo.PRNG_ID\n"
+        "def missing(target):\n"
+        "    module = sys.modules.get(target[0])\n"
+        "    if module is None: return True\n"
+        "    if len(target) == 2: return not hasattr(module, target[1])\n"
+        "    return target[2] not in vars(getattr(module, target[1], object))\n"
+        "targets = [t for group in (tracer.FUNCTIONS, tracer.METHODS) for ts in group.values() for t in ts]\n"
+        "print(sorted({t[0] for t in targets})); print([t for t in targets if missing(t)])"
     )
     assert "'cointkit.unitroot'" in lines[0] and lines[1] == "[]"
 

@@ -39,6 +39,10 @@ class TestExamples:
             ols_fit(x, design(x=x, x_copy=x))
         assert exc.value.column == "x_copy"
 
+    def test_nonfinite_dependent_variable(self):
+        with pytest.raises(DataError, match="^dependent variable contains non-finite entries$"):
+            ols_fit([1.0, math.nan, 3.0, 4.0], design(c=np.ones(4)))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             ols_fit([1.0, 2.0], design(x=np.arange(3.0)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -141,6 +142,25 @@ class TestIteratedDifference:
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             iterated_difference(monthly_series([1.0, 2.0]), 2)
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [
+        lambda x: iterated_difference(x, 1),
+        lambda x: iterated_difference(x, 2),
+        lambda x: seasonal_difference(x, 1),
+    ],
+    ids=["iterated-1", "iterated-2", "seasonal-1"],
+)
+def test_difference_that_overflows_is_a_data_error(transform):
+    # Finite levels whose differences overflow: TimeSeries reports the first
+    # non-finite value, and numpy warns of nothing.
+    x = monthly_series(np.where(np.arange(120) % 2 == 0, 1.5e308, -1.5e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^non-finite value at position 0$"):
+            transform(x)
 
 
 class TestLineage:

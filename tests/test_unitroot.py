@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cointkit.critvals import SOURCE_ID, DeterministicSpec, critical_value
-from cointkit.errors import DegenerateInput, SeriesTooShort, UsageError
+from cointkit.errors import DataError, DegenerateInput, NumericalError, SeriesTooShort, UsageError
 from cointkit.regression import _adf
 from cointkit.unitroot import adf_regression, adf_test
 from helpers import exact_adf, exact_ols, monthly_series
@@ -29,6 +31,14 @@ class TestDegenerate:
         x = monthly_series(np.full(40, 3.0))
         with pytest.raises(DegenerateInput):
             adf_test(x, 0, NONE)
+
+    def test_exact_autoregression_of_the_differences(self):
+        # The differences 0, 1, 0.9, 0.81, ... are not negligible, so the
+        # screen before the fit passes; with one lag, dx_t = 0.9 dx_{t-1}
+        # exactly, and the screen after the fit finds residuals of rounding size.
+        x = 5 + np.cumsum(np.concatenate([[0.0], 0.9 ** np.arange(200)]))
+        with pytest.raises(DegenerateInput, match="zero innovation variance"):
+            adf_test(monthly_series(x), 1, NONE)
 
 
 class TestMonteCarloBehaviour:
@@ -207,6 +217,34 @@ class TestLargeValues:
         base = adf_test(monthly_series(x), lags, det).statistic
         scaled = adf_test(monthly_series(x * 2e13), lags, det).statistic
         assert scaled == pytest.approx(base, rel=1e-12)
+
+
+class TestOverflowingDifferences:
+    @pytest.mark.parametrize("det", [NONE, C, CT], ids=["none", "c", "ct"])
+    def test_difference_that_overflows_is_a_data_error(self, det):
+        # Finite levels whose first differences overflow: the error is the
+        # one iterated_difference raises, and numpy warns of nothing.
+        x = monthly_series(np.where(np.arange(120) % 2 == 0, 1.5e308, -1.5e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^non-finite value at position 0$"):
+                adf_test(x, 1, det)
+
+    def test_non_finite_level_is_named_at_its_own_position(self):
+        x = np.cumsum(np.random.default_rng(1).standard_normal(50))
+        x[7] = np.nan
+        with pytest.raises(DataError, match="^non-finite value at position 7$"):
+            _adf(x, 1, False, False)
+
+    @pytest.mark.parametrize("det", [NONE, C, CT], ids=["none", "c", "ct"])
+    def test_differences_whose_sum_overflows_are_a_numerical_error(self, det):
+        # Every difference is finite, but their sum, in the degeneracy
+        # screen's mean, is not; the fit then reports the overflow.
+        x = monthly_series(1.7e308 * (2 * np.arange(120) / 119 - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^design overflows: "):
+                adf_test(x, 0, det)
 
 
 class TestSmallValues:
