@@ -59,6 +59,14 @@ _OUTPUT_OPTS = (
     Opt("output", str, None, help="output path stem; .json/.csv suffixes are added"),
     Opt("format", str, "json", choices=("json", "csv", "both"), help="report format(s)"),
 )
+_WORKERS = Opt(
+    "workers",
+    int,
+    1,
+    help="worker processes; each run starts a new pool, which pays only for thousands of "
+    "replications (n=600 ECT recovery, 2 CPUs: 200 reps 41 ms on 1 worker and 54 ms on 2, "
+    "2000 reps 370 ms on 1 and 188 ms on 2)",
+)
 
 SCHEMAS: dict[str, tuple[Opt, ...]] = {
     "ingest-check": (Opt("input", str, required=True, help="CSV file to validate"),) + _OUTPUT_OPTS,
@@ -96,7 +104,7 @@ SCHEMAS: dict[str, tuple[Opt, ...]] = {
         Opt("reps", int, 1000),
         Opt("level", int, 1, choices=(1, 5, 10)),
         Opt("seed", int, 0),
-        Opt("workers", int, 1),
+        _WORKERS,
     )
     + _OUTPUT_OPTS,
     "mc-size": (
@@ -116,7 +124,7 @@ SCHEMAS: dict[str, tuple[Opt, ...]] = {
         Opt("beta", float, 1.0),
         Opt("adjust", float, 0.5),
         Opt("sd", float, 1.0),
-        Opt("workers", int, 1),
+        _WORKERS,
     )
     + _OUTPUT_OPTS,
 }

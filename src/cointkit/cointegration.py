@@ -12,7 +12,9 @@ workflow (see the Monte Carlo experiments), but the warning travels with
 every report downstream.
 
 :func:`engle_granger_test` is the one-spec case of the grid's solve, which
-stacks the specs that share lags and trend, one row per spec, on the OLS core.
+solves each distinct stage once on the OLS core: stage one in one stack per
+trend setting, one row per distinct transform and normalization, and stage
+two in one stack per lags and trend, fed the residual rows of stage one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from cointkit.critvals import LEVELS, SOURCE_ID, eg_critical_values
 from cointkit.errors import CointkitError, UsageError, flag_setting, instance_setting, int_setting
 from cointkit.formats import JsonRecord, fmt12s, significance_stars
-from cointkit.regression import MAX_LAGS, OlsFit, _as_fit, _eg_regressions, median
+from cointkit.regression import MAX_LAGS, OlsFit, _adf_sample, _as_fit, _eg_stage_two, _levels_regression, median
 from cointkit.series import TimeSeries, align, has_differencing, lineage_summary, log_transform
 
 LOGARITHMS = "logarithms"
@@ -146,47 +148,43 @@ def differencing_warning(a: TimeSeries, b: TimeSeries) -> GuardWarning | None:
     )
 
 
-def _collect_warnings(
-    guard: GuardWarning | None, design: np.ndarray, n_effective: int
-) -> tuple[GuardWarning, ...]:
-    warnings: list[GuardWarning] = []
-    if guard is not None:
-        warnings.append(guard)
-    if n_effective < SHORT_SAMPLE_THRESHOLD:
-        warnings.append(
-            GuardWarning(
-                code=WARN_SHORT_SAMPLE,
-                message=(
-                    f"effective sample {n_effective} is below {SHORT_SAMPLE_THRESHOLD}; "
-                    "response-surface critical values are unreliable this small"
-                ),
-            )
-        )
-    scaled = design / np.sqrt((design * design).sum(axis=0))
-    cond = float(np.linalg.cond(scaled))
-    if cond > COLLINEARITY_CONDITION_LIMIT:
-        warnings.append(
+def _collect_warnings(designs: np.ndarray) -> list[tuple[GuardWarning, ...]]:
+    """The near-collinearity warning, or none, of each design in a stage-one stack.
+
+    One stacked ``np.linalg.cond`` makes one SVD per design, so each value is
+    bitwise that of its design alone.
+    """
+    scaled = designs / np.sqrt((designs * designs).sum(axis=-2, keepdims=True))
+    return [
+        (
             GuardWarning(
                 code=WARN_NEAR_COLLINEAR,
                 message=f"stage-one design is near-collinear (condition number {cond:.3g})",
-            )
+            ),
         )
-    return tuple(warnings)
+        if cond > COLLINEARITY_CONDITION_LIMIT
+        else ()
+        for cond in np.linalg.cond(scaled).tolist()
+    ]
 
 
 def _reports(a: TimeSeries, b: TimeSeries, specs: list[EgSpec]) -> list[CointegrationReport]:
-    """The report of each spec on ``a`` and ``b``, one stacked solve per ``(lags, trend)`` group.
+    """The report of each spec on ``a`` and ``b``, each distinct stage solved once.
 
     The pair is aligned once, its lineage checked once by the differencing
-    guard, and each series transformed once per transform used; each group
-    stacks one (dependent, other) row per spec and reads its critical values
-    once. A slice of a stack is bitwise the solution of its design alone, so
-    a report does not depend on the other specs. The first
-    :class:`CointkitError` raised propagates; for one spec that is the error
-    the spec raises alone.
+    guard, and each series transformed once per transform used. Stage one
+    is one stack per trend setting, one row per distinct (transform,
+    normalization); its rows' fits and collinearity warnings are shared by
+    every cell that uses them. Stage two is one stack per ``(lags, trend)``,
+    one row per distinct stage one, and reads its critical values once. A
+    slice of a stack is bitwise the solution of its design alone, so a
+    report does not depend on the other specs. Every lag count's sample is
+    checked first, then stage one, then stage two; the first
+    :class:`CointkitError` raised propagates, so for one spec it is the
+    error the spec raises alone.
     """
     a_al, b_al = align(a, b)
-    guard = differencing_warning(a, b)
+    guard = () if (warning := differencing_warning(a, b)) is None else (warning,)
     levels = {}
     for transform in dict.fromkeys(spec.transform for spec in specs):
         first, second = a_al, b_al
@@ -194,30 +192,46 @@ def _reports(a: TimeSeries, b: TimeSeries, specs: list[EgSpec]) -> list[Cointegr
             first, second = log_transform(a_al), log_transform(b_al)
         levels[transform, NORMALIZE_FIRST] = (first.values, second.values)
         levels[transform, NORMALIZE_SECOND] = (second.values, first.values)
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault((spec.lags, spec.trend_in_stage_one), []).append(i)
+    for lags in dict.fromkeys(spec.lags for spec in specs):
+        _adf_sample(len(a_al), lags)
+    pairs: dict[bool, dict[tuple[str, str], None]] = {}  # trend -> (transform, normalize_on)
+    groups: dict[tuple[int, bool], list[EgSpec]] = {}  # (lags, trend) -> distinct specs
+    for spec in dict.fromkeys(specs):
+        pairs.setdefault(spec.trend_in_stage_one, {})[spec.transform, spec.normalize_on] = None
+        groups.setdefault((spec.lags, spec.trend_in_stage_one), []).append(spec)
 
-    reports: dict[int, CointegrationReport] = {}
+    firsts = {}  # (transform, normalize_on, trend) -> dependent levels, residuals, fit, warnings
+    for trend, keys in pairs.items():
+        dep, other = (np.stack(side) for side in zip(*map(levels.get, keys)))
+        sol = _levels_regression(dep, other, trend)
+        for row, (key, collinear) in enumerate(zip(keys, _collect_warnings(sol.design))):
+            firsts[(*key, trend)] = (dep[row], sol.resid[row], _as_fit(sol.row(row)), collinear)
+    reports = {}
     for (lags, trend), cells in groups.items():
-        pairs = (levels[specs[i].transform, specs[i].normalize_on] for i in cells)
-        dep, other = (np.stack(side) for side in zip(*pairs))
-        stage_one, stage_two, n_eff = _eg_regressions(dep, other, lags, trend)
+        rows = [firsts[spec.transform, spec.normalize_on, trend] for spec in cells]
+        dep, resid = (np.stack(side) for side in zip(*(row[:2] for row in rows)))
+        stage_two, n_eff = _eg_stage_two(resid, dep, lags)
         cvs = eg_critical_values(n_eff, trend)
-        for row, i in enumerate(cells):
-            one, two = stage_one.row(row), stage_two.row(row)
-            statistic = float(two.t_stats[0])
-            reports[i] = CointegrationReport(
-                spec=specs[i],
-                stage_one=_as_fit(one),
+        short = ()
+        if n_eff < SHORT_SAMPLE_THRESHOLD:
+            message = (
+                f"effective sample {n_eff} is below {SHORT_SAMPLE_THRESHOLD}; "
+                "response-surface critical values are unreliable this small"
+            )
+            short = (GuardWarning(code=WARN_SHORT_SAMPLE, message=message),)
+        for row, (spec, (_, _, fit, collinear)) in enumerate(zip(cells, rows)):
+            statistic = float(stage_two.t_stats[row, 0])
+            reports[spec] = CointegrationReport(
+                spec=spec,
+                stage_one=fit,
                 statistic=statistic,
                 critical_values=cvs,
                 reject_at={level: statistic < cvs[level] for level in LEVELS},
-                warnings=_collect_warnings(guard, one.design, n_eff),
+                warnings=(*guard, *short, *collinear),
                 n_effective=n_eff,
-                stage_two_columns=two.names,
+                stage_two_columns=stage_two.names,
             )
-    return [reports[i] for i in range(len(specs))]
+    return [reports[spec] for spec in specs]
 
 
 def engle_granger_test(a: TimeSeries, b: TimeSeries, spec: EgSpec) -> CointegrationReport:
@@ -314,9 +328,10 @@ def run_spec_grid(a: TimeSeries, b: TimeSeries, grid: list[EgSpec] | None = None
     aggregates; the rest of the grid still runs. ``grid=None`` means the
     12-cell default grid.
 
-    Cells that share lags and trend are solved as one stack, one row per
-    cell, and each cell's report is bitwise the one
-    :func:`engle_granger_test` gives for it alone. If any transform, stack
+    Each distinct stage one (transform, normalization, trend) is solved
+    once, and cells that share it share its fit; each distinct stage two
+    is one row of a stack per lags and trend. Each cell's report is bitwise
+    the one :func:`engle_granger_test` gives for it alone. If any transform, stack
     or report raises, every cell is run alone through
     :func:`engle_granger_test`, so each records what it gives by itself.
     """

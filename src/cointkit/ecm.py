@@ -197,8 +197,10 @@ def _ecm_regressions(
     if spec.include_trend:
         columns.append((rows + 1).astype(float))
     columns.append(np.ones(rows.size))
-    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
     names = manifest_for(spec, tuple(name for name, _ in extras))
+    design = np.empty(levels.resid.shape[:-1] + (rows.size, len(names)))
+    for i, column in enumerate(columns):
+        design[..., i] = column
     return levels, _lstsq(design, back(sy, gap), names)
 
 

@@ -68,7 +68,7 @@ from cointkit.regression import (
     _adf_sample,
     _check_finite,
     _difference,
-    _eg_regressions,
+    _eg_stage_two,
     _levels_regression,
     median,
 )
@@ -479,7 +479,7 @@ def _size_block(test: TestConfig, first: np.ndarray, second: np.ndarray) -> np.n
     if test.kind == ADF:
         solution, _ = _adf(first, test.lags, test.det.constant, test.det.trend)
     else:
-        _, solution, _ = _eg_regressions(first, second, test.lags, test.trend)
+        solution, _ = _eg_stage_two(_levels_regression(first, second, test.trend).resid, first, test.lags)
     return solution.t_stats[:, 0]
 
 
@@ -496,7 +496,7 @@ def _ect_unit_root_block(
     solved, and degeneracy is judged on the scale of the first walk."""
     levels = _levels_regression(first, second, spec.include_trend)
     ect = levels.resid[:, : first.shape[1] - spec.ect_lag]
-    solution, _ = _adf(ect, lags, False, False, np.abs(first).max(axis=-1))
+    solution, _ = _eg_stage_two(ect, first, lags)
     return solution.t_stats[:, 0]
 
 

@@ -13,12 +13,13 @@ Monte Carlo runners need no estimator module:
   regression experiment;
 - :func:`_adf`, the augmented Dickey-Fuller regression, with its sample
   rule :func:`_adf_sample` (``MIN_EFFECTIVE_SAMPLE``) and degeneracy screen
-  :func:`_degenerate`: ``unitroot``, Engle-Granger stage two and the ECT
-  unit-root experiment;
+  :func:`_degenerate`: ``unitroot``, the ADF size experiments and
+  :func:`_eg_stage_two`;
 - :func:`_difference`, first differences whose overflow raises a typed
   error and no numpy warning: ``_adf`` and the eg-differences size block;
-- :func:`_eg_regressions`, both Engle-Granger stages, with the lag bound
-  ``MAX_LAGS``: ``cointegration`` and the size experiments.
+- :func:`_eg_stage_two`, the Engle-Granger stage two on the residuals of
+  a levels regression, with the lag bound ``MAX_LAGS``: ``cointegration``,
+  the Engle-Granger size experiments and the ECT unit-root experiment.
 
 One kernel, :func:`_lstsq`, solves either one ``(n, k)`` design or a
 stack ``(..., n, k)`` of them; :func:`ols_fit` is its one-design case
@@ -306,15 +307,13 @@ def _levels_regression(y: np.ndarray, x: np.ndarray, include_trend: bool) -> _So
     n = y.shape[-1]
     if n < 10:
         raise SeriesTooShort(f"levels regression needs >= 10 overlapping observations, have {n}")
-    names = ["x"]
-    columns = [x]
+    names = ("x", "trend", "intercept") if include_trend else ("x", "intercept")
+    design = np.empty(x.shape + (len(names),))
+    design[..., 0] = x
     if include_trend:
-        names.append("trend")
-        columns.append(np.arange(1, n + 1, dtype=float))
-    names.append("intercept")
-    columns.append(np.ones(n))
-    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
-    return _lstsq(design, y, tuple(names))
+        design[..., 1] = np.arange(1, n + 1, dtype=float)
+    design[..., -1] = 1.0
+    return _lstsq(design, y, names)
 
 
 def _degenerate(scale: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
@@ -404,43 +403,32 @@ def _adf(
     if _degenerate(scale, probe).any():
         raise DegenerateInput()
 
-    names = [LEVEL_COLUMN]
-    columns = [x[..., lags:-1]]
+    names = (LEVEL_COLUMN, *(f"diff_lag{i}" for i in range(1, lags + 1)))
+    names += ("intercept",) if constant else ()
+    names += ("trend",) if trend else ()
+    design = np.empty(x.shape[:-1] + (n_eff, len(names)))
+    design[..., 0] = x[..., lags:-1]
     for i in range(1, lags + 1):
-        names.append(f"diff_lag{i}")
-        columns.append(dx[..., lags - i : m - 1 - i])
+        design[..., i] = dx[..., lags - i : m - 1 - i]
     if constant:
-        names.append("intercept")
-        columns.append(np.ones(n_eff))
+        design[..., lags + 1] = 1.0
     if trend:
         # Indexed by position in the input series; the intercept absorbs the offset.
-        names.append("trend")
-        columns.append(np.arange(lags + 1, m, dtype=float))
-    design = np.stack(np.broadcast_arrays(*columns), axis=-1)
+        design[..., -1] = np.arange(lags + 1, m, dtype=float)
 
-    sol = _lstsq(design, y, tuple(names))
+    sol = _lstsq(design, y, names)
     if _degenerate(scale, sol.resid).any():
         raise DegenerateInput()
     return sol, n_eff
 
 
-def _eg_regressions(
-    dep: np.ndarray, other: np.ndarray, lags: int, trend: bool
-) -> tuple[_Solution, _Solution, int]:
-    """Both Engle-Granger stages on each row of (..., n) stacks of aligned levels.
+def _eg_stage_two(resid: np.ndarray, dep: np.ndarray, lags: int) -> tuple[_Solution, int]:
+    """The no-deterministics ADF with ``lags`` lags on (..., n) stage-one residuals.
 
-    Regresses ``dep`` on ``other`` (plus ``trend``, plus intercept), then
-    runs the no-deterministics ADF with ``lags`` lags on the residuals.
-    Returns the stage-one and stage-two solutions and the effective sample
-    size; the statistic is the stage-two ``t_stats[..., 0]``. Any transform
-    and the choice of ``dep`` have already been applied by the caller. The
-    residuals are as long as the levels, so the ADF sample is checked first.
-    Stage two judges degeneracy on the scale of ``dep``.
+    Degeneracy is judged on the scale of ``dep``, the levels the residuals
+    came from: the residuals of an exact fit are rounding noise.
     """
-    _adf_sample(dep.shape[-1], lags)
-    stage_one = _levels_regression(dep, other, trend)
-    stage_two, n_eff = _adf(stage_one.resid, lags, False, False, np.abs(dep).max(axis=-1))
-    return stage_one, stage_two, n_eff
+    return _adf(resid, lags, False, False, np.abs(dep).max(axis=-1))
 
 
 def median(values: Sequence[float]) -> float:

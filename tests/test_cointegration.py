@@ -29,6 +29,7 @@ from cointkit.errors import (
     SeriesTooShort,
     UsageError,
 )
+from cointkit.formats import json_dumps
 from cointkit.series import (
     MONTHLY,
     QUARTERLY,
@@ -67,7 +68,7 @@ def _positive_pair(rng, n):
 
 def _assert_cells_run_alone(grid, a, b, specs):
     """Each grid cell holds what ``engle_granger_test`` gives for its spec alone:
-    a report with the same repr and the same residual bytes, or the same error."""
+    a report with the same repr, JSON text and residual bytes, or the same error."""
     assert [cell.spec for cell in grid.cells] == list(specs)
     for cell in grid.cells:
         try:
@@ -77,6 +78,7 @@ def _assert_cells_run_alone(grid, a, b, specs):
         else:
             assert cell.error is None
             assert repr(cell.report) == repr(alone)
+            assert json_dumps(cell.report.to_json_dict()) == json_dumps(alone.to_json_dict())
             assert cell.report.stage_one.residuals.tobytes() == alone.stage_one.residuals.tobytes()
 
 
@@ -438,37 +440,75 @@ class TestGrid:
         assert [c.spec for c in grid.cells] == specs
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(dep, other, lags, trend):
+        def broken(*args):
             raise RuntimeError("a bug, not a data problem")
 
-        monkeypatch.setattr(coint, "_eg_regressions", broken)
         a, b = random_walk_pair(np.random.default_rng(62), 100)
-        with pytest.raises(RuntimeError):
-            run_spec_grid(a, b, [spec()])
+        for stage in ("_levels_regression", "_eg_stage_two"):
+            with monkeypatch.context() as patch:
+                patch.setattr(coint, stage, broken)
+                with pytest.raises(RuntimeError):
+                    run_spec_grid(a, b, [spec()])
 
     def test_typed_errors_become_error_cells(self, monkeypatch):
-        def bad_data(dep, other, lags, trend):
+        def bad_data(*args):
             raise DataError("cell cannot be computed")
 
-        monkeypatch.setattr(coint, "_eg_regressions", bad_data)
         a, b = random_walk_pair(np.random.default_rng(63), 100)
-        grid = run_spec_grid(a, b, [spec()])
-        assert grid.cells_errored == 1
-        assert grid.to_csv_rows()[1][9] == "error:DataError: cell cannot be computed"
+        for stage in ("_levels_regression", "_eg_stage_two"):
+            with monkeypatch.context() as patch:
+                patch.setattr(coint, stage, bad_data)
+                grid = run_spec_grid(a, b, [spec()])
+            assert grid.cells_errored == 1
+            assert grid.to_csv_rows()[1][9] == "error:DataError: cell cannot be computed"
+
+    @staticmethod
+    def _count_stages(monkeypatch):
+        """Record the stage-one, stage-two, fit and warning calls the grid makes."""
+        calls = {"one": [], "two": [], "fits": [], "warnings": []}
+        one, two = coint._levels_regression, coint._eg_stage_two
+        fit, warnings = coint._as_fit, coint._collect_warnings
+
+        def counting_one(dep, other, trend):
+            calls["one"].append((dep.shape, other.shape, trend))
+            return one(dep, other, trend)
+
+        def counting_two(resid, dep, lags):
+            calls["two"].append((resid.shape, dep.shape, lags))
+            return two(resid, dep, lags)
+
+        def counting_fit(sol):
+            calls["fits"].append(sol.design.shape)
+            return fit(sol)
+
+        def counting_warnings(designs):
+            calls["warnings"].append(designs.shape)
+            return warnings(designs)
+
+        monkeypatch.setattr(coint, "_levels_regression", counting_one)
+        monkeypatch.setattr(coint, "_eg_stage_two", counting_two)
+        monkeypatch.setattr(coint, "_as_fit", counting_fit)
+        monkeypatch.setattr(coint, "_collect_warnings", counting_warnings)
+        return calls
 
     def test_default_grid_solves_three_stacks(self, monkeypatch):
-        calls = []
-        solve = coint._eg_regressions
-
-        def counting(dep, other, lags, trend):
-            calls.append((dep.shape, lags, trend))
-            return solve(dep, other, lags, trend)
-
-        monkeypatch.setattr(coint, "_eg_regressions", counting)
+        # Three stage-two stacks, one per (lags, trend); they share two
+        # stage-one stacks, one per trend setting, of the four distinct
+        # (transform, normalization) rows.
+        calls = self._count_stages(monkeypatch)
         x, y = _positive_pair(np.random.default_rng(64), 150)
         grid = run_spec_grid(x, y)
         assert grid.cells_ok == 12
-        assert calls == [((4, 150), 0, False), ((4, 150), 12, False), ((4, 150), 12, True)]
+        assert calls["one"] == [((4, 150), (4, 150), False), ((4, 150), (4, 150), True)]
+        assert calls["two"] == [((4, 150), (4, 150), 0), ((4, 150), (4, 150), 12), ((4, 150), (4, 150), 12)]
+        assert calls["fits"] == [(150, 2)] * 4 + [(150, 3)] * 4
+        assert calls["warnings"] == [(4, 150, 2), (4, 150, 3)]
+        by_stage_one = {}
+        for cell in grid.cells:
+            key = (cell.spec.transform, cell.spec.normalize_on, cell.spec.trend_in_stage_one)
+            first = by_stage_one.setdefault(key, cell.report)
+            assert cell.report.stage_one is first.stage_one
+        assert len(by_stage_one) == 8
 
     def test_guard_runs_once_per_grid_and_critical_values_once_per_stack(self, monkeypatch):
         guards, tables = [], []
@@ -503,17 +543,36 @@ class TestGrid:
         assert len(guards) == 1 + 12
 
     def test_engle_granger_test_is_one_row_of_the_stacked_solve(self, monkeypatch):
-        calls = []
-        solve = coint._eg_regressions
-
-        def counting(dep, other, lags, trend):
-            calls.append((dep.shape, other.shape, lags, trend))
-            return solve(dep, other, lags, trend)
-
-        monkeypatch.setattr(coint, "_eg_regressions", counting)
+        calls = self._count_stages(monkeypatch)
         x, y = _positive_pair(np.random.default_rng(66), 90)
         engle_granger_test(x, y, spec(transform=LOGARITHMS, normalize=NORMALIZE_SECOND, lags=2, trend=True))
-        assert calls == [((1, 90), (1, 90), 2, True)]
+        assert calls == {
+            "one": [((1, 90), (1, 90), True)],
+            "two": [((1, 90), (1, 90), 2)],
+            "fits": [(90, 3)],
+            "warnings": [(1, 90, 3)],
+        }
+
+    def test_stacked_condition_numbers_are_those_of_each_design(self, monkeypatch):
+        conds = []
+        cond = np.linalg.cond
+
+        def recording(a):
+            conds.append(cond(a))
+            return conds[-1]
+
+        monkeypatch.setattr(np.linalg, "cond", recording)
+        rng = np.random.default_rng(68)
+        for _ in range(300):
+            rows, n, k = rng.integers(1, 6), rng.integers(20, 601), rng.integers(2, 4)
+            designs = rng.standard_normal((rows, n, k)) * 10.0 ** rng.uniform(-6, 12, (rows, 1, k))
+            designs[::2, :, -1] = designs[::2, :, 0] * (1.0 + 1e-9 * rng.standard_normal(n))
+            warnings = coint._collect_warnings(designs)
+            for design, stacked, warned in zip(designs, conds.pop(), warnings):
+                alone = cond(design / np.sqrt((design * design).sum(axis=0)))
+                assert stacked.tobytes() == alone.tobytes()
+                near_collinear = bool(alone > coint.COLLINEARITY_CONDITION_LIMIT)
+                assert [w.code for w in warned] == [WARN_NEAR_COLLINEAR] * near_collinear
 
     def test_one_failing_cell_runs_every_cell_alone(self, monkeypatch):
         calls = []
@@ -579,6 +638,27 @@ class TestGrid:
         start_b = (2000 + (shift + 12) // 12, (shift + 12) % 12 + 1)
         b = monthly_series(levels[1] + np.cumsum(rng.standard_normal(n_b)), start=start_b, name="b")
         _assert_cells_run_alone(run_spec_grid(a, b, specs), a, b, specs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        specs=st.lists(
+            st.builds(
+                EgSpec,
+                st.sampled_from([LOGARITHMS, UNTRANSFORMED]),
+                st.sampled_from([NORMALIZE_FIRST, NORMALIZE_SECOND]),
+                st.sampled_from([0, 1, 2, 3, 12, 24]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+        n=st.integers(30, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_stages_equal_each_cell_run_alone(self, specs, n, seed):
+        # Below 35 observations the 24-lag cells fail, and every cell reruns alone.
+        x, y = _positive_pair(np.random.default_rng(seed), n)
+        _assert_cells_run_alone(run_spec_grid(x, y, specs), x, y, specs)
 
     def test_empty_grid_rejected(self):
         rng = np.random.default_rng(60)

@@ -34,7 +34,7 @@ from cointkit.errors import (
     SeriesTooShort,
     UsageError,
 )
-from cointkit.regression import _adf, _eg_regressions
+from cointkit.regression import _adf, _eg_stage_two, _levels_regression
 from cointkit.series import ITERATED_DIFF, MONTHLY, TimeSeries, TransformTag, iterated_difference
 from cointkit.unitroot import adf_regression, adf_test
 
@@ -1034,7 +1034,8 @@ class TestStackedEqualsScalar:
             def stacked(rows):
                 first = np.stack([a.values for a, _ in rows])
                 second = np.stack([b.values for _, b in rows])
-                return _eg_regressions(first, second, test.lags, deterministic)[1].t_stats[:, 0]
+                resid = _levels_regression(first, second, deterministic).resid
+                return _eg_stage_two(resid, first, test.lags)[0].t_stats[:, 0]
 
         for size in (40, 17, 1):
             pieces = [stacked(pairs[i : i + size]) for i in range(0, len(pairs), size)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 import warnings
@@ -7,8 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cointkit.ecm as ecm
+import cointkit.regression as regression
+from cointkit.ecm import EcmSpec, _ardl_rows, _ecm_regressions
 from cointkit.errors import DataError, DimensionMismatch, NumericalError, RankDeficient
-from cointkit.regression import DesignMatrix, _lstsq, median, ols_fit
+from cointkit.regression import MAX_LAGS, DesignMatrix, _adf, _levels_regression, _lstsq, median, ols_fit
+from cointkit.series import MONTHLY
 from helpers import exact_ols
 
 
@@ -223,3 +228,79 @@ def test_median_is_bitwise_numpy_median(values):
         assert struct.pack("<d", got) == struct.pack("<d", expected)
         strided = np.repeat(np.array(values), 2)[::2]  # as a column of the Monte Carlo runners
         assert struct.pack("<d", median(strided)) == struct.pack("<d", np.median(strided))
+
+
+class TestInPlaceDesigns:
+    """Each stacked design is written into one C-ordered array, and equals the
+    column stack ``np.stack(np.broadcast_arrays(*columns), axis=-1)`` bitwise."""
+
+    @staticmethod
+    def _designs(monkeypatch):
+        """The designs handed to the kernel, as built, before any copy it makes."""
+        designs = []
+
+        def spy(A, y, names):
+            designs.append(A)
+            return _lstsq(A, y, names)
+
+        monkeypatch.setattr(regression, "_lstsq", spy)
+        monkeypatch.setattr(ecm, "_lstsq", spy)
+        return designs
+
+    @staticmethod
+    def _assert_same(built, columns):
+        reference = np.stack(np.broadcast_arrays(*columns), axis=-1)
+        assert built.flags.c_contiguous and built.dtype == np.float64
+        assert built.shape == reference.shape and built.tobytes() == reference.tobytes()
+
+    def test_adf(self, monkeypatch):
+        designs = self._designs(monkeypatch)
+        rng = np.random.default_rng(90)
+        m = 60
+        for rows in ((), (1,), (2,), (5,)):
+            x = np.cumsum(rng.standard_normal((*rows, m)), axis=-1)
+            dx = np.diff(x, axis=-1)
+            for lags in range(MAX_LAGS + 1):
+                n_eff = m - 1 - lags
+                for constant, trend in ((False, False), (True, False), (True, True)):
+                    _adf(x, lags, constant, trend)
+                    columns = [x[..., lags:-1]]
+                    columns += [dx[..., lags - i : m - 1 - i] for i in range(1, lags + 1)]
+                    columns += [np.ones(n_eff)] if constant else []
+                    columns += [np.arange(lags + 1, m, dtype=float)] if trend else []
+                    self._assert_same(designs.pop(), columns)
+
+    def test_levels_regression(self, monkeypatch):
+        designs = self._designs(monkeypatch)
+        rng = np.random.default_rng(91)
+        n = 40
+        for rows in ((), (1,), (3,), (5,)):
+            y, x = np.cumsum(rng.standard_normal((2, *rows, n)), axis=-1)
+            for trend in (False, True):
+                _levels_regression(y, x, trend)
+                trend_column = [np.arange(1, n + 1, dtype=float)] if trend else []
+                self._assert_same(designs.pop(), [x, *trend_column, np.ones(n)])
+
+    def test_ecm_regressions(self, monkeypatch):
+        designs = self._designs(monkeypatch)
+        rng = np.random.default_rng(92)
+        n = 80
+        y, x = 100.0 + np.cumsum(rng.standard_normal((2, 3, n)), axis=-1)
+        for gap, ect_lag, control_lags, trend, n_extras in itertools.product(
+            (1, 12), (1, 2, 3), (1, 2, 3), (False, True), (0, 1)
+        ):
+            spec = EcmSpec(gap, ect_lag, control_lags, trend)
+            rows = _ardl_rows(n, spec, MONTHLY)
+            extras = [("extra", rng.standard_normal(rows.size))][:n_extras]
+            levels, _ = _ecm_regressions(y, x, spec, MONTHLY, extras)
+            t0 = int(rows[0])
+            sy, sx = y[..., gap:] - y[..., :-gap], x[..., gap:] - x[..., :-gap]
+            columns = [sx[..., t0 - gap : n - gap]]
+            for j in range(1, control_lags + 1):
+                columns += [sy[..., t0 - j - gap : n - j - gap], sx[..., t0 - j - gap : n - j - gap]]
+            columns.append(levels.resid[..., t0 - ect_lag : n - ect_lag])
+            columns += [column for _, column in extras]
+            columns += [(rows + 1).astype(float)] if trend else []
+            columns.append(np.ones(rows.size))
+            self._assert_same(designs.pop(), columns)
+            designs.pop()  # the levels regression's
