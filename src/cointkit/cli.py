@@ -369,8 +369,10 @@ def _cmd_grid(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
 
 
 def _cmd_ecm(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
-    from cointkit.cointegration import EgSpec, engle_granger_test
+    from cointkit.critvals import eg_critical_values
     from cointkit.ecm import EcmSpec, estimate_ecm
+    from cointkit.regression import _eg_stage_two
+    from cointkit.series import align
 
     y = ingest_csv(config.values["input"])
     x = ingest_csv(config.values["input2"])
@@ -382,25 +384,19 @@ def _cmd_ecm(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
     )
     fit = estimate_ecm(y, x, spec)
 
+    # The companion Engle-Granger test (untransformed, normalized on y, 0 lags,
+    # the ECM's trend): its stage one is the ECM's levels regression.
     caveat = None
-    check: dict = {}
     try:
-        eg = engle_granger_test(
-            y,
-            x,
-            EgSpec(
-                transform="untransformed",
-                normalize_on="first",
-                lags=0,
-                trend_in_stage_one=spec.include_trend,
-            ),
-        )
+        stage_two, n_eff = _eg_stage_two(fit.levels_fit.residuals, align(y, x)[0].values, 0)
     except CointkitError as exc:
         check = {"error": f"{type(exc).__name__}: {exc}"}
         caveat = "companion cointegration test could not be run; the error-correction term may be undefined"
     else:
-        check = {"statistic": eg.statistic, "reject_at_5": eg.reject_at[5]}
-        if not eg.reject_at[5]:
+        statistic = float(stage_two.t_stats[0])
+        reject = statistic < eg_critical_values(n_eff, spec.include_trend)[5]
+        check = {"statistic": statistic, "reject_at_5": reject}
+        if not reject:
             caveat = (
                 "companion cointegration test does not reject no-cointegration at 5%; "
                 "the error-correction term is then I(1) and this regression risks spurious results"

@@ -84,7 +84,7 @@ class DeterministicSpec:
             "constant-trend": cls.constant_trend(),
             "constant+trend": cls.constant_trend(),
         }
-        if label not in table:
+        if not isinstance(label, str) or label not in table:
             raise UsageError(f"unknown deterministic spec {label!r}")
         return table[label]
 

@@ -18,8 +18,12 @@ Monte Carlo runners need no estimator module:
 - :func:`_difference`, first differences whose overflow raises a typed
   error and no numpy warning: ``_adf`` and the eg-differences size block;
 - :func:`_eg_stage_two`, the Engle-Granger stage two on the residuals of
-  a levels regression, with the lag bound ``MAX_LAGS``: ``cointegration``,
-  the Engle-Granger size experiments and the ECT unit-root experiment.
+  a levels regression: ``cointegration``, the companion check of the CLI's
+  ``ecm``, the Engle-Granger size experiments and the ECT unit-root
+  experiment. It applies no lag bound; the Engle-Granger bound
+  ``MAX_LAGS`` (0..24) is enforced by ``EgSpec`` and by the size
+  experiments' ``montecarlo._size_result``, not by the ECT unit-root
+  experiment.
 
 One kernel, :func:`_lstsq`, solves either one ``(n, k)`` design or a
 stack ``(..., n, k)`` of them; :func:`ols_fit` is its one-design case

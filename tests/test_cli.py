@@ -3,15 +3,22 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cointkit.cointegration as coint
+import cointkit.ecm as ecm
 import cointkit.montecarlo as mc
+import cointkit.regression as regression
 from cointkit import cli
 from cointkit.cli import SCHEMAS, RunConfig, main, parse_config_text, resolve_config
 from cointkit.ecm import estimate_levels
-from cointkit.errors import ConfigError, EmptyFile, GapInDates, NumericalError, ParseError
+from cointkit.errors import CointkitError, ConfigError, EmptyFile, GapInDates, NumericalError, ParseError
 from cointkit.ingest import ingest_csv
 from cointkit.series import TimeSeries
 
@@ -694,3 +701,67 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "false-positive rate at 1%" in out
         assert "guard fired in 100/100" in out
+
+
+class TestEcmCompanionCheck:
+    """The ``ecm`` command's cointegration check is stage two of the ECM's own levels fit."""
+
+    @staticmethod
+    def _pair(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.standard_normal(n))
+        if kind == "near_exact":  # residuals negligible against levels near 1e6
+            x = 1e6 + x
+            return 2 * x + 1 + 1e-8 * rng.standard_normal(n), x
+        if kind == "cointegrated":
+            y = 2 * x + 1 + rng.standard_normal(n)
+        else:  # independent walks
+            y = np.cumsum(rng.standard_normal(n))
+        offset = 0.0 if kind.endswith("crossing") else 1000.0  # walks from 0 cross it
+        return y + offset, x + offset
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["cointegrated", "cointegrated_crossing", "walks", "walks_crossing", "near_exact"]
+        ),
+        n=st.integers(40, 200),
+        seed=st.integers(0, 2**32 - 1),
+        gap=st.sampled_from([1, 12]),
+        ect_lag=st.integers(1, 3),
+        control_lags=st.integers(1, 3),
+        trend=st.booleans(),
+    )
+    def test_check_equals_the_engle_granger_test(self, kind, n, seed, gap, ect_lag, control_lags, trend):
+        """The check is ``engle_granger_test``'s (untransformed, first, 0 lags, the ECM's
+        trend) statistic and 5% decision, bitwise, or the error that test raises."""
+        y_values, x_values = self._pair(kind, n, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            py, px = os.path.join(tmp, "y.csv"), os.path.join(tmp, "x.csv")
+            write_series_csv(Path(py), y_values.tolist())
+            write_series_csv(Path(px), x_values.tolist())
+            argv = ["ecm", "--input", py, "--input2", px, "--gap", str(gap), "--ect-lag", str(ect_lag)]
+            argv += ["--control-lags", str(control_lags), "--trend", str(trend).lower()]
+            report, _, _ = cli._cmd_ecm(resolve_config(argv))
+            y, x = ingest_csv(py), ingest_csv(px)
+        try:
+            eg = coint.engle_granger_test(y, x, coint.EgSpec("untransformed", "first", 0, trend))
+        except CointkitError as exc:
+            expected = {"error": f"{type(exc).__name__}: {exc}"}
+        else:
+            expected = {"statistic": eg.statistic, "reject_at_5": eg.reject_at[5]}
+        assert report["cointegration_check"] == expected
+        assert (report["caveat"] is None) == expected.get("reject_at_5", False)
+
+    def test_one_command_solves_one_levels_regression(self, tmp_path, monkeypatch):
+        calls, solve = [], regression._levels_regression
+
+        def counted(y, x, include_trend):
+            calls.append((y.shape, include_trend))
+            return solve(y, x, include_trend)
+
+        for module in (regression, ecm, coint):
+            monkeypatch.setattr(module, "_levels_regression", counted)
+        py_, px = write_cointegrated_pair(tmp_path, n=120)
+        assert main(["ecm", "--input", str(py_), "--input2", str(px), "--trend", "true"]) == 0
+        assert calls == [((120,), True)]

@@ -102,6 +102,11 @@ class TestValidation:
         for det in (C, CT, N):
             assert DeterministicSpec.from_label(det.label()) == det
 
+    @pytest.mark.parametrize("label", [[1], {}, None, 3, b"constant"])
+    def test_a_non_label_is_a_usage_error(self, label):
+        with pytest.raises(UsageError, match="^unknown deterministic spec "):
+            DeterministicSpec.from_label(label)
+
     def test_map_covers_all_levels(self):
         cvs = critical_values_map(2, 200, C)
         assert set(cvs) == set(LEVELS)

@@ -60,6 +60,11 @@ CLI_CASES = {
     "ecm_caveat": [
         "ecm", "--input", "{in}/walk_a.csv", "--input2", "{in}/walk_b.csv", "--gap", "1",
     ],
+    # the companion check with a trend in its stage one
+    "ecm_trend": [
+        "ecm", "--input", "{in}/coint_y.csv", "--input2", "{in}/coint_x.csv", "--trend", "true",
+        "--gap", "1", "--control-lags", "2", "--ect-lag", "2",
+    ],
     "mc_falsepos": ["mc-falsepos", "--n", "60", "--reps", "100", "--seed", "7", "--level", "5"],
     "mc_size": ["mc-size", "--n", "60", "--reps", "100", "--seed", "3", "--lags", "1"],
     "mc_size_adf_cointegrated": [

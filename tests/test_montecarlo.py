@@ -318,6 +318,15 @@ def test_fresh_imports_load_only_what_they_use():
     if int(np.__version__.split(".")[0]) >= 2:
         assert lines[-1] == "[0, 0] False"
     assert "cointegration" in executed and "ecm" not in executed
+    # ecm's companion check is stage two of the ECM's own levels fit: the
+    # Engle-Granger layer stays registered and lazy.
+    pair = ["--input", os.path.join(inputs, "coint_y.csv"), "--input2", os.path.join(inputs, "coint_x.csv")]
+    lines, executed = _fresh_run(
+        "import sys; from cointkit.cli import main; "
+        f"print(main(['ecm', *{pair!r}]), type(sys.modules['cointkit.cointegration']).__name__)"
+    )
+    assert lines[-1] == "0 _LazyModule"
+    assert "ecm" in executed and "cointegration" not in executed
     # After a bare ``import cointkit``, submodules and exports load on first
     # use, and a pool run pickles the lazily loaded runner's arguments.
     code = (
