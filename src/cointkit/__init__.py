@@ -9,7 +9,11 @@ misused variants of these tools produce.
 ``import cointkit`` loads no layer. Each exported name, and each submodule
 (``cointkit.errors``, ``cointkit.regression``, ...), is imported on first
 use, so a CLI analyst command loads only the layers it runs and never the
-Monte Carlo code.
+Monte Carlo code. ``cointegration``, ``ecm``, ``montecarlo``, ``series``
+and ``unitroot`` are registered as lazy modules: each is in ``sys.modules``
+from the start, and its code runs when one of its names is first read.
+``import cointkit.cli`` runs ``cli``, ``errors``, ``formats``, ``ingest``
+and ``periods`` alone, and none of them imports numpy.
 """
 
 import importlib
@@ -65,8 +69,8 @@ _EXPORTS = {
     "seasonal_difference": "series",
     "wilson_interval": "montecarlo",
 }
-# Every submodule: those that define an export, and three that define none.
-_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "errors", "formats"}
+# Every submodule: those that define an export, and four that define none.
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"cli", "errors", "formats", "periods"}
 
 __version__ = "0.1.0"
 
@@ -98,9 +102,10 @@ def _lazy_module(name: str):
 
 # The benchmark's tracer looks these modules up in sys.modules after
 # ``import cointkit.cli``, which loads none of them: an analyst command loads
-# only the layers it runs, and a Monte Carlo experiment only the OLS core and
-# the critical values. Registered here, before any submodule import can load
-# them eagerly, each exists once and costs nothing until one of its names is used.
-cointegration, ecm, montecarlo, unitroot = map(
-    _lazy_module, ("cointegration", "ecm", "montecarlo", "unitroot")
+# only the layers it runs, ``ingest-check`` no numpy, and a Monte Carlo
+# experiment only the OLS core and the critical values. Registered here,
+# before any submodule import can load them eagerly, each exists once and
+# costs nothing until one of its names is used.
+cointegration, ecm, montecarlo, series, unitroot = map(
+    _lazy_module, ("cointegration", "ecm", "montecarlo", "series", "unitroot")
 )

@@ -23,14 +23,15 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import json
 import os
 import sys
 from dataclasses import dataclass
 
-# Every analyst command reads a CSV, so ingest and its layers load here; each
-# handler imports the layers it runs, and montecarlo is the package's lazy module.
+# Every analyst command reads a CSV, so ingest loads here; it needs no numpy.
+# Each handler imports the layers it runs, and montecarlo is the package's lazy module.
 from cointkit import montecarlo
 from cointkit.errors import (
     CointkitError,
@@ -39,7 +40,8 @@ from cointkit.errors import (
     UsageError,
 )
 from cointkit.formats import json_dumps, significance_stars
-from cointkit.ingest import IngestReport, ingest_csv
+from cointkit.ingest import IngestReport, _read, ingest_csv
+from cointkit.periods import _abs_index, period_labels
 
 OUTPUT_DIR_ENV = "COINTKIT_OUTPUT_DIR"
 
@@ -284,7 +286,21 @@ def _warning_lines(warnings) -> list[str]:
 
 
 def _cmd_ingest_check(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
-    report = IngestReport.from_series(ingest_csv(config.values["input"]))
+    # IngestReport.from_series(ingest_csv(path)), read without a TimeSeries, so
+    # without numpy.
+    name, frequency, start, values = _read(config.values["input"])
+    lo, hi = min(values), max(values)
+    if lo == 0.0 or hi == 0.0:
+        # Python keeps the first of 0.0 and -0.0, and numpy need not: the zero is numpy's.
+        import numpy as np
+
+        array = np.array(values)
+        lo, hi = float(array.min()), float(array.max())
+    first = _abs_index(start, frequency)
+    start_label, end_label = (
+        period_labels(index, 1, frequency)[0] for index in (first, first + len(values) - 1)
+    )
+    report = IngestReport(name, frequency, start_label, end_label, len(values), lo, hi)
     human = [
         f"{report.name}: {report.observations} {report.frequency_label} observations, "
         f"{report.start}..{report.end}"
@@ -506,7 +522,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """The console script and ``python -m cointkit.cli``: ``main()``, then exit.
+
+    The process ends here, so once ``main()`` has returned, every object
+    left is moved to the collector's permanent generation: the collections
+    at interpreter exit then walk none of what numpy and cointkit made. A
+    caller of ``main()`` keeps its collector as it was.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,11 +11,21 @@ Each returns the plain Python value, so equal settings give equal configs
 and digests, or raises ``UsageError`` naming the setting. Numeric data
 (series values, regressors, a dependent variable) is read by ``float_data``,
 which raises ``DataError`` for values that are no numbers.
+
+This module does not import numpy, so a command that only reads a CSV
+loads none of it. The setting rules take numpy's scalar types from
+``sys.modules``: before numpy is imported, no numpy scalar can exist.
+``float_data`` imports numpy when it runs.
 """
 
 import math
+import sys
 
-import numpy as np
+
+def _numpy_types(*names: str) -> tuple[type, ...]:
+    """numpy's types ``names``, or none while numpy is not imported."""
+    np = sys.modules.get("numpy")
+    return () if np is None else tuple(getattr(np, name) for name in names)
 
 
 class CointkitError(Exception):
@@ -52,8 +62,10 @@ def int_setting(
     value (300.0 is 300); never a bool. ``expected`` replaces every message
     with "{name} must be {expected}".
     """
-    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if isinstance(value, (float, np.floating)):
+    if type(value) is int:  # Python's own numbers need no numpy type
+        return _bounded(name, value, lo, hi, expected)
+    integral = isinstance(value, (int, *_numpy_types("integer"))) and not isinstance(value, bool)
+    if isinstance(value, (float, *_numpy_types("floating"))):
         integral = math.isfinite(value) and value.is_integer()
     if not integral:
         message = f"an integer, got {value!r}" if expected is None else expected
@@ -64,8 +76,10 @@ def int_setting(
 def real_setting(name: str, value, lo: float | None = None, hi: float | None = None) -> float:
     """The real rule: ``value``, a finite Python or numpy int or float, as a Python float
     within ``lo``..``hi`` if given; never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise UsageError(f"{name} must be a real number, got {value!r}")
+    if type(value) not in (int, float):  # Python's own numbers need no numpy type
+        real = (int, float, *_numpy_types("integer", "floating"))
+        if isinstance(value, bool) or not isinstance(value, real):
+            raise UsageError(f"{name} must be a real number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an int beyond the float range
@@ -77,7 +91,7 @@ def real_setting(name: str, value, lo: float | None = None, hi: float | None = N
 
 def flag_setting(name: str, value) -> bool:
     """The flag rule: a Python or numpy bool, as a Python bool."""
-    if not isinstance(value, (bool, np.bool_)):
+    if type(value) is not bool and not isinstance(value, _numpy_types("bool_")):
         raise UsageError(f"{name} must be True or False, got {value!r}")
     return bool(value)
 
@@ -104,9 +118,11 @@ class DataError(CointkitError):
     """Malformed, inconsistent, or insufficient input data."""
 
 
-def float_data(name: str, values) -> np.ndarray:
+def float_data(name: str, values) -> "numpy.ndarray":
     """``values`` as a new float array; anything numpy cannot read as numbers
     raises ``DataError`` naming ``name``."""
+    import numpy as np
+
     try:
         return np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:

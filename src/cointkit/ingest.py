@@ -12,6 +12,11 @@ row, upper-case ``Q``, no quotes or padding) is accepted in one bulk pass
 over its text, which splits it with ``str`` methods. The ``csv`` module
 reads only the files that pass declines, and the row loop over its
 records alone decides every error and every non-canonical row.
+
+``_read`` does all of this without numpy, and ``ingest_csv`` wraps what it
+reads in a ``TimeSeries``, which loads numpy. ``cointkit ingest-check``
+builds its report from ``_read`` alone, so it imports numpy only to take a
+zero minimum or maximum with the sign numpy gives it.
 """
 
 from __future__ import annotations
@@ -24,16 +29,14 @@ import re
 from dataclasses import dataclass
 from itertools import repeat
 from operator import contains
+from typing import TYPE_CHECKING
 
 from cointkit.errors import DataError, EmptyFile, GapInDates, ParseError, instance_setting
 from cointkit.formats import JsonRecord, fmt12s
-from cointkit.series import (
-    MONTHLY,
-    QUARTERLY,
-    TimeSeries,
-    _abs_index,
-    period_labels,
-)
+from cointkit.periods import MONTHLY, QUARTERLY, _abs_index, period_labels
+
+if TYPE_CHECKING:  # imported where used: series loads numpy, and _read needs none
+    from cointkit.series import TimeSeries
 
 _MONTHLY_RE = re.compile(r"^(\d{4})-(\d{2})$", re.ASCII)
 _QUARTERLY_RE = re.compile(r"^(\d{4})[Qq]([1-4])$", re.ASCII)
@@ -121,6 +124,15 @@ def ingest_csv(path: str) -> TimeSeries:
         A file that cannot be opened, or is not valid UTF-8 (naming the byte
         offset in the file and its line).
     """
+    from cointkit.series import TimeSeries
+
+    name, frequency, start, values = _read(path)
+    return TimeSeries(start=start, frequency=frequency, values=values, lineage=(), name=name)
+
+
+def _read(path) -> tuple[str, int, tuple[int, int], list[float]]:
+    """(name, frequency, start, values) of the CSV file at ``path``, with
+    ``ingest_csv``'s errors; it loads no numpy."""
     if isinstance(path, os.PathLike):
         path = os.fspath(path)
     instance_setting("path", path, str)
@@ -152,8 +164,7 @@ def ingest_csv(path: str) -> TimeSeries:
         if parsed is None:
             raise EmptyFile(path)
     frequency, start, values = parsed
-    name = os.path.splitext(os.path.basename(path))[0]
-    return TimeSeries(start=start, frequency=frequency, values=values, lineage=(), name=name)
+    return os.path.splitext(os.path.basename(path))[0], frequency, start, values
 
 
 def _canonical(text: str) -> tuple[int, tuple[int, int], list[float]] | None:

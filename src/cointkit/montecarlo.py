@@ -742,13 +742,14 @@ def run_ect_unit_root_experiment(
     critical values; one-variable tables would overstate rejections for a
     series that was constructed to look as stationary as least squares can
     make it. Under this null the term is I(1) and rejections should sit
-    near the nominal level.
+    near the nominal level. ``lags``, the augmentation lags of that test,
+    keeps to the Engle-Granger range 0..``MAX_LAGS`` (24).
     """
     from cointkit.ecm import EcmSpec, _ardl_rows
     from cointkit.series import MONTHLY
 
     spec = EcmSpec(MONTHLY) if ecm_spec is None else instance_setting("ecm_spec", ecm_spec, EcmSpec)
-    lags = int_setting("lags", lags, 0)
+    lags = int_setting("lags", lags, 0, MAX_LAGS)  # the Engle-Granger lag bound
     dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, n, innovation_sd)
     config, digest = _config(
         "ect_unit_root",

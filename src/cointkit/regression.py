@@ -21,9 +21,9 @@ Monte Carlo runners need no estimator module:
   a levels regression: ``cointegration``, the companion check of the CLI's
   ``ecm``, the Engle-Granger size experiments and the ECT unit-root
   experiment. It applies no lag bound; the Engle-Granger bound
-  ``MAX_LAGS`` (0..24) is enforced by ``EgSpec`` and by the size
-  experiments' ``montecarlo._size_result``, not by the ECT unit-root
-  experiment.
+  ``MAX_LAGS`` (0..24) is enforced by ``EgSpec``, by the size
+  experiments' ``montecarlo._size_result`` and by
+  ``montecarlo.run_ect_unit_root_experiment``.
 
 One kernel, :func:`_lstsq`, solves either one ``(n, k)`` design or a
 stack ``(..., n, k)`` of them; :func:`ols_fit` is its one-design case

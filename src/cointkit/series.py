@@ -3,7 +3,9 @@
 A :class:`TimeSeries` is immutable; every transform returns a new series
 and appends exactly one :class:`TransformTag` to its lineage. Downstream
 code (notably the cointegration misuse guard) inspects that lineage to
-tell raw data apart from differenced data.
+tell raw data apart from differenced data. The period calendar
+(``MONTHLY``, ``QUARTERLY``, period indices and labels) is written in
+:mod:`cointkit.periods`, and its names are importable from here too.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from cointkit.errors import (
     instance_setting,
     int_setting,
 )
-
-MONTHLY = 12
-QUARTERLY = 4
+from cointkit.periods import MONTHLY, QUARTERLY, _abs_index, _from_abs_index, period_labels
 
 LOG = "log"
 SEASONAL_DIFF = "seasonal_diff"
@@ -82,33 +82,6 @@ def _check_start(start: tuple[int, int], frequency: int) -> None:
         raise DataError(f"frequency must be 12 (monthly) or 4 (quarterly), got {frequency}")
     if year < 0:
         raise DataError(f"year {year} out of range")
-
-
-def _abs_index(start: tuple[int, int], frequency: int) -> int:
-    year, month = start
-    if frequency == MONTHLY:
-        return year * 12 + (month - 1)
-    return year * 4 + (month - 1) // 3
-
-
-def _from_abs_index(index: int, frequency: int) -> tuple[int, int]:
-    if frequency == MONTHLY:
-        return index // 12, index % 12 + 1
-    return index // 4, (index % 4) * 3 + 1
-
-
-_PERIOD_SUFFIXES = {
-    MONTHLY: tuple(f"-{month:02d}" for month in range(1, 13)),
-    QUARTERLY: ("Q1", "Q2", "Q3", "Q4"),
-}
-
-
-def period_labels(first: int, count: int, frequency: int) -> list[str]:
-    """Labels of ``count`` consecutive periods from absolute period index ``first``."""
-    year, skip = divmod(first, frequency)
-    years = [f"{y:04d}" for y in range(year, (first + count - 1) // frequency + 1)]
-    labels = [y + suffix for y in years for suffix in _PERIOD_SUFFIXES[frequency]]
-    return labels[skip : skip + count]
 
 
 @dataclass(frozen=True)

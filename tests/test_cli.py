@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -765,3 +766,65 @@ class TestEcmCompanionCheck:
         py_, px = write_cointegrated_pair(tmp_path, n=120)
         assert main(["ecm", "--input", str(py_), "--input2", str(px), "--trend", "true"]) == 0
         assert calls == [((120,), True)]
+
+
+class TestStartUp:
+    """A fresh ``ingest-check`` loads no numpy; only ``entrypoint()`` freezes the collector."""
+
+    # numpy loads only to give the sign of a zero minimum or maximum.
+    @pytest.mark.parametrize(
+        "rows, code, numpy_imported",
+        [
+            ("2020-01,1\n2020-02,-2.5\n", 0, False),
+            ("2020-01,1\n2020-03,2\n", 2, False),
+            ("2020-01,1\n2020-02,-0.0\n2020-03,0\n", 0, True),
+        ],
+        ids=["valid", "data-error", "zero-minimum"],
+    )
+    def test_a_fresh_ingest_check_imports_numpy_only_for_a_zero_extreme(
+        self, tmp_path, rows, code, numpy_imported
+    ):
+        (tmp_path / "s.csv").write_text("date,value\n" + rows, encoding="utf-8")
+        # The console script's path, and a report of sys.modules once it has exited.
+        program = (
+            "import atexit, sys\n"
+            "atexit.register(lambda: print('numpy imported:', 'numpy' in sys.modules))\n"
+            "sys.argv = ['cointkit', 'ingest-check', '--input', 's.csv', '--format', 'both', '--output', 'r']\n"
+            "from cointkit.cli import entrypoint\n"
+            "entrypoint()\n"
+        )
+        src = os.path.dirname(os.path.dirname(mc.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == code
+        assert proc.stdout.splitlines()[-1] == f"numpy imported: {numpy_imported}"
+        if code:
+            assert proc.stderr.startswith("cointkit-error: ") and proc.stderr.count("\n") == 1
+        else:
+            assert proc.stderr == "" and (tmp_path / "r.json").exists()
+
+    def test_main_leaves_the_collector_as_it_was(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        write_series_csv(path, [1.0, 2.0, 3.0])
+        before = gc.get_freeze_count()
+        assert main(["ingest-check", "--input", str(path)]) == 0
+        assert main(["mc-size", "--n", "60", "--reps", "100"]) == 0
+        assert main(["adf", "--input", str(tmp_path / "absent.csv")]) == 2
+        assert gc.get_freeze_count() == before
+
+    def test_entrypoint_freezes_the_collector_after_main_returns(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exited:
+            cli.entrypoint()
+        assert exited.value.code == 3 and calls == ["main", "freeze"]
+
+    def test_a_pool_run_on_the_console_path_exits_cleanly(self, tmp_path, capsys):
+        argv = ["mc-size", "--n", "60", "--reps", "300", "--seed", "5"]
+        proc = _fresh_process(tmp_path, [*argv, "--workers", "2"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out

@@ -1,12 +1,15 @@
 """Property tests for the ``date,value`` ingest grammar.
 
 Labels are built here by offset arithmetic from the start period, a route
-independent of the period-index codec in ``cointkit.series``.
+independent of the period-index codec in ``cointkit.periods``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import json
 from unittest import mock
 
 import numpy as np
@@ -14,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cointkit import ingest
-from cointkit.errors import DataError, GapInDates, ParseError
-from cointkit.ingest import ingest_csv
+from cointkit import cli, ingest
+from cointkit.cli import main
+from cointkit.errors import CointkitError, DataError, GapInDates, ParseError
+from cointkit.formats import json_dumps
+from cointkit.ingest import IngestReport, ingest_csv
 from cointkit.series import MONTHLY, QUARTERLY
 
 # (frequency, year, sub-period): month 1..12 or quarter 1..4
@@ -242,3 +247,58 @@ def test_only_one_byte_order_mark_is_dropped_and_offsets_count_it(csv_path):
     error_type, message, _ = _outcome(str(csv_path))
     assert error_type is DataError
     assert message.endswith("can't decode byte 0xff in position 22: invalid start byte (line 2)")
+
+
+# ``cointkit ingest-check`` reads with ``ingest._read`` and builds its report
+# without a TimeSeries; the reference is the report of the series route.
+
+
+def _ingest_check(path, out) -> tuple:
+    """Exit code, stderr and the JSON and CSV text (None if absent) of ingest-check on ``path``."""
+    for suffix in (".json", ".csv"):
+        out.with_suffix(suffix).unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["ingest-check", "--input", str(path), "--format", "both", "--output", str(out)])
+    files = (out.with_suffix(".json"), out.with_suffix(".csv"))
+    return code, err.getvalue(), *(p.read_text(encoding="utf-8") if p.exists() else None for p in files)
+
+
+def _series_route(path) -> tuple:
+    """What ingest-check gave when it built its report from ``ingest_csv``'s series."""
+    try:
+        report = IngestReport.from_series(ingest_csv(str(path)))
+    except CointkitError as exc:
+        record = {"error": type(exc).__name__, "message": str(exc).replace("\n", "; ")}
+        return cli._exit_code(exc), f"cointkit-error: {json.dumps(record)}\n", None, None
+    return 0, "", json_dumps(report.to_json_dict()), cli._csv_text(report.to_csv_rows())
+
+
+@pytest.fixture(scope="module")
+def out_stem(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest_check") / "report"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+def test_ingest_check_agrees_with_the_series_route(csv_path, out_stem, text):
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    assert _ingest_check(csv_path, out_stem) == _series_route(csv_path)
+
+
+# numpy's min and max may pick either of 0.0 and -0.0, by position (past row
+# 16 too), where Python's keep the first: ingest-check takes a zero from numpy.
+@pytest.mark.parametrize("positions", [(0, 1), (1, 0), (2, 3), (17, 30), (30, 17)])
+@pytest.mark.parametrize("zeros", [("0", "-0"), ("0", "-0.0")])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["zero_min", "zero_max"])
+@pytest.mark.parametrize("frequency", [MONTHLY, QUARTERLY])
+def test_ingest_check_takes_a_signed_zero_as_numpy_does(
+    csv_path, out_stem, frequency, sign, zeros, positions
+):
+    values = [f"{sign}{k + 1}.5" for k in range(40)]
+    for zero, i in zip(zeros, positions):
+        values[i] = zero
+    csv_path.write_text(_csv_text((frequency, 2000, 2), values), encoding="utf-8", newline="")
+    result = _ingest_check(csv_path, out_stem)
+    assert result == _series_route(csv_path)
+    assert result[0] == 0

@@ -285,15 +285,14 @@ def _fresh_run(code: str) -> tuple[list[str], list[str]]:
 
 
 def test_fresh_imports_load_only_what_they_use():
-    # The CLI registers montecarlo and the estimator layers without running
-    # them. numpy 1.x imports hashlib itself (through numpy.random), so the
-    # check is on what the CLI import adds.
+    # The CLI registers montecarlo, the series and the estimator layers without
+    # running them, and imports no numpy.
     lines, executed = _fresh_run(
-        "import sys, numpy; before = set(sys.modules); import cointkit.cli; "
-        "print(*(name in set(sys.modules) - before for name in ('hashlib', 'concurrent.futures.process')))"
+        "import sys, cointkit.cli; "
+        "print(*(name in sys.modules for name in ('numpy', 'hashlib', 'concurrent.futures.process')))"
     )
-    assert lines == ["False False"]
-    assert executed == ["cli", "errors", "formats", "ingest", "series"]
+    assert lines == ["False False False"]
+    assert executed == ["cli", "errors", "formats", "ingest", "periods"]
     # A size experiment runs on the OLS core and the critical values alone.
     _, executed = _fresh_run(
         "import numpy, cointkit as ck; ck.run_size_experiment(ck.TestConfig('eg-levels', lags=12), "
@@ -886,7 +885,9 @@ class TestRunnerValidation:
                 ),
                 "^lags must be in 0..24, got 25$",
             ),
-            (lambda: _RUNNERS["ect_unit_root"](base_seed=0, lags=-1), "^lags must be >= 0, got -1$"),
+            (lambda: _RUNNERS["ect_unit_root"](base_seed=0, lags=-1), "^lags must be in 0..24, got -1$"),
+            # the Engle-Granger lag bound, as for the size experiments
+            (lambda: _RUNNERS["ect_unit_root"](base_seed=0, lags=25), "^lags must be in 0..24, got 25$"),
             (
                 lambda: _RUNNERS["ect_unit_root"](base_seed=0, ecm_spec=EcmSpec(seasonal_gap=4)),
                 "^seasonal_gap 4 matches neither",
@@ -896,7 +897,13 @@ class TestRunnerValidation:
                 "^seasonal_gap 4 matches neither",
             ),
         ],
-        ids=["size-lags-25", "ect-unit-root-lags-minus-1", "ect-unit-root-gap-4", "ect-recovery-gap-4"],
+        ids=[
+            "size-lags-25",
+            "ect-unit-root-lags-minus-1",
+            "ect-unit-root-lags-25",
+            "ect-unit-root-gap-4",
+            "ect-recovery-gap-4",
+        ],
     )
     def test_setting_fails_with_no_replication_context(self, no_replications, run, message):
         with pytest.raises(UsageError, match=message) as caught:
