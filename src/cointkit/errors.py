@@ -14,7 +14,8 @@ which raises ``DataError`` for values that are no numbers.
 
 This module does not import numpy, so a command that only reads a CSV
 loads none of it. The setting rules take numpy's scalar types from
-``sys.modules``: before numpy is imported, no numpy scalar can exist.
+``sys.modules``, once numpy is there: before numpy is imported, no numpy
+scalar can exist.
 ``float_data`` imports numpy when it runs.
 """
 
@@ -22,10 +23,23 @@ import math
 import sys
 
 
+_NUMPY_TYPES: dict[tuple[str, ...], tuple[type, ...]] = {}
+
+
 def _numpy_types(*names: str) -> tuple[type, ...]:
-    """numpy's types ``names``, or none while numpy is not imported."""
-    np = sys.modules.get("numpy")
-    return () if np is None else tuple(getattr(np, name) for name in names)
+    """numpy's types ``names``, or none while numpy is not imported.
+
+    Each tuple is looked up once, on the first call after numpy is imported,
+    and that same tuple is returned from then on.
+    """
+    try:
+        return _NUMPY_TYPES[names]
+    except KeyError:
+        np = sys.modules.get("numpy")
+        if np is None:
+            return ()
+        types = _NUMPY_TYPES[names] = tuple(getattr(np, name) for name in names)
+        return types
 
 
 class CointkitError(Exception):

@@ -17,9 +17,11 @@ PCG64 state, bitwise equal to building them one replication at a time, so
 ``PRNG_ID`` and the seed scheme are numpy's. One reused PCG64 fills each
 row from that row's state, the walks are summed in place, and the
 cointegrated-pair recursion runs one time step at a time across every row
-of the stack. Each series is bitwise equal to the one ``generate`` gives
-for that replication's seed alone, whatever the stack, block or worker
-split.
+of the stack, through two scratch buffers of ``_CHUNK_STEPS`` (32) steps.
+So a draw allocates nothing of the stack's size but its innovations and
+its two results. Each series is bitwise equal to the one ``generate`` gives
+for that replication's seed alone, whatever the stack, block, chunk or
+worker split.
 
 A block of replications yields only statistics: one float per replication,
 or (ECT coefficient, t-ratio) for the recovery experiment. Each runner
@@ -105,15 +107,22 @@ BLOCK_SIZE = 16
 # whatever its row count: the seeding hash, its allocations, and on the
 # cointegrated pair one recursion of three ufunc calls per time step, so a
 # worker draws its replications in as few stacks as memory allows. Seeding
-# and drawing one replication (2-vCPU host, best of 15) took 56 us in an
-# 8-row draw, 24 us in 64 rows and 23 us in 256 for walks at n=300, and
-# 195, 64 and 62 us for the pair at n=600. A draw covers up to
+# and drawing one replication (2-vCPU host, best of 15) took 44 us in an
+# 8-row draw, 20 us in 64 rows and 18 us in 256 for walks at n=300, and
+# 150, 40 and 30 us for the pair at n=600. A draw covers up to
 # GENERATE_SIZE rows and at most _DRAW_STEPS row-steps (rows times
 # n + BURN_IN), but never fewer than 64 rows, so long series are drawn 64
-# at a time. A draw works in place, so its tracemalloc peak is at most 36
-# bytes per row-step: about 6 MiB for a full draw at n=600.
+# at a time. A draw works in place, so its tracemalloc peak is at most 34
+# bytes per row-step, the same for every DGP: about 5.4 MiB for a full draw
+# at n=600.
 GENERATE_SIZE = 256
 _DRAW_STEPS = 256 * 700
+
+# Time steps the cointegrated-pair recursion runs per pass through its two
+# scratch buffers. At 256 rows a buffer of 32 steps is 64 KiB, below glibc's
+# default 128 KiB mmap threshold, so a warm draw reuses heap memory instead of
+# faulting in fresh pages. Chunks of 16 to 128 steps timed the same.
+_CHUNK_STEPS = 32
 
 
 def _draw_rows(n: int) -> int:
@@ -352,22 +361,37 @@ def _generate_stack(dgp: DgpSpec, seeds: list[int]) -> tuple[np.ndarray, np.ndar
 def _adjusting_series(x: np.ndarray, e: np.ndarray, dgp: DgpSpec) -> None:
     """Overwrites each row of ``e`` with y_t = keep * y_{t-1} + pull * x_{t-1} + e_t, y_0 = e_0.
 
-    The recursion runs time-major, one step for every row at once, in place
-    over one transposed copy of ``e``. Each step is three ufunc calls in the
-    order of the scalar expression; the last adds ``tmp + e_t``, which is
-    bitwise ``(keep * y_{t-1} + pull * x_{t-1}) + e_t``, so each row is
-    bitwise the scalar recursion.
+    The recursion runs time-major, one step for every row at once, through
+    two scratch buffers of ``_CHUNK_STEPS`` time steps: each chunk copies its
+    steps of ``e`` in, transposed, behind the carried row y_{t0-1}, fills the
+    other with pull * x_{t-1}, runs its steps in place and writes them back.
+    Each step is three ufunc calls in the order of the scalar expression; the
+    last adds ``tmp + e_t``, which is bitwise ``(keep * y_{t-1} + pull *
+    x_{t-1}) + e_t``, so each row is bitwise the scalar recursion.
     """
-    y = np.ascontiguousarray(e.T)
-    pull_x = np.multiply(dgp.adjust * dgp.beta, x.T, out=np.empty_like(y))
-    keep = np.full(y.shape[1], 1.0 - dgp.adjust)
+    rows, total = e.shape
+    chunk = _CHUNK_STEPS
+    y = np.empty((chunk + 1, rows))  # row 0 carries y_{t0-1}
+    pull_x = np.empty((chunk, rows))
+    pull = dgp.adjust * dgp.beta
+    keep = np.full(rows, 1.0 - dgp.adjust)
     tmp = np.empty_like(keep)
-    steps = list(y)
-    for prev, y_t, pull_x_prev in zip(steps, steps[1:], list(pull_x)):
-        np.multiply(keep, prev, tmp)
-        np.add(tmp, pull_x_prev, tmp)
-        np.add(tmp, y_t, y_t)
-    e[...] = y.T
+    y[0] = e[:, 0]
+    steps, pulls = list(y), list(pull_x)
+    for t0 in range(1, total, chunk):
+        t1 = min(t0 + chunk, total)
+        m = t1 - t0
+        y[1 : m + 1] = e[:, t0:t1].T
+        # Copied before the multiply: a ufunc reading the transposed view
+        # would allocate a buffer of its own.
+        pull_x[:m] = x[:, t0 - 1 : t1 - 1].T
+        np.multiply(pull, pull_x[:m], out=pull_x[:m])
+        for prev, y_t, pull_x_prev in zip(steps[:m], steps[1 : m + 1], pulls[:m]):
+            np.multiply(keep, prev, tmp)
+            np.add(tmp, pull_x_prev, tmp)
+            np.add(tmp, y_t, y_t)
+        e[:, t0:t1] = y[1 : m + 1].T
+        y[0] = y[m]
 
 
 def generate(dgp: DgpSpec) -> tuple[TimeSeries, TimeSeries]:

@@ -113,13 +113,20 @@ class TestGenerateStack:
     """Each row of a stacked draw is bitwise the one-seed ``generate``."""
 
     @pytest.mark.parametrize("kind", _KINDS)
-    def test_generate_equals_scalar_reference(self, kind):
-        for sd, beta, adjust in ((1.0, 1.0, 0.5), (2.5, -0.7, 0.3), (0.37, 2.0, 1.0)):
-            dgp = mc.DgpSpec(kind, 60, sd, seed=mc.replication_seed(6, 1), beta=beta, adjust=adjust)
-            a, b = mc.generate(dgp)
-            first, second = _scalar_pair(dgp)
-            assert a.values.tobytes() == first.tobytes()
-            assert b.values.tobytes() == second.tobytes()
+    def test_generate_equals_scalar_reference(self, kind, monkeypatch):
+        # The recursion runs in chunks of time steps. With chunks of 200, n +
+        # BURN_IN falls below one chunk, on it, one and two past it, and two
+        # chunks plus one; then the same at the module's own chunk length.
+        cases = [(200, n) for n in (60, 100, 101, 102, 301)]
+        cases += [(mc._CHUNK_STEPS, n) for n in (60, 61, 62)]
+        for chunk, n in cases:
+            monkeypatch.setattr(mc, "_CHUNK_STEPS", chunk)
+            for sd, beta, adjust in ((1.0, 1.0, 0.5), (2.5, -0.7, 0.3), (0.37, 2.0, 1.0)):
+                dgp = mc.DgpSpec(kind, n, sd, seed=mc.replication_seed(6, 1), beta=beta, adjust=adjust)
+                a, b = mc.generate(dgp)
+                first, second = _scalar_pair(dgp)
+                assert a.values.tobytes() == first.tobytes()
+                assert b.values.tobytes() == second.tobytes()
 
     @pytest.mark.parametrize("sd", [0.0, 1.0, 2.5])
     @pytest.mark.parametrize("n", [30, 300])
@@ -165,6 +172,21 @@ class TestGenerateStack:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * rows * (n + mc.BURN_IN)
+
+    def test_recursion_allocates_only_its_chunk_buffers(self):
+        # Two (chunk, rows) buffers of scratch, a few rows and the views of the
+        # buffers; never a copy of the (rows, n + BURN_IN) stack.
+        rows, total = mc._draw_rows(600), 600 + mc.BURN_IN
+        x = np.cumsum(np.ones((rows, total)), axis=1)
+        e = np.ones((rows, total))
+        dgp = mc.DgpSpec(mc.COINTEGRATED_PAIR, 600, beta=1.7, adjust=0.3)
+        tracemalloc.start()
+        try:
+            mc._adjusting_series(x, e, dgp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * rows * mc._CHUNK_STEPS + 4 * 8 * rows + 16384
 
     @pytest.mark.parametrize(
         "n, reps, draws", [(60, 600, [256, 256, 88]), (600, 200, [200]), (10_000, 130, [64, 64, 2])]

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 from unittest import mock
@@ -24,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cointkit.montecarlo as mc
+from cointkit import errors
 from cointkit.cointegration import NORMALIZE_FIRST, UNTRANSFORMED, EgSpec, engle_granger_test, run_spec_grid
 from cointkit.critvals import DeterministicSpec, critical_value, critical_values_map
 from cointkit.ecm import EcmSpec, audit_controls, estimate_ecm, estimate_levels
@@ -99,6 +102,23 @@ class TestRules:
         with pytest.raises(UsageError, match=r"^seed must be a 64-bit unsigned integer$"):
             int_setting("seed", "1", 0, 2**64 - 1, expected="a 64-bit unsigned integer")
         assert int_setting("lags", 24.0, 0, 24) == 24
+
+    def test_numpy_types_are_looked_up_once_numpy_is_imported(self):
+        # Before numpy is imported a lookup finds nothing and remembers nothing;
+        # after, every lookup of the same names returns the one same tuple.
+        code = (
+            "from cointkit import errors\n"
+            "before = errors._numpy_types('integer', 'floating')\n"
+            "import numpy as np\n"
+            "first = errors._numpy_types('integer', 'floating')\n"
+            "print(before, first == (np.integer, np.floating),"
+            " all(errors._numpy_types('integer', 'floating') is first for _ in range(3)),"
+            " errors._numpy_types('bool_') == (np.bool_,))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.split() == ["()", "True", "True", "True"]
+        assert errors._numpy_types("integer") is errors._numpy_types("integer") == (np.integer,)
 
 
 # Values that no rule takes, or only some do.
