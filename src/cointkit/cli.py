@@ -66,8 +66,9 @@ _WORKERS = Opt(
     int,
     1,
     help="worker processes; each run starts a new pool, which pays only for thousands of "
-    "replications (n=600 ECT recovery, 2 CPUs: 200 reps 20 ms on 1 worker and 36 ms on 2, "
-    "2000 reps 200 ms on 1 and 163 ms on 2)",
+    "replications (n=600 ECT recovery, 2 CPUs: 200 reps 21 ms on 1 worker and 42 ms on 2, "
+    "2000 reps 243 ms on 1 and 189 ms on 2); on Linux workers start by fork, which "
+    "inherits the loaded modules, where forkserver and spawn took 415 and 537 ms on 2",
 )
 
 SCHEMAS: dict[str, tuple[Opt, ...]] = {

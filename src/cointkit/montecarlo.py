@@ -17,11 +17,12 @@ PCG64 state, bitwise equal to building them one replication at a time, so
 ``PRNG_ID`` and the seed scheme are numpy's. One reused PCG64 fills each
 row from that row's state, the walks are summed in place, and the
 cointegrated-pair recursion runs one time step at a time across every row
-of the stack, through two scratch buffers of ``_CHUNK_STEPS`` (32) steps.
-So a draw allocates nothing of the stack's size but its innovations and
-its two results. Each series is bitwise equal to the one ``generate`` gives
-for that replication's seed alone, whatever the stack, block, chunk or
-worker split.
+of the stack, through two scratch buffers of ``_CHUNK_STEPS`` (16) steps.
+The two series are returned as views of that one innovation buffer, so a
+draw allocates no float array of the stack's size but the buffer; the
+finiteness check adds a boolean mask per series. Each series is
+bitwise equal to the one ``generate`` gives for that replication's seed
+alone, whatever the stack, block, chunk or worker split.
 
 A block of replications yields only statistics: one float per replication,
 or (ECT coefficient, t-ratio) for the recovery experiment. Each runner
@@ -47,9 +48,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -112,17 +114,34 @@ BLOCK_SIZE = 16
 # 150, 40 and 30 us for the pair at n=600. A draw covers up to
 # GENERATE_SIZE rows and at most _DRAW_STEPS row-steps (rows times
 # n + BURN_IN), but never fewer than 64 rows, so long series are drawn 64
-# at a time. A draw works in place, so its tracemalloc peak is at most 34
-# bytes per row-step, the same for every DGP: about 5.4 MiB for a full draw
-# at n=600.
+# at a time. A draw works in place and returns views of its innovations, so
+# its tracemalloc peak is about 18 bytes per row-step (16 of them the
+# innovations), at most 18.4 for every DGP from n=30 on: about 3.1 MiB for a
+# full draw at n=600, and 2.4 MiB for the 200 rows of a 200-replication call.
 GENERATE_SIZE = 256
 _DRAW_STEPS = 256 * 700
 
 # Time steps the cointegrated-pair recursion runs per pass through its two
-# scratch buffers. At 256 rows a buffer of 32 steps is 64 KiB, below glibc's
+# scratch buffers. At 256 rows a buffer of 16 steps is 32 KiB, below glibc's
 # default 128 KiB mmap threshold, so a warm draw reuses heap memory instead of
-# faulting in fresh pages. Chunks of 16 to 128 steps timed the same.
-_CHUNK_STEPS = 32
+# faulting in fresh pages. At 32 steps the buffers alone were 4 bytes per
+# row-step of the shortest draw (n=30, 256 rows), against 16 for its
+# innovations; at 16 steps a 200-row draw at n=600 took 1.6-1.9% longer
+# (2-vCPU host, median of 150), about 0.6% of an ECT-recovery call.
+_CHUNK_STEPS = 16
+
+
+# How the worker processes of a --workers run start. On Linux it is fork: a
+# forked worker inherits the imported numpy and cointkit, where forkserver
+# and spawn workers import both again on every run, which cost 0.2-0.35 s a
+# run on a 2-vCPU host (README). Python 3.14 makes forkserver the Linux
+# default, so the method is named here. Python 3.12+ warns on fork in a
+# process with more than one thread, and numpy's OpenBLAS starts one; its
+# fork handler stops it before the fork, so the parent has one thread when
+# that check runs (measured with Python 3.11 and numpy 2.4; the warning
+# itself is untested on 3.12+). Other platforms keep their default, spawn,
+# which is the only method on Windows and the safe one on macOS.
+_START_METHOD = "fork" if sys.platform.startswith("linux") else None
 
 
 def _draw_rows(n: int) -> int:
@@ -250,27 +269,27 @@ def replication_seed(base_seed: int, r: int) -> int:
     return _replication_seeds(base_seed, r, r + 1)[0]
 
 
-def _pcg64_states(seeds: list[int]) -> list[dict]:
+def _pcg64_states(seeds: list[int]) -> Iterator[dict]:
     """The ``.state`` numpy's ``PCG64`` takes from ``SeedSequence(seed)``, for each seed.
 
     PCG64 seeds from four uint64 words: the first two are the 128-bit
     initial state, the last two the stream, which numpy's
     ``pcg_setseq_128_srandom_r`` turns into an odd increment and two steps.
+    The words of every seed are hashed at once; each state is built as it
+    is taken, so a draw never holds a whole stack's states.
     """
-    state_hi, state_lo, seq_hi, seq_lo = _uint64s(_keyed_states([], seeds, 8))
-    states = []
-    for hi, lo, inc_hi, inc_lo in zip(state_hi, state_lo, seq_hi, seq_lo):
-        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
+    return map(_pcg64_state, *_uint64s(_keyed_states([], seeds, 8)))
+
+
+def _pcg64_state(hi: int, lo: int, inc_hi: int, inc_lo: int) -> dict:
+    inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+    state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -332,10 +351,13 @@ def _series(values: np.ndarray, name: str) -> TimeSeries:
 def _generate_stack(dgp: DgpSpec, seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The pairs of ``dgp`` drawn with each of ``seeds`` (``dgp.seed`` is ignored).
 
-    Returns the first and the second series of each pair as two C-contiguous
-    (len(seeds), n) stacks. Every row is bitwise equal to what a stack of
-    that one seed gives: the draw, the cumulative sums and the recursion
-    perform the same IEEE operations, in the same order, on every row.
+    Returns the first and the second series of each pair as two
+    (len(seeds), n) stacks: views, past the burn-in, of the one
+    (len(seeds), 2, n + BURN_IN) buffer the draw ran in, so each row is
+    contiguous but neither stack is. Every row is bitwise equal to what a
+    stack of that one seed gives: the draw, the cumulative sums and the
+    recursion perform the same IEEE operations, in the same order, on every
+    row.
     """
     total = dgp.n + BURN_IN
     innov = np.empty((len(seeds), 2, total))
@@ -352,8 +374,7 @@ def _generate_stack(dgp: DgpSpec, seeds: list[int]) -> tuple[np.ndarray, np.ndar
         elif dgp.kind == COINTEGRATED_PAIR:
             np.cumsum(innov[:, 0], axis=1, out=innov[:, 0])
             _adjusting_series(innov[:, 0], innov[:, 1], dgp)
-    first = np.ascontiguousarray(innov[:, 0, BURN_IN:])
-    second = np.ascontiguousarray(innov[:, 1, BURN_IN:])
+    first, second = innov[:, 0, BURN_IN:], innov[:, 1, BURN_IN:]
     _check_finite(first, second)
     return first, second
 
@@ -580,8 +601,9 @@ def _run_replications(block: _Block, dgp: DgpSpec, config: dict, workers: int) -
     bounds = [min(n_blocks * w // workers * BLOCK_SIZE, reps) for w in range(workers + 1)]
     chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
     from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+    with ProcessPoolExecutor(max_workers=len(chunks), mp_context=get_context(_START_METHOD)) as pool:
         futures = [pool.submit(_outcome_chunk, block, dgp, base_seed, lo, hi) for lo, hi in chunks]
         # Chunk order preserved: counts and medians are worker-invariant.
         return np.concatenate([fut.result() for fut in futures])
