@@ -31,8 +31,7 @@ import sys
 from dataclasses import dataclass
 
 # Every analyst command reads a CSV, so ingest loads here; it needs no numpy.
-# Each handler imports the layers it runs, and montecarlo is the package's lazy module.
-from cointkit import montecarlo
+# Each handler imports the layers it runs.
 from cointkit.errors import (
     CointkitError,
     ConfigError,
@@ -41,7 +40,6 @@ from cointkit.errors import (
 )
 from cointkit.formats import json_dumps, significance_stars
 from cointkit.ingest import IngestReport, _read, ingest_csv
-from cointkit.periods import _abs_index, period_labels
 
 OUTPUT_DIR_ENV = "COINTKIT_OUTPUT_DIR"
 
@@ -287,21 +285,7 @@ def _warning_lines(warnings) -> list[str]:
 
 
 def _cmd_ingest_check(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
-    # IngestReport.from_series(ingest_csv(path)), read without a TimeSeries, so
-    # without numpy.
-    name, frequency, start, values = _read(config.values["input"])
-    lo, hi = min(values), max(values)
-    if lo == 0.0 or hi == 0.0:
-        # Python keeps the first of 0.0 and -0.0, and numpy need not: the zero is numpy's.
-        import numpy as np
-
-        array = np.array(values)
-        lo, hi = float(array.min()), float(array.max())
-    first = _abs_index(start, frequency)
-    start_label, end_label = (
-        period_labels(index, 1, frequency)[0] for index in (first, first + len(values) - 1)
-    )
-    report = IngestReport(name, frequency, start_label, end_label, len(values), lo, hi)
+    report = IngestReport.from_read(_read(config.values["input"]))
     human = [
         f"{report.name}: {report.observations} {report.frequency_label} observations, "
         f"{report.start}..{report.end}"
@@ -358,15 +342,10 @@ def _cmd_grid(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
     a = ingest_csv(config.values["input"])
     b = ingest_csv(config.values["input2"])
     grid = run_spec_grid(a, b)
-    human = [
-        f"{'transform':<14} {'norm':<7} {'lags':>4} {'trend':<6} {'statistic':>10}",
-    ]
+    human = [f"{'transform':<14} {'norm':<7} {'lags':>4} {'trend':<6} {'statistic':>10}"]
     for cell in grid.cells:
-        spec = cell.spec
-        if cell.report is not None:
-            stat = _stars_line(cell.report.statistic, cell.report.critical_values)
-        else:
-            stat = "error"
+        spec, report = cell.spec, cell.report
+        stat = "error" if report is None else _stars_line(report.statistic, report.critical_values)
         human.append(
             f"{spec.transform:<14} {spec.normalize_on:<7} {spec.lags:>4} "
             f"{str(spec.trend_in_stage_one).lower():<6} {stat:>10}"
@@ -377,11 +356,8 @@ def _cmd_grid(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
             f"median {grid.median_statistic:.3f}; rejections "
             + ", ".join(f"{l}%: {grid.reject_counts[l]}" for l in LEVELS)
         )
-    warning_set = []
-    for cell in grid.cells:
-        if cell.report is not None:
-            warning_set.extend(_warning_lines(cell.report.warnings))
-    human += sorted(set(warning_set))
+    reports = [cell.report for cell in grid.cells if cell.report is not None]
+    human += sorted({line for report in reports for line in _warning_lines(report.warnings)})
     return grid.to_json_dict(), grid.to_csv_rows(), human
 
 
@@ -437,6 +413,8 @@ def _cmd_ecm(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
 
 
 def _cmd_mc_falsepos(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
+    from cointkit import montecarlo
+
     result = montecarlo.run_false_positive_experiment(
         n=config.values["n"],
         reps=config.values["reps"],
@@ -454,6 +432,7 @@ def _cmd_mc_falsepos(config: RunConfig) -> tuple[dict, list[list[str]], list[str
 
 
 def _cmd_mc_size(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
+    from cointkit import montecarlo
     from cointkit.critvals import LEVELS, DeterministicSpec
 
     test = montecarlo.TestConfig(

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from cointkit.critvals import LEVELS, SOURCE_ID, eg_critical_values
-from cointkit.errors import CointkitError, UsageError, flag_setting, instance_setting, int_setting
+from cointkit.errors import CointkitError, UsageError, flag_setting, instance_setting
 from cointkit.formats import JsonRecord, fmt12s, significance_stars
-from cointkit.regression import MAX_LAGS, OlsFit, _adf_sample, _as_fit, _eg_stage_two, _levels_regression, median
+from cointkit.regression import OlsFit, _adf_sample, _as_fit, _eg_lags, _eg_stage_two, _levels_regression, median
 from cointkit.series import TimeSeries, align, has_differencing, lineage_summary, log_transform
 
 LOGARITHMS = "logarithms"
@@ -75,7 +75,7 @@ class EgSpec(JsonRecord):
             raise UsageError(f"transform must be {LOGARITHMS!r} or {UNTRANSFORMED!r}")
         if self.normalize_on not in (NORMALIZE_FIRST, NORMALIZE_SECOND):
             raise UsageError(f"normalize_on must be {NORMALIZE_FIRST!r} or {NORMALIZE_SECOND!r}")
-        object.__setattr__(self, "lags", int_setting("lags", self.lags, 0, MAX_LAGS))
+        object.__setattr__(self, "lags", _eg_lags(self.lags))
         trend = flag_setting("trend_in_stage_one", self.trend_in_stage_one)
         object.__setattr__(self, "trend_in_stage_one", trend)
 

@@ -30,7 +30,7 @@ from cointkit.errors import (
     int_setting,
 )
 from cointkit.formats import JsonRecord, fmt12s
-from cointkit.regression import OlsFit, _as_fit, _levels_regression, _lstsq, _Solution
+from cointkit.regression import MIN_EFFECTIVE_SAMPLE, OlsFit, _as_fit, _levels_regression, _lstsq, _Solution
 from cointkit.series import TimeSeries, align
 
 
@@ -142,7 +142,7 @@ def manifest_for(spec: EcmSpec, extra_names: tuple[str, ...] = ()) -> tuple[str,
 
 def _ardl_rows(n: int, spec: EcmSpec, frequency: int) -> np.ndarray:
     """The ARDL sample rule: the positions, in a pair of ``n`` aligned levels,
-    that the ARDL stage regresses, which must number >= 10.
+    that the ARDL stage regresses, which must number >= ``MIN_EFFECTIVE_SAMPLE``.
 
     The differencing span must be the series frequency or one period.
     """
@@ -153,9 +153,9 @@ def _ardl_rows(n: int, spec: EcmSpec, frequency: int) -> np.ndarray:
             "nor the conventional one-period form (1)"
         )
     rows = np.arange(max(gap + spec.ardl_control_lags, spec.ect_lag), n)
-    if rows.size < 10:
+    if rows.size < MIN_EFFECTIVE_SAMPLE:
         raise SeriesTooShort(
-            f"ARDL stage has {rows.size} effective observations after trimming; need >= 10"
+            f"ARDL stage has {rows.size} effective observations after trimming; need >= {MIN_EFFECTIVE_SAMPLE}"
         )
     return rows
 

@@ -16,7 +16,7 @@ This module does not import numpy, so a command that only reads a CSV
 loads none of it. The setting rules take numpy's scalar types from
 ``sys.modules``, once numpy is there: before numpy is imported, no numpy
 scalar can exist.
-``float_data`` imports numpy when it runs.
+``float_data`` and the finite rule, ``check_finite``, import numpy when they run.
 """
 
 import math
@@ -141,6 +141,16 @@ def float_data(name: str, values) -> "numpy.ndarray":
         return np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{name} must be numeric: {exc}") from None
+
+
+def check_finite(*stacks) -> None:
+    """The finite rule: ``DataError`` for the first non-finite value, stack by stack, at its
+    position along the last axis (a series' index). One mask is held at a time."""
+    import numpy as np
+
+    for values in stacks:
+        if not np.isfinite(values).all():
+            raise DataError(f"non-finite value at position {np.argwhere(~np.isfinite(values))[0][-1]}")
 
 
 class NumericalError(CointkitError):

@@ -15,8 +15,8 @@ records alone decides every error and every non-canonical row.
 
 ``_read`` does all of this without numpy, and ``ingest_csv`` wraps what it
 reads in a ``TimeSeries``, which loads numpy. ``cointkit ingest-check``
-builds its report from ``_read`` alone, so it imports numpy only to take a
-zero minimum or maximum with the sign numpy gives it.
+builds its report from ``_read`` alone (``IngestReport.from_read``), so it
+imports numpy only for a zero minimum or maximum, to give it numpy's sign.
 """
 
 from __future__ import annotations
@@ -93,6 +93,19 @@ class IngestReport(JsonRecord):
             min=float(series.values.min()),
             max=float(series.values.max()),
         )
+
+    @classmethod
+    def from_read(cls, read: tuple[str, int, tuple[int, int], list[float]]) -> "IngestReport":
+        """``from_series(ingest_csv(path))`` from ``_read(path)``, which loads no numpy."""
+        name, frequency, start, values = read
+        lo, hi = min(values), max(values)
+        if lo == 0.0 or hi == 0.0:  # Python keeps the first of 0.0 and -0.0; numpy need not
+            import numpy as np
+
+            lo, hi = float(np.min(values)), float(np.max(values))
+        first = _abs_index(start, frequency)
+        labels = (period_labels(index, 1, frequency)[0] for index in (first, first + len(values) - 1))
+        return cls(name, frequency, *labels, len(values), lo, hi)
 
     @property
     def frequency_label(self) -> str:

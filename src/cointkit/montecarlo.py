@@ -20,7 +20,7 @@ cointegrated-pair recursion runs one time step at a time across every row
 of the stack, through two scratch buffers of ``_CHUNK_STEPS`` (16) steps.
 The two series are returned as views of that one innovation buffer, so a
 draw allocates no float array of the stack's size but the buffer; the
-finiteness check adds a boolean mask per series. Each series is
+finiteness check adds one boolean mask of a series' size. Each series is
 bitwise equal to the one ``generate`` gives for that replication's seed
 alone, whatever the stack, block, chunk or worker split.
 
@@ -60,6 +60,7 @@ from cointkit.errors import (
     CointkitError,
     MissingGuardWarning,
     UsageError,
+    check_finite,
     flag_setting,
     instance_setting,
     int_setting,
@@ -67,11 +68,10 @@ from cointkit.errors import (
 )
 from cointkit.formats import JsonRecord, fmt12s
 from cointkit.regression import (
-    MAX_LAGS,
     _adf,
     _adf_sample,
-    _check_finite,
     _difference,
+    _eg_lags,
     _eg_stage_two,
     _levels_regression,
     median,
@@ -115,9 +115,9 @@ BLOCK_SIZE = 16
 # GENERATE_SIZE rows and at most _DRAW_STEPS row-steps (rows times
 # n + BURN_IN), but never fewer than 64 rows, so long series are drawn 64
 # at a time. A draw works in place and returns views of its innovations, so
-# its tracemalloc peak is about 18 bytes per row-step (16 of them the
-# innovations), at most 18.4 for every DGP from n=30 on: about 3.1 MiB for a
-# full draw at n=600, and 2.4 MiB for the 200 rows of a 200-replication call.
+# its tracemalloc peak is about 17 bytes per row-step (16 of them the
+# innovations), at most 18.4 for every DGP from n=30 on: about 2.9 MiB for a
+# full draw at n=600, and 2.3 MiB for the 200 rows of a 200-replication call.
 GENERATE_SIZE = 256
 _DRAW_STEPS = 256 * 700
 
@@ -375,7 +375,7 @@ def _generate_stack(dgp: DgpSpec, seeds: list[int]) -> tuple[np.ndarray, np.ndar
             np.cumsum(innov[:, 0], axis=1, out=innov[:, 0])
             _adjusting_series(innov[:, 0], innov[:, 1], dgp)
     first, second = innov[:, 0, BURN_IN:], innov[:, 1, BURN_IN:]
-    _check_finite(first, second)
+    check_finite(first, second)
     return first, second
 
 
@@ -639,7 +639,7 @@ def _size_result(
     once, and a miss raises :class:`MissingGuardWarning`.
     """
     if test.kind != ADF:
-        int_setting("lags", test.lags, 0, MAX_LAGS)  # the Engle-Granger lag bound
+        _eg_lags(test.lags)
     n_eff = _adf_sample(dgp.n - 1 if test.kind == EG_DIFFERENCES else dgp.n, test.lags)
     if test.kind == ADF:
         cvs = adf_critical_values(n_eff, test.det)
@@ -795,7 +795,7 @@ def run_ect_unit_root_experiment(
     from cointkit.series import MONTHLY
 
     spec = EcmSpec(MONTHLY) if ecm_spec is None else instance_setting("ecm_spec", ecm_spec, EcmSpec)
-    lags = int_setting("lags", lags, 0, MAX_LAGS)  # the Engle-Granger lag bound
+    lags = _eg_lags(lags)
     dgp = DgpSpec(INDEPENDENT_RANDOM_WALKS, n, innovation_sd)
     config, digest = _config(
         "ect_unit_root",

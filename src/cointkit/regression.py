@@ -20,10 +20,9 @@ Monte Carlo runners need no estimator module:
 - :func:`_eg_stage_two`, the Engle-Granger stage two on the residuals of
   a levels regression: ``cointegration``, the companion check of the CLI's
   ``ecm``, the Engle-Granger size experiments and the ECT unit-root
-  experiment. It applies no lag bound; the Engle-Granger bound
-  ``MAX_LAGS`` (0..24) is enforced by ``EgSpec``, by the size
-  experiments' ``montecarlo._size_result`` and by
-  ``montecarlo.run_ect_unit_root_experiment``.
+  experiment. It applies no lag bound: :func:`_eg_lags`, the lag rule
+  of every test read against the Engle-Granger critical values (0 to
+  ``MAX_LAGS``, 24), checks the setting where it is given.
 
 One kernel, :func:`_lstsq`, solves either one ``(n, k)`` design or a
 stack ``(..., n, k)`` of them; :func:`ols_fit` is its one-design case
@@ -51,6 +50,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +63,7 @@ from cointkit.errors import (
     RankDeficient,
     SeriesTooShort,
     UsageError,
+    check_finite,
     float_data,
     instance_setting,
     int_setting,
@@ -72,8 +73,8 @@ _EPS = np.finfo(float).eps
 
 MIN_EFFECTIVE_SAMPLE = 10
 MAX_LAGS = 24
-
-LEVEL_COLUMN = "level_lag1"
+# The lag rule of the Engle-Granger test and of every test read against its critical values.
+_eg_lags = partial(int_setting, "lags", lo=0, hi=MAX_LAGS)
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,7 @@ class DesignMatrix:
             raise DimensionMismatch(f"{len(names)} names for {k} columns")
         if len(set(names)) != k:
             raise DataError("column names must be unique")
-        if n <= k:
-            raise DataError(f"need more observations ({n}) than columns ({k})")
-        if not np.all(np.isfinite(data)):
-            raise DataError("design matrix contains non-finite entries")
+        _check_design(data)
         data.setflags(write=False)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "data", data)
@@ -183,6 +181,15 @@ class _Solution(NamedTuple):
         return _Solution(self.names, *(field[i] for field in self[1:]))
 
 
+def _check_design(A: np.ndarray) -> None:
+    """The design rule, on one ``(n, k)`` design or a stack: n > k, and finite entries."""
+    n, k = A.shape[-2:]
+    if n <= k:
+        raise DataError(f"need more observations ({n}) than columns ({k})")
+    if not np.isfinite(A).all():
+        raise DataError("design matrix contains non-finite entries")
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner products over the last axis, one BLAS dot per row of the stack."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
@@ -193,49 +200,50 @@ def _lstsq(A: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> _Solution:
 
     The checks below are those of :class:`DesignMatrix` and :func:`ols_fit`,
     in their order, then a :class:`NumericalError` when the design's squared
-    column norms or the residual sum of squares overflow, or when the
-    design is so small that the squares of the inverse R factor overflow
-    (values below about 1e-150). On a stack they
-    raise for the first slice that fails, so a caller that needs the error
-    of a given slice reruns it alone.
+    column norms or the residual sum of squares overflow, when the design is
+    so small that the squares of the inverse R factor overflow (values below
+    about 1e-150), or when the squares of the standard errors do. On a stack
+    they raise for the first slice that fails, so a caller that needs the
+    error of a given slice reruns it alone.
     """
     A = np.ascontiguousarray(A)
     y = np.ascontiguousarray(y)
+    _check_design(A)
     n, k = A.shape[-2:]
-    if n <= k:
-        raise DataError(f"need more observations ({n}) than columns ({k})")
-    if not np.isfinite(A).all():
-        raise DataError("design matrix contains non-finite entries")
     if not np.isfinite(y).all():
         raise DataError("dependent variable contains non-finite entries")
 
-    # Each |R_ii| is judged against its own column's norm (LINPACK dqrdc2's
-    # rule), so one column's units cannot make another look dependent. Squares
-    # of values above about 1.3e154 overflow; an infinite tolerance would call
-    # every column dependent.
-    with np.errstate(over="ignore"):
+    # Finite data may overflow, or make inf - inf, up to the standard errors: each
+    # case raises a NumericalError, and numpy warns of nothing. solve and inv raise
+    # LinAlgError only for a zero pivot, which the rank screen rules out.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Each |R_ii| is judged against its own column's norm (LINPACK dqrdc2's
+        # rule), so one column's units cannot make another look dependent. Squares
+        # of values above about 1.3e154 overflow; an infinite tolerance would call
+        # every column dependent.
         col_sq = np.ones(n) @ (A * A)
-    tol = n * _EPS * np.sqrt(col_sq)
-    if not np.isfinite(tol).all():
-        raise NumericalError("design overflows: squared column norms exceed the float range")
+        tol = n * _EPS * np.sqrt(col_sq)
+        if not np.isfinite(tol).all():
+            raise NumericalError("design overflows: squared column norms exceed the float range")
 
-    Q, R = np.linalg.qr(A)
-    weak = np.abs(np.diagonal(R, axis1=-2, axis2=-1)) <= tol
-    if weak.any():
-        raise RankDeficient(names[int(np.argwhere(weak)[0, -1])])
+        Q, R = np.linalg.qr(A)
+        weak = np.abs(np.diagonal(R, axis1=-2, axis2=-1)) <= tol
+        if weak.any():
+            raise RankDeficient(names[int(np.argwhere(weak)[0, -1])])
 
-    beta = np.linalg.solve(R, Q.swapaxes(-1, -2) @ y[..., None])
-    resid = y - (A @ beta)[..., 0]
-    beta = beta[..., 0]
-    r_inv = np.linalg.inv(R)
-    with np.errstate(over="ignore"):
+        beta = np.linalg.solve(R, Q.swapaxes(-1, -2) @ y[..., None])
+        resid = y - (A @ beta)[..., 0]
+        beta = beta[..., 0]
+        r_inv = np.linalg.inv(R)
         rss = _rowdot(resid, resid)
         xtx_inv_diag = (r_inv * r_inv) @ np.ones(k)
+        se = np.sqrt(rss[..., None] / (n - k) * xtx_inv_diag)
     if not np.isfinite(rss).all():
         raise NumericalError("residuals overflow: their sum of squares exceeds the float range")
     if not np.isfinite(xtx_inv_diag).all():
         raise NumericalError("design underflows: squares of the inverse R factor exceed the float range")
-    se = np.sqrt(rss[..., None] / (n - k) * xtx_inv_diag)
+    if not np.isfinite(se).all():
+        raise NumericalError("standard errors overflow: their squares exceed the float range")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         tstats = np.where(se > 0.0, beta / se, np.sign(beta) * np.inf)
@@ -294,7 +302,8 @@ def ols_fit(y: Sequence[float], X: DesignMatrix) -> OlsFit:
         Naming the first column that is numerically dependent on its
         predecessors.
     NumericalError
-        If a squared column norm or the residual sum of squares overflows.
+        If a squared column norm, the residual sum of squares, a square of the
+        inverse R factor or a squared standard error overflows.
     """
     instance_setting("X", X, DesignMatrix)
     yv = float_data("y", y).ravel()
@@ -309,8 +318,9 @@ def _levels_regression(y: np.ndarray, x: np.ndarray, include_trend: bool) -> _So
     The design is x, the optional trend 1..n, and the intercept, in that order.
     """
     n = y.shape[-1]
-    if n < 10:
-        raise SeriesTooShort(f"levels regression needs >= 10 overlapping observations, have {n}")
+    if n < MIN_EFFECTIVE_SAMPLE:
+        message = f"levels regression needs >= {MIN_EFFECTIVE_SAMPLE} overlapping observations, have {n}"
+        raise SeriesTooShort(message)
     names = ("x", "trend", "intercept") if include_trend else ("x", "intercept")
     design = np.empty(x.shape + (len(names),))
     design[..., 0] = x
@@ -328,18 +338,6 @@ def _degenerate(scale: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
     return np.abs(dx_resid).max(axis=-1, initial=0.0) <= 1e-12 * scale
 
 
-def _check_finite(*stacks: np.ndarray) -> None:
-    """Raises ``TimeSeries``'s error for the first non-finite value, stack by stack.
-
-    Its position is within the first row that holds one, so on one series,
-    or a stack of one, it is the error ``TimeSeries`` raises for that series.
-    """
-    for values in stacks:
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise DataError(f"non-finite value at position {np.argwhere(~finite)[0][-1]}")
-
-
 def _difference(x: np.ndarray) -> np.ndarray:
     """First differences along the last axis, bitwise each row's ``iterated_difference``.
 
@@ -350,7 +348,7 @@ def _difference(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         dx = np.diff(x, axis=-1)
     if not np.isfinite(dx).all():
-        _check_finite(x, dx)
+        check_finite(x, dx)
     return dx
 
 
@@ -407,7 +405,7 @@ def _adf(
     if _degenerate(scale, probe).any():
         raise DegenerateInput()
 
-    names = (LEVEL_COLUMN, *(f"diff_lag{i}" for i in range(1, lags + 1)))
+    names = ("level_lag1", *(f"diff_lag{i}" for i in range(1, lags + 1)))
     names += ("intercept",) if constant else ()
     names += ("trend",) if trend else ()
     design = np.empty(x.shape[:-1] + (n_eff, len(names)))

@@ -22,6 +22,7 @@ from cointkit.errors import (
     NoOverlap,
     SeriesTooShort,
     UsageError,
+    check_finite,
     float_data,
     instance_setting,
     int_setting,
@@ -120,9 +121,7 @@ class TimeSeries:
         vals = float_data("values", self.values).ravel()
         if vals.size < 1:
             raise DataError("a series needs at least one observation")
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise DataError(f"non-finite value at position {bad}")
+        check_finite(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "frequency", frequency)

@@ -16,7 +16,7 @@ import numpy as np
 from cointkit.critvals import LEVELS, SOURCE_ID, DeterministicSpec, adf_critical_values
 from cointkit.errors import float_data, instance_setting, int_setting
 from cointkit.formats import fmt12s
-from cointkit.regression import LEVEL_COLUMN, MIN_EFFECTIVE_SAMPLE, OlsFit, _adf, _as_fit
+from cointkit.regression import OlsFit, _adf, _as_fit
 from cointkit.series import TimeSeries
 
 CSV_COLUMNS = (
@@ -83,7 +83,7 @@ def adf_test(x: TimeSeries, lags: int, det: DeterministicSpec) -> UnitRootReport
     ----------
     x : TimeSeries
         Input series; needs at least ``lags`` + 11 observations so the
-        effective sample is >= 10.
+        effective sample is >= ``MIN_EFFECTIVE_SAMPLE`` (10).
     lags : int
         Number of lagged differences included; never chosen automatically.
     det : DeterministicSpec

@@ -5,6 +5,7 @@ arithmetic (fractions over the binary float inputs), a deliberately
 different route from the QR path in the package. The ADF oracle builds
 its regression from raw arrays and solves it with that oracle. The JSON
 oracle is the report writer's two-pass rule: round, then ``json.dumps``.
+``overflow_pair`` is finite data whose levels regression overflows.
 """
 
 from __future__ import annotations
@@ -89,6 +90,13 @@ def random_walk_pair(rng, n, sd=1.0):
         monthly_series(np.cumsum(innov[0]), name="rw_a"),
         monthly_series(np.cumsum(innov[1]), name="rw_b"),
     )
+
+
+def overflow_pair() -> tuple[np.ndarray, np.ndarray]:
+    """40 finite levels x, about +-1e150 in turn, and y = x * 2**525, about 1.5e308:
+    Q'y of the levels regression of y on x overflows (the golden overflow_x/overflow_y)."""
+    x = np.array([(-1e150 if i % 2 else 1e150) + i * 1e148 for i in range(40)])
+    return x, np.ldexp(x, 525)
 
 
 def round_floats(obj):

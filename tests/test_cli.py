@@ -22,6 +22,7 @@ from cointkit.ecm import estimate_levels
 from cointkit.errors import CointkitError, ConfigError, EmptyFile, GapInDates, NumericalError, ParseError
 from cointkit.ingest import ingest_csv
 from cointkit.series import TimeSeries
+from helpers import overflow_pair
 
 
 def write_series_csv(path, values, start=(2000, 1), quarterly=False):
@@ -340,6 +341,27 @@ class TestExitCodes:
             "replication": 0,
             "seed": mc.replication_seed(seed, 0),
         }
+
+    @staticmethod
+    def _overflow_pair(tmp_path) -> list[str]:
+        x, y = overflow_pair()
+        write_series_csv(tmp_path / "x.csv", x)
+        write_series_csv(tmp_path / "y.csv", y)
+        return ["--input", "y.csv", "--input2", "x.csv"]
+
+    @pytest.mark.parametrize("command", [["eg"], ["ecm", "--gap", "1"]])
+    def test_overflowing_projection_prints_only_the_error_line(self, tmp_path, command):
+        argv = [*command, *self._overflow_pair(tmp_path)]
+        assert _only_error_line(tmp_path, argv, code=3) == {
+            "error": "NumericalError",
+            "message": "residuals overflow: their sum of squares exceeds the float range",
+        }
+
+    def test_overflowing_projection_is_a_grid_error_row_and_no_warning(self, tmp_path):
+        proc = _fresh_process(tmp_path, ["grid", *self._overflow_pair(tmp_path)])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = proc.stdout.splitlines()[1:]
+        assert len(rows) == 12 and all(row.endswith(" error") for row in rows)
 
     @pytest.mark.parametrize(
         "command, scales, message",

@@ -3,7 +3,7 @@
 ``tests/golden/inputs/`` holds small seeded CSV series. ``tests/golden/expected/``
 holds, for each case below, the exact stdout of the CLI and the JSON and CSV it
 writes with ``--format both`` (the temporary output directory shows as
-``<out>``), the exit code and ``cointkit-error:`` stderr line of four failing
+``<out>``), the exit code and ``cointkit-error:`` stderr line of five failing
 invocations, and the ``to_json_dict()`` of the runners the CLI does not expose,
 rendered with full float precision. Each successful CLI case runs twice: with
 its options as flags, and with every option read from a ``--config`` file.
@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -93,6 +94,8 @@ ERROR_CASES = {
     "error_numerical": ["adf", "--input", "{in}/constant.csv"],
     # finite levels whose first differences overflow: one stderr line, no numpy warning
     "error_overflow": ["adf", "--input", "{in}/overflow.csv"],
+    # finite levels whose stage-one Q'y overflows: one stderr line, no numpy warning
+    "error_overflow_eg": ["eg", "--input", "{in}/overflow_y.csv", "--input2", "{in}/overflow_x.csv"],
 }
 
 EXPERIMENT_CASES = {
@@ -305,6 +308,12 @@ def _write_inputs() -> None:
     # Finite levels, +-1.5e308 in turn, whose first differences overflow.
     rows = [f"{2010 + i // 12}-{i % 12 + 1:02d},{'-' if i % 2 else ''}1.5e308" for i in range(120)]
     (INPUTS / "overflow.csv").write_text("\n".join(["date,value", *rows]) + "\n", encoding="utf-8")
+    # Finite levels, x about +-1e150 in turn and y = x * 2**525 (about 1.5e308),
+    # whose levels regression overflows in Q'y.
+    x = [(-1e150 if i % 2 else 1e150) + i * 1e148 for i in range(40)]
+    for name, values in (("overflow_x", x), ("overflow_y", [math.ldexp(v, 525) for v in x])):
+        rows = [f"{2010 + i // 12}-{i % 12 + 1:02d},{v!r}" for i, v in enumerate(values)]
+        (INPUTS / f"{name}.csv").write_text("\n".join(["date,value", *rows]) + "\n", encoding="utf-8")
     (INPUTS / "gap.csv").write_text("date,value\n2020-01,1\n2020-03,2\n", encoding="utf-8")
 
 

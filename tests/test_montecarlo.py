@@ -215,6 +215,20 @@ class TestGenerateStack:
             tracemalloc.stop()
         assert peak <= 2 * 8 * rows * mc._CHUNK_STEPS + 4 * 8 * rows + 16384
 
+    def test_finiteness_check_holds_one_mask(self):
+        # One boolean mask of a series' size at a time, plus numpy's fixed
+        # 8192-element buffer for a strided input; never one mask per series at once.
+        dgp = mc.DgpSpec(mc.COINTEGRATED_PAIR, 600)
+        first, second = mc._generate_stack(dgp, mc._replication_seeds(0, 0, 200))
+        mc.check_finite(first, second)
+        tracemalloc.start()
+        try:
+            mc.check_finite(first, second)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= first.size + 8 * 8192 + 4096
+
     @pytest.mark.parametrize(
         "n, reps, draws", [(60, 600, [256, 256, 88]), (600, 200, [200]), (10_000, 130, [64, 64, 2])]
     )

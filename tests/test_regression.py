@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import cointkit.ecm as ecm
 import cointkit.regression as regression
+from cointkit.cointegration import NORMALIZE_FIRST, UNTRANSFORMED, EgSpec, engle_granger_test
 from cointkit.ecm import EcmSpec, _ardl_rows, _ecm_regressions
-from cointkit.errors import DataError, DimensionMismatch, NumericalError, RankDeficient
+from cointkit.errors import CointkitError, DataError, DimensionMismatch, NumericalError, RankDeficient
 from cointkit.regression import MAX_LAGS, DesignMatrix, _adf, _levels_regression, _lstsq, median, ols_fit
-from cointkit.series import MONTHLY
-from helpers import exact_ols
+from cointkit.series import MONTHLY, TimeSeries
+from helpers import exact_ols, overflow_pair
 
 
 def design(**columns):
@@ -186,6 +187,59 @@ class TestRSquaredScale:
         columns["x"] = 10.0**b * x
         fit = ols_fit(10.0**a * y, design(**columns))
         assert fit.r_squared == pytest.approx(base.r_squared, rel=1e-12)
+
+
+class TestOverflow:
+    """Finite data whose fit overflows raises a NumericalError, and numpy warns of nothing."""
+
+    def test_overflowing_projection_of_y(self):
+        # Q'y overflows; the solve takes it as numbers and the residuals are not finite.
+        x, y = overflow_pair()
+        a, b = TimeSeries((2010, 1), 12, y), TimeSeries((2010, 1), 12, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fit in (
+                lambda: ols_fit(y, design(x=x, intercept=np.ones(40))),
+                lambda: ecm.estimate_levels(a, b),
+                lambda: engle_granger_test(a, b, EgSpec(UNTRANSFORMED, NORMALIZE_FIRST, 0, False)),
+            ):
+                with pytest.raises(NumericalError, match="^residuals overflow: "):
+                    fit()
+
+    def test_huge_y_on_a_tiny_design(self):
+        # A @ beta makes inf - inf.
+        rng = np.random.default_rng(0)
+        y = 1e200 * rng.standard_normal(40)
+        X = design(a=1e-120 * rng.standard_normal(40), b=np.full(40, 1e-120))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^residuals overflow: "):
+                ols_fit(y, X)
+
+    @settings(max_examples=300, deadline=None)
+    @given(e=st.integers(-1100, 1100), f=st.integers(-1100, 1100), trend=st.booleans())
+    @example(e=1022, f=0, trend=False)  # Q'y overflows
+    @example(e=0, f=-1076, trend=False)  # A @ beta makes inf - inf
+    @example(e=150, f=-515, trend=False)  # the squares of the standard errors overflow
+    def test_any_power_of_two_scaling_fits_or_raises_typed(self, e, f, trend):
+        # y scaled by 2**e and the design by 2**f, across the float exponent range.
+        x, y = _scale_pair()
+        with np.errstate(over="ignore"):  # a value beyond the float range is inf, a DataError
+            y, x, one = np.ldexp(y, e), np.ldexp(x, f), np.ldexp(np.ones(200), f)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for fit in (
+                lambda: ols_fit(y, design(x=x, intercept=one)),
+                lambda: ecm.estimate_levels(
+                    TimeSeries((2000, 1), 12, y), TimeSeries((2000, 1), 12, x), trend
+                ),
+            ):
+                try:
+                    coefficients = fit().coefficients
+                except CointkitError:
+                    continue
+                assert all(map(math.isfinite, coefficients.values())), coefficients
+        assert [str(w.message) for w in caught] == []
 
 
 class TestMemoryLayout:
