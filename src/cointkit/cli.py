@@ -275,9 +275,8 @@ def _write_outputs(config: RunConfig, json_dict: dict, csv_rows: list[list[str]]
     return [path for path, _ in outputs]
 
 
-def _stars_line(statistic: float, cvs: dict[int, float]) -> str:
-    stars = significance_stars(statistic, cvs)
-    return f"{statistic:.3f}{stars}"
+def _stars_line(report) -> str:
+    return f"{report.statistic:.3f}{significance_stars(report.reject_at)}"
 
 
 def _warning_lines(warnings) -> list[str]:
@@ -301,7 +300,7 @@ def _cmd_adf(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
     det = DeterministicSpec.from_label(config.values["det"])
     report = adf_test(series, config.values["lags"], det)
     human = [
-        f"ADF on {series.name}: statistic {_stars_line(report.statistic, report.critical_values)} "
+        f"ADF on {series.name}: statistic {_stars_line(report)} "
         f"(lags {report.lags}, {det.label()}, n_eff {report.n_effective})",
         "critical values: "
         + ", ".join(f"{l}%: {report.critical_values[l]:.3f}" for l in LEVELS),
@@ -327,7 +326,7 @@ def _cmd_eg(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
         f"Engle-Granger ({spec.transform}, normalized on {spec.normalize_on}, "
         f"lags {spec.lags}, trend {str(spec.trend_in_stage_one).lower()})",
         f"stage-one slope: {slope:.3f}   statistic: "
-        f"{_stars_line(report.statistic, report.critical_values)} (n_eff {report.n_effective})",
+        f"{_stars_line(report)} (n_eff {report.n_effective})",
         "critical values: "
         + ", ".join(f"{l}%: {report.critical_values[l]:.3f}" for l in LEVELS),
     ]
@@ -345,7 +344,7 @@ def _cmd_grid(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
     human = [f"{'transform':<14} {'norm':<7} {'lags':>4} {'trend':<6} {'statistic':>10}"]
     for cell in grid.cells:
         spec, report = cell.spec, cell.report
-        stat = "error" if report is None else _stars_line(report.statistic, report.critical_values)
+        stat = "error" if report is None else _stars_line(report)
         human.append(
             f"{spec.transform:<14} {spec.normalize_on:<7} {spec.lags:>4} "
             f"{str(spec.trend_in_stage_one).lower():<6} {stat:>10}"
@@ -362,7 +361,7 @@ def _cmd_grid(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
 
 
 def _cmd_ecm(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
-    from cointkit.critvals import eg_critical_values
+    from cointkit.critvals import eg_critical_values, rejections
     from cointkit.ecm import EcmSpec, estimate_ecm
     from cointkit.regression import _eg_stage_two
     from cointkit.series import align
@@ -387,7 +386,7 @@ def _cmd_ecm(config: RunConfig) -> tuple[dict, list[list[str]], list[str]]:
         caveat = "companion cointegration test could not be run; the error-correction term may be undefined"
     else:
         statistic = float(stage_two.t_stats[0])
-        reject = statistic < eg_critical_values(n_eff, spec.include_trend)[5]
+        reject = rejections(statistic, eg_critical_values(n_eff, spec.include_trend))[5]
         check = {"statistic": statistic, "reject_at_5": reject}
         if not reject:
             caveat = (

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cointkit.critvals import LEVELS, SOURCE_ID, eg_critical_values
+from cointkit.critvals import LEVELS, SOURCE_ID, eg_critical_values, rejections
 from cointkit.errors import CointkitError, UsageError, flag_setting, instance_setting
 from cointkit.formats import JsonRecord, fmt12s, significance_stars
 from cointkit.regression import OlsFit, _adf_sample, _as_fit, _eg_lags, _eg_stage_two, _levels_regression, median
@@ -106,7 +106,7 @@ class CointegrationReport(JsonRecord):
 
     @property
     def stars(self) -> str:
-        return significance_stars(self.statistic, self.critical_values)
+        return significance_stars(self.reject_at)
 
     def to_csv_rows(self) -> list[list[str]]:
         """The GRID_CSV_COLUMNS header and this report's one row."""
@@ -226,7 +226,7 @@ def _reports(a: TimeSeries, b: TimeSeries, specs: list[EgSpec]) -> list[Cointegr
                 stage_one=fit,
                 statistic=statistic,
                 critical_values=cvs,
-                reject_at={level: statistic < cvs[level] for level in LEVELS},
+                reject_at=rejections(statistic, cvs),
                 warnings=(*guard, *short, *collinear),
                 n_effective=n_eff,
                 stage_two_columns=stage_two.names,

@@ -21,7 +21,9 @@ re-estimated in 2010 and exist only for k = 1.
 :func:`adf_critical_values` and :func:`eg_critical_values` are the one
 rule by which the tests and the Monte Carlo experiments read the table:
 one or two variables, at the effective sample size or at the table's
-minimum if that is smaller.
+minimum if that is smaller. :func:`rejections` is the one rejection rule,
+a statistic strictly below the critical value, for every test's reject
+map, the CLI's companion check and the Monte Carlo counts.
 """
 
 from __future__ import annotations
@@ -168,3 +170,8 @@ def eg_critical_values(n_eff: int, trend_in_stage_one: bool) -> dict[int, float]
         else DeterministicSpec.constant_only()
     )
     return critical_values_map(2, max(n_eff, MIN_N), det)
+
+
+def rejections(statistic, critical_values: dict[int, float]) -> dict:
+    """``{level: statistic < cv}``: a bool per level for a float, a bool array for a stack."""
+    return {level: statistic < critical_values[level] for level in LEVELS}

@@ -1,6 +1,9 @@
 """Shared rendering helpers: 12-significant-digit machine numbers, stars,
 the one record rule for report JSON, and its writer.
 
+``significance_stars`` renders a reject map (``critvals.rejections``) and
+compares nothing, so the CLI's rendering runs no critical-value code.
+
 ``json_dumps`` writes report JSON in one recursive pass: it rounds each
 float to 12 significant digits as it writes (a non-finite one, such as the
 infinite t-ratio of a perfect fit, becomes null: JSON has no text for
@@ -132,12 +135,6 @@ def _json_key(key: Any) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def significance_stars(statistic: float, critical_values: dict[int, float]) -> str:
-    """Table-note stars: *** at 1 percent, ** at 5, * at 10."""
-    if statistic < critical_values[1]:
-        return "***"
-    if statistic < critical_values[5]:
-        return "**"
-    if statistic < critical_values[10]:
-        return "*"
-    return ""
+def significance_stars(reject_at: dict[int, bool]) -> str:
+    """Table-note stars of a reject map: *** at 1 percent, ** at 5, * at 10."""
+    return "***" if reject_at[1] else "**" if reject_at[5] else "*" if reject_at[10] else ""

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from cointkit.critvals import LEVELS, DeterministicSpec, adf_critical_values, eg_critical_values
+from cointkit.critvals import LEVELS, DeterministicSpec, adf_critical_values, eg_critical_values, rejections
 from cointkit.errors import (
     CointkitError,
     MissingGuardWarning,
@@ -69,6 +69,7 @@ from cointkit.errors import (
 from cointkit.formats import JsonRecord, fmt12s
 from cointkit.regression import (
     _adf,
+    _adf_lags,
     _adf_sample,
     _difference,
     _eg_lags,
@@ -211,14 +212,13 @@ def _seed_sequence(entropy: list, rows: int, n_words: int) -> np.ndarray:
     return state
 
 
-def _int_words(value: int) -> list[int]:
-    """``value`` as numpy's SeedSequence reads an int: little-endian uint32 words, at least one."""
-    if value < 0:
+def _words(keys: list[int]) -> list[list[int]]:
+    """The keys as numpy's SeedSequence reads ints, little-endian uint32 words: row i
+    holds word i of every key, as many rows as the longest key has (at least one)."""
+    if min(keys, default=0) < 0:  # checked before any shift: -1 >> 32 is -1
         raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
+    shifts = range(0, max(max(keys, default=0).bit_length(), 1), 32)
+    return [[key >> shift & _MASK32 for key in keys] for shift in shifts]
 
 
 def _keyed_states(prefix: list[int], keys: list[int], n_words: int) -> np.ndarray:
@@ -228,10 +228,7 @@ def _keyed_states(prefix: list[int], keys: list[int], n_words: int) -> np.ndarra
     Keys with more words give longer entropies, so each word count is hashed
     as its own group.
     """
-    if min(keys, default=0) < 0:
-        raise ValueError("expected non-negative integer")
-    shifts = range(0, max(max(keys, default=0).bit_length(), 1), 32)
-    words = np.array([[key >> shift & _MASK32 for key in keys] for shift in shifts], np.uint32)
+    words = np.array(_words(keys), np.uint32)
     lengths = (np.arange(1, len(words) + 1)[:, None] * (words != 0)).max(axis=0, initial=1)
     out = np.empty((n_words, len(keys)), np.uint32)
     for length in sorted(set(lengths.tolist())):  # np.unique would import numpy.ma
@@ -254,7 +251,7 @@ def _replication_seeds(base_seed: int, r0: int, r1: int) -> list[int]:
     .generate_state(1, np.uint64)[0]``, bit for bit: the base seed's words,
     zero-padded to the pool size, then the spawn key's.
     """
-    base = _int_words(base_seed)
+    base = [word for (word,) in _words([base_seed])]
     prefix = base + [0] * (_POOL_SIZE - len(base))
     (seeds,) = _uint64s(_keyed_states(prefix, list(range(r0, r1)), 2))
     return seeds
@@ -494,7 +491,7 @@ class TestConfig:
     def __post_init__(self):
         if self.kind not in _TEST_KINDS:
             raise UsageError(f"unknown test kind {self.kind!r}")
-        object.__setattr__(self, "lags", int_setting("lags", self.lags, 0))
+        object.__setattr__(self, "lags", _adf_lags(self.lags))
         object.__setattr__(self, "trend", flag_setting("trend", self.trend))
         instance_setting("det", self.det, DeterministicSpec)
 
@@ -612,15 +609,15 @@ def _run_replications(block: _Block, dgp: DgpSpec, config: dict, workers: int) -
 def _rejection_result(
     stats: np.ndarray, cvs: dict[int, float], config: dict, digest: str, guard_count: int | None = None
 ) -> ExperimentResult:
-    """Rejections of each statistic below its level's critical value."""
+    """The count of each level's rejections among ``stats``."""
     reps = len(stats)
-    rejections = {level: int(np.count_nonzero(stats < cvs[level])) for level in LEVELS}
+    counts = {level: int(np.count_nonzero(reject)) for level, reject in rejections(stats, cvs).items()}
     return ExperimentResult(
         experiment=config["experiment"],
         replications=reps,
-        rejections=rejections,
-        rejection_rate={level: rejections[level] / reps for level in LEVELS},
-        wilson_interval_95={level: wilson_interval(rejections[level], reps) for level in LEVELS},
+        rejections=counts,
+        rejection_rate={level: counts[level] / reps for level in LEVELS},
+        wilson_interval_95={level: wilson_interval(counts[level], reps) for level in LEVELS},
         seed=config["base_seed"],
         config=config,
         config_digest=digest,

@@ -15,8 +15,9 @@ Monte Carlo runners need no estimator module:
   rule :func:`_adf_sample` (``MIN_EFFECTIVE_SAMPLE``) and degeneracy screen
   :func:`_degenerate`: ``unitroot``, the ADF size experiments and
   :func:`_eg_stage_two`;
-- :func:`_difference`, first differences whose overflow raises a typed
-  error and no numpy warning: ``_adf`` and the eg-differences size block;
+- :func:`_difference`, the one differencing kernel, whose overflow raises a
+  typed error and no numpy warning: both differencing transforms of
+  ``series``, ``_adf`` and the eg-differences size block;
 - :func:`_eg_stage_two`, the Engle-Granger stage two on the residuals of
   a levels regression: ``cointegration``, the companion check of the CLI's
   ``ecm``, the Engle-Granger size experiments and the ECT unit-root
@@ -75,6 +76,8 @@ MIN_EFFECTIVE_SAMPLE = 10
 MAX_LAGS = 24
 # The lag rule of the Engle-Granger test and of every test read against its critical values.
 _eg_lags = partial(int_setting, "lags", lo=0, hi=MAX_LAGS)
+# The lag rule of the ADF test: any count the sample rule allows.
+_adf_lags = partial(int_setting, "lags", lo=0)
 
 
 @dataclass(frozen=True)
@@ -338,15 +341,21 @@ def _degenerate(scale: np.ndarray, dx_resid: np.ndarray) -> np.ndarray:
     return np.abs(dx_resid).max(axis=-1, initial=0.0) <= 1e-12 * scale
 
 
-def _difference(x: np.ndarray) -> np.ndarray:
-    """First differences along the last axis, bitwise each row's ``iterated_difference``.
+def _difference(x: np.ndarray, span: int = 1, order: int = 1) -> np.ndarray:
+    """``order`` passes of x_t - x_{t-span} along the last axis; numpy's ``diff`` at span 1.
 
-    A difference of finite values may overflow; it raises the ``DataError``
-    that ``TimeSeries`` raises for it, and numpy warns of nothing. A
-    non-finite value in ``x`` itself is named first, at its own position.
+    ``span * order`` or fewer observations raise ``SeriesTooShort``. A
+    difference of finite values may overflow: the result's first non-finite
+    value raises the ``DataError`` of ``TimeSeries``, and numpy warns of
+    nothing. A non-finite value in ``x`` itself is named first.
     """
+    n = x.shape[-1]
+    if n <= span * order:
+        raise SeriesTooShort(f"need more than {span * order} observations, have {n}")
+    dx = x
     with np.errstate(over="ignore", invalid="ignore"):
-        dx = np.diff(x, axis=-1)
+        for _ in range(order):
+            dx = dx[..., span:] - dx[..., :-span]
     if not np.isfinite(dx).all():
         check_finite(x, dx)
     return dx
@@ -354,7 +363,7 @@ def _difference(x: np.ndarray) -> np.ndarray:
 
 def _adf_sample(m: int, lags: int) -> int:
     """The ADF sample rule: what ``m`` observations leave after differencing and ``lags`` lags."""
-    lags = int_setting("lags", lags, 0)
+    lags = _adf_lags(lags)
     n_eff = m - 1 - lags
     if n_eff < MIN_EFFECTIVE_SAMPLE:
         raise SeriesTooShort(
@@ -380,7 +389,6 @@ def _adf(
     came from: the residuals of an exact fit are rounding noise, which is
     never negligible against itself.
     """
-    lags = int_setting("lags", lags, 0)
     m = x.shape[-1]
     n_eff = _adf_sample(m, lags)
     if scale is None:

@@ -3,7 +3,9 @@
 A :class:`TimeSeries` is immutable; every transform returns a new series
 and appends exactly one :class:`TransformTag` to its lineage. Downstream
 code (notably the cointegration misuse guard) inspects that lineage to
-tell raw data apart from differenced data. The period calendar
+tell raw data apart from differenced data. Both differencing transforms
+run ``regression._difference``, the package's one differencing kernel,
+with its span rule and its overflow check. The period calendar
 (``MONTHLY``, ``QUARTERLY``, period indices and labels) is written in
 :mod:`cointkit.periods`, and its names are importable from here too.
 """
@@ -20,7 +22,6 @@ from cointkit.errors import (
     FrequencyMismatch,
     NonPositiveValue,
     NoOverlap,
-    SeriesTooShort,
     UsageError,
     check_finite,
     float_data,
@@ -28,6 +29,7 @@ from cointkit.errors import (
     int_setting,
 )
 from cointkit.periods import MONTHLY, QUARTERLY, _abs_index, _from_abs_index, period_labels
+from cointkit.regression import _difference
 
 LOG = "log"
 SEASONAL_DIFF = "seasonal_diff"
@@ -220,12 +222,7 @@ def seasonal_difference(x: TimeSeries, gap: int) -> TimeSeries:
     ``gap`` periods later."""
     instance_setting("x", x, TimeSeries)
     gap = int_setting("gap", gap, 1)
-    if len(x) <= gap:
-        raise SeriesTooShort(f"need more than {gap} observations, have {len(x)}")
-    # A difference of finite values may overflow; TimeSeries reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = x.values[gap:] - x.values[:-gap]
-    return x._derive(values, gap, _next_tag(x, SEASONAL_DIFF, gap))
+    return x._derive(_difference(x.values, gap), gap, _next_tag(x, SEASONAL_DIFF, gap))
 
 
 def iterated_difference(x: TimeSeries, order: int) -> TimeSeries:
@@ -237,12 +234,7 @@ def iterated_difference(x: TimeSeries, order: int) -> TimeSeries:
     """
     instance_setting("x", x, TimeSeries)
     order = int_setting("order", order, 1)
-    if len(x) <= order:
-        raise SeriesTooShort(f"need more than {order} observations, have {len(x)}")
-    # A difference of finite values may overflow; TimeSeries reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.diff(x.values, n=order)
-    return x._derive(values, order, _next_tag(x, ITERATED_DIFF, order))
+    return x._derive(_difference(x.values, 1, order), order, _next_tag(x, ITERATED_DIFF, order))
 
 
 def align(a: TimeSeries, b: TimeSeries) -> tuple[TimeSeries, TimeSeries]:

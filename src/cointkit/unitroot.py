@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cointkit.critvals import LEVELS, SOURCE_ID, DeterministicSpec, adf_critical_values
-from cointkit.errors import float_data, instance_setting, int_setting
+from cointkit.critvals import LEVELS, SOURCE_ID, DeterministicSpec, adf_critical_values, rejections
+from cointkit.errors import float_data, instance_setting
 from cointkit.formats import fmt12s
-from cointkit.regression import OlsFit, _adf, _as_fit
+from cointkit.regression import OlsFit, _adf, _adf_lags, _as_fit
 from cointkit.series import TimeSeries
 
 CSV_COLUMNS = (
@@ -72,7 +72,7 @@ def adf_regression(values: np.ndarray, lags: int, det: DeterministicSpec) -> tup
     the one-series case of the stacked regression the Monte Carlo runners use.
     """
     instance_setting("det", det, DeterministicSpec)
-    sol, n_eff = _adf(float_data("values", values).ravel(), lags, det.constant, det.trend)
+    sol, n_eff = _adf(float_data("values", values).ravel(), _adf_lags(lags), det.constant, det.trend)
     return float(sol.t_stats[0]), n_eff, _as_fit(sol)
 
 
@@ -96,7 +96,7 @@ def adf_test(x: TimeSeries, lags: int, det: DeterministicSpec) -> UnitRootReport
         minimum the surface is evaluated at its smallest supported size.
     """
     instance_setting("x", x, TimeSeries)
-    lags = int_setting("lags", lags, 0)
+    lags = _adf_lags(lags)
     instance_setting("det", det, DeterministicSpec)
     sol, n_eff = _adf(x.values, lags, det.constant, det.trend)
     stat = float(sol.t_stats[0])
@@ -107,5 +107,5 @@ def adf_test(x: TimeSeries, lags: int, det: DeterministicSpec) -> UnitRootReport
         det=det,
         n_effective=n_eff,
         critical_values=cvs,
-        reject_at={level: stat < cvs[level] for level in LEVELS},
+        reject_at=rejections(stat, cvs),
     )

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cointkit.critvals import rejections
 from cointkit.formats import json_dumps, significance_stars
 from helpers import json_dumps_reference
 
@@ -76,4 +77,4 @@ def test_keys_json_cannot_write_raise_the_same_error_on_both(key):
 )
 def test_significance_stars_mark_the_strictest_level_rejected(statistic, stars):
     # A level rejects when the statistic lies strictly below its critical value.
-    assert significance_stars(statistic, {1: -3.5, 5: -2.9, 10: -1.9}) == stars
+    assert significance_stars(rejections(statistic, {1: -3.5, 5: -2.9, 10: -1.9})) == stars

@@ -3,7 +3,7 @@
 ``tests/golden/inputs/`` holds small seeded CSV series. ``tests/golden/expected/``
 holds, for each case below, the exact stdout of the CLI and the JSON and CSV it
 writes with ``--format both`` (the temporary output directory shows as
-``<out>``), the exit code and ``cointkit-error:`` stderr line of five failing
+``<out>``), the exit code and ``cointkit-error:`` stderr line of six failing
 invocations, and the ``to_json_dict()`` of the runners the CLI does not expose,
 rendered with full float precision. Each successful CLI case runs twice: with
 its options as flags, and with every option read from a ``--config`` file.
@@ -90,6 +90,8 @@ ERROR_CASES = {
     "error_usage": [
         "eg", "--input", "{in}/walk_a.csv", "--input2", "{in}/walk_b.csv", "--lags", "-1",
     ],
+    # the ADF lag rule, which is not the Engle-Granger one: no upper bound
+    "error_usage_adf": ["adf", "--input", "{in}/walk_a.csv", "--lags", "-1"],
     "error_data": ["adf", "--input", "{in}/gap.csv"],
     "error_numerical": ["adf", "--input", "{in}/constant.csv"],
     # finite levels whose first differences overflow: one stderr line, no numpy warning

@@ -4,6 +4,9 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cointkit.errors import (
     DataError,
@@ -13,6 +16,7 @@ from cointkit.errors import (
     SeriesTooShort,
     UsageError,
 )
+from cointkit.regression import _difference
 from cointkit.series import (
     MONTHLY,
     QUARTERLY,
@@ -161,6 +165,54 @@ def test_difference_that_overflows_is_a_data_error(transform):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="^non-finite value at position 0$"):
             transform(x)
+
+
+def _first_non_finite(values: np.ndarray) -> str:
+    return f"^non-finite value at position {np.argwhere(~np.isfinite(values))[0][-1]}$"
+
+
+# Finite values up to +-1e308, where a difference of two may overflow.
+_big_finite = st.one_of(st.floats(-1e308, 1e308), st.sampled_from([1e308, -1e308, 6e307, -6e307]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stack=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 30)), elements=_big_finite),
+    gap=st.integers(1, 13),
+    order=st.integers(1, 3),
+)
+def test_differencing_kernel_is_numpys_subtraction_or_names_its_first_non_finite_value(stack, gap, order):
+    """``_difference`` on the stack and both transforms on each row give numpy's own
+    result bitwise, or raise at its first non-finite value, and numpy warns of nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        seasonal = stack[:, gap:] - stack[:, :-gap]
+        iterated = np.diff(stack, n=order)
+    cases = [
+        (seasonal, (gap, 1), lambda x: seasonal_difference(x, gap)),
+        (iterated, (1, order), lambda x: iterated_difference(x, order)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for expected, (span, passes), transform in cases:
+            n = stack.shape[1]
+            if n <= span * passes:
+                message = f"^need more than {span * passes} observations, have {n}$"
+                with pytest.raises(SeriesTooShort, match=message):
+                    _difference(stack, span, passes)
+                with pytest.raises(SeriesTooShort, match=message):
+                    transform(monthly_series(stack[0]))
+                continue
+            if np.isfinite(expected).all():
+                assert _difference(stack, span, passes).tobytes() == expected.tobytes()
+            else:
+                with pytest.raises(DataError, match=_first_non_finite(expected)):
+                    _difference(stack, span, passes)
+            for row, want in zip(stack, expected):
+                if np.isfinite(want).all():
+                    assert transform(monthly_series(row)).values.tobytes() == want.tobytes()
+                else:
+                    with pytest.raises(DataError, match=_first_non_finite(want)):
+                        transform(monthly_series(row))
 
 
 class TestLineage:
